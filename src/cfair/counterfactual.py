@@ -69,6 +69,11 @@ _TAG_INDEP = 12
 _TAG_EXACT = 13
 _TAG_PREDICT = 14
 
+# values per block of MH randomness: a chain's (step, slot) keys are folded and
+# transformed this many at a time, so the block's memory stays bounded at any
+# record count while the per-step hashing cost is paid once per block
+_BLOCK_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class McmcConfig:
@@ -336,15 +341,23 @@ class PosteriorDraws:
 
 
 class _Target:
-    """Vectorised log-density of (state, evidence) across records."""
+    """Vectorised log-density of (state, evidence) across records.
 
-    def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray], n_records: int):
+    Finite-domain quantities are int codes into a value list (`values_of`):
+    categorical and Bernoulli state, evidence feeding a lookup table, and the
+    tables themselves, compiled to dense arrays indexed by parent codes. The
+    model's maps, linear predictors and prior pmfs are resolved once here, so
+    a step does array arithmetic only.
+    """
+
+    def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray],
+                 n_records: int, order: tuple[str, ...]):
         self.model = model
         self.n = n_records
         self.evidence = {k: np.asarray(v) for k, v in evidence_cols.items()}
-        order = require_valid(model)
-        prior_map = model.prior_map
-        eq_map = model.equation_map
+        self.order = order
+        prior_map = self.prior_map = model.prior_map
+        eq_map = self.eq_map = model.equation_map
         closure = _ancestor_closure(model, evidence_cols)
 
         self.cont_prior: list[str] = []    # normal-prior exogenous in the state
@@ -392,6 +405,7 @@ class _Target:
 
         # linear elimination system over cont_prior coordinates
         self._build_elimination(prior_map, eq_map)
+        self._compile()
 
     def _linear_rep(self, name, eq_map, cache):
         """(offset (R,), coeffs over cont_prior values) or None when not eliminable.
@@ -456,7 +470,8 @@ class _Target:
                 continue
             rows.append(vec)
             rhs.append(np.asarray(self.evidence[name], dtype=np.float64) - offset)
-        self.determined = [n for n in _topo_subset(self.model, self.determined)]
+        determined = set(self.determined)
+        self.determined = [n for n in self.order if n in determined]
 
         d = len(self.cont_prior)
         self.prior_mean = np.array([prior_map[n].mean for n in self.cont_prior])
@@ -481,105 +496,172 @@ class _Target:
             self.null_basis = np.eye(d)
         self.free_dim = self.null_basis.shape[1]
 
+    def _compile(self):
+        """Int codes, dense tables, linear predictors and pmfs, built once."""
+        eq_map = self.eq_map
+        var_map = self.model.variable_map
+        self.disc_names = self.disc_prior + self.aux_disc
+        self.values_of = {n: _domain_of(self.model, n) for n in self.disc_names}
+        self.tables: dict[str, np.ndarray] = {}
+        table_parents = set()
+        for name in self.determined:
+            fam = eq_map[name].family
+            if isinstance(fam, DeterministicTable):
+                # a real-valued table child is coded over its distinct entries
+                domain = var_map[name].domain
+                self.values_of[name] = (domain if domain is not None
+                                        else tuple(dict.fromkeys(fam.mapping.values())))
+                table_parents.update(eq_map[name].parents)
+        for name in self.determined:
+            if name in self.values_of:
+                self.tables[name] = self._dense_table(name, var_map)
+
+        # evidence feeding a table, as codes into the parent's domain
+        self.base_codes = {}
+        for name, col in self.evidence.items():
+            if name in table_parents:
+                index = _index_of(var_map[name].domain)
+                self.base_codes[name] = np.array([index[v] for v in col.tolist()], dtype=np.intp)
+
+        # linear predictors of every node whose density or value needs one
+        eta_nodes = (self.aux_cont + self.aux_disc + self.lik_nodes
+                     + [n for n in self.determined if n not in self.tables])
+        self.eta = {}
+        for name in eta_nodes:
+            eq = eq_map[name]
+            self.eta[name] = (float(eq.family.intercept), tuple(zip(eq.family.weights, eq.parents)))
+        need_float = {p for n in eta_nodes for p in eq_map[n].parents}
+        need_float.update(self.aux_disc, self.lik_nodes)
+        self.numeric = {n: np.asarray(self.values_of[n], dtype=np.float64)
+                        for n in self.values_of if n in need_float}
+        self.base_num = {n: np.asarray(col, dtype=np.float64)
+                         for n, col in self.evidence.items() if n in need_float}
+        self.poisson_const = {n: gammaln(self.base_num[n] + 1.0) for n in self.lik_nodes
+                              if isinstance(eq_map[n].family, PoissonLogLink)}
+
+        with np.errstate(divide="ignore"):
+            self.log_pmf = {}
+            for name in self.disc_prior:
+                prior = self.prior_map[name]
+                pmf = {v: p for v, p in zip(prior.values, prior.probs)}
+                self.log_pmf[name] = np.log(np.array([pmf.get(v, 0.0) for v in self.values_of[name]]))
+
+        # evidence checks: a table's code must match the observed value (exact
+        # equality, per record and code); a zero-noise linear value must lie
+        # within 1e-9 of a numeric observation
+        self.rows = np.arange(self.n)
+        self.table_checks = []
+        self.linear_checks = []
+        for name in self.indicator_nodes:
+            want = self.evidence[name]
+            if name in self.tables:
+                values = self.values_of[name]
+                match = np.array([[v == w for v in values] for w in want.tolist()],
+                                 dtype=bool).reshape(self.n, len(values))
+                self.table_checks.append((name, match))
+            else:
+                self.linear_checks.append((name, want.astype(np.float64), want.dtype.kind in "fiub"))
+
+    def _dense_table(self, name, var_map) -> np.ndarray:
+        eq = self.eq_map[name]
+        mapping = eq.family.mapping
+        index = _index_of(self.values_of[name])
+        domains = [var_map[p].domain for p in eq.parents]
+        dense = np.empty(tuple(len(d) for d in domains), dtype=np.intp)
+        for codes in product(*(range(len(d)) for d in domains)):
+            dense[codes] = index[mapping[tuple(d[c] for d, c in zip(domains, codes))]]
+        return dense
+
     # -- state handling --------------------------------------------------
 
     def cont_values(self, t: np.ndarray) -> np.ndarray:
         """Reconstruct cont_prior values (R, d) from free coordinates t (R, f)."""
+        if not self.cont_prior:
+            return self.part_solution
         return self.part_solution + t @ self.null_basis.T
 
-    def resolve(self, cont: np.ndarray, disc: dict[str, np.ndarray],
-                aux_c: np.ndarray, aux_d: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        values: dict[str, np.ndarray] = dict(self.evidence)
-        for j, name in enumerate(self.cont_prior):
-            values[name] = cont[:, j]
-        for name, col in disc.items():
-            values[name] = col
-        for j, name in enumerate(self.aux_cont):
-            values[name] = aux_c[:, j]
-        for name, col in aux_d.items():
-            values[name] = col
-        eq_map = self.model.equation_map
-        for name in self.determined:
-            eq = eq_map[name]
-            if isinstance(eq.family, DeterministicTable):
-                mapping = eq.family.mapping
-                cols = [np.asarray(values[p]) for p in eq.parents]
-                if cols:
-                    values[name] = np.array(
-                        [mapping[key] for key in zip(*(c.tolist() for c in cols))], dtype=object)
-                else:
-                    values[name] = np.full(self.n, mapping[()], dtype=object)
-            else:
-                eta = np.full(self.n, float(eq.family.intercept))
-                for w, p in zip(eq.family.weights, eq.parents):
-                    eta = eta + w * np.asarray(values[p], dtype=np.float64)
-                values[name] = eta
-        return values
+    def resolve(self, cont: np.ndarray, codes: np.ndarray, aux_c: np.ndarray):
+        """(float values, int codes) of every variable the density reads.
 
-    def log_density(self, t, disc, aux_c, aux_d) -> np.ndarray:
+        codes holds one column per disc_names entry.
+        """
+        num = dict(self.base_num)
+        cod = dict(self.base_codes)
+        for j, name in enumerate(self.cont_prior):
+            num[name] = cont[:, j]
+        for k, name in enumerate(self.disc_names):
+            cod[name] = codes[:, k]
+            if name in self.numeric:
+                num[name] = self.numeric[name][codes[:, k]]
+        for j, name in enumerate(self.aux_cont):
+            num[name] = aux_c[:, j]
+        for name in self.determined:
+            dense = self.tables.get(name)
+            if dense is None:
+                num[name] = self._eta(name, num)
+                continue
+            parents = self.eq_map[name].parents
+            if parents:
+                cod[name] = dense[tuple(cod[p] for p in parents)]
+            else:
+                cod[name] = np.full(self.n, dense[()], dtype=np.intp)
+            if name in self.numeric:
+                num[name] = self.numeric[name][cod[name]]
+        return num, cod
+
+    def log_density(self, t, codes, aux_c) -> np.ndarray:
+        """Per-record log-density; call under np.errstate(divide/invalid="ignore")."""
         cont = self.cont_values(t)
-        values = self.resolve(cont, disc, aux_c, aux_d)
+        num, cod = self.resolve(cont, codes, aux_c)
         logp = np.zeros(self.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, name in enumerate(self.cont_prior):
-                std = self.prior_std[j]
-                if std == 0.0:
-                    logp = np.where(np.abs(cont[:, j] - self.prior_mean[j]) <= 1e-12, logp, -np.inf)
-                else:
-                    logp = logp - 0.5 * ((cont[:, j] - self.prior_mean[j]) / std) ** 2 - math.log(std)
-            prior_map = self.model.prior_map
-            for name in self.disc_prior:
-                prior = prior_map[name]
-                pmf = {v: p for v, p in zip(prior.values, prior.probs)}
-                probs = np.array([pmf.get(v, 0.0) for v in disc[name].tolist()])
-                logp = logp + np.log(probs)
-            eq_map = self.model.equation_map
-            for name in self.aux_cont:
-                eq = eq_map[name]
-                eta = self._eta(eq, values)
-                sd = eq.family.noise_std
-                logp = logp - 0.5 * ((np.asarray(values[name], dtype=np.float64) - eta) / sd) ** 2 - math.log(sd)
-            for name in self.aux_disc:
-                eq = eq_map[name]
-                eta = self._eta(eq, values)
-                y = np.asarray(values[name], dtype=np.float64)
+        for j, name in enumerate(self.cont_prior):
+            std = self.prior_std[j]
+            if std == 0.0:
+                logp = np.where(np.abs(cont[:, j] - self.prior_mean[j]) <= 1e-12, logp, -np.inf)
+            else:
+                logp = logp - 0.5 * ((cont[:, j] - self.prior_mean[j]) / std) ** 2 - math.log(std)
+        for k, name in enumerate(self.disc_prior):
+            logp = logp + self.log_pmf[name][codes[:, k]]
+        for name in self.aux_cont:
+            eta = self._eta(name, num)
+            sd = self.eq_map[name].family.noise_std
+            logp = logp - 0.5 * ((num[name] - eta) / sd) ** 2 - math.log(sd)
+        for name in self.aux_disc:
+            eta = self._eta(name, num)
+            y = num[name]
+            logp = logp + y * log_expit(eta) + (1.0 - y) * log_expit(-eta)
+        for name in self.lik_nodes:
+            eta = self._eta(name, num)
+            y = num[name]
+            fam = self.eq_map[name].family
+            if isinstance(fam, LinearGaussian):
+                logp = logp - 0.5 * ((y - eta) / fam.noise_std) ** 2 - math.log(fam.noise_std)
+            elif isinstance(fam, BernoulliLogit):
                 logp = logp + y * log_expit(eta) + (1.0 - y) * log_expit(-eta)
-            for name in self.lik_nodes:
-                eq = eq_map[name]
-                eta = self._eta(eq, values)
-                y = np.asarray(values[name], dtype=np.float64)
-                fam = eq.family
-                if isinstance(fam, LinearGaussian):
-                    logp = logp - 0.5 * ((y - eta) / fam.noise_std) ** 2 - math.log(fam.noise_std)
-                elif isinstance(fam, BernoulliLogit):
-                    logp = logp + y * log_expit(eta) + (1.0 - y) * log_expit(-eta)
-                else:  # PoissonLogLink
-                    logp = logp + y * eta - np.exp(eta) - gammaln(y + 1.0)
-            for name in self.indicator_nodes:
-                want = self.evidence[name]
-                got = values[name]
-                ok = _loose_equal(got, want)
-                logp = np.where(ok, logp, -np.inf)
+            else:  # PoissonLogLink
+                logp = logp + y * eta - np.exp(eta) - self.poisson_const[name]
+        for name, match in self.table_checks:
+            logp = np.where(match[self.rows, cod[name]], logp, -np.inf)
+        for name, want, loose in self.linear_checks:
+            got = num[name]
+            ok = np.abs(got - want) <= 1e-9 if loose else got == want
+            logp = np.where(ok, logp, -np.inf)
         return np.where(np.isnan(logp), -np.inf, logp)
 
-    def _eta(self, eq, values) -> np.ndarray:
-        eta = np.full(self.n, float(eq.family.intercept))
-        for w, p in zip(eq.family.weights, eq.parents):
-            eta = eta + w * np.asarray(values[p], dtype=np.float64)
+    def _eta(self, name, num) -> np.ndarray:
+        intercept, terms = self.eta[name]
+        eta = np.full(self.n, intercept)
+        for w, p in terms:
+            eta = eta + w * num[p]
         return eta
 
 
-def _loose_equal(got, want) -> np.ndarray:
-    got = np.asarray(got)
-    want = np.asarray(want)
-    if got.dtype.kind in "fiub" and want.dtype.kind in "fiub":
-        return np.abs(got.astype(np.float64) - want.astype(np.float64)) <= 1e-9
-    return np.array([g == w for g, w in zip(got.tolist(), want.tolist())])
-
-
-def _topo_subset(model: CausalModel, names) -> list[str]:
-    wanted = set(names)
-    return [n for n in require_valid(model) if n in wanted]
+def _index_of(values: tuple) -> dict:
+    """value -> code, the first position of an equal value."""
+    index: dict = {}
+    for code, v in enumerate(values):
+        index.setdefault(v, code)
+    return index
 
 
 def _domain_of(model: CausalModel, name: str) -> tuple:
@@ -592,185 +674,174 @@ def _domain_of(model: CausalModel, name: str) -> tuple:
     return (0, 1)
 
 
-def _disc_column(domain: tuple, u: np.ndarray) -> np.ndarray:
-    idx = np.minimum((u * len(domain)).astype(int), len(domain) - 1)
-    return np.array(list(domain), dtype=object)[idx]
+def _numeric(model: CausalModel, name: str) -> bool:
+    """Whether every value the variable can take is a number."""
+    domain = model.variable(name).domain
+    return domain is None or all(isinstance(v, (int, float, np.integer, np.floating))
+                                 for v in domain)
 
 
 def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                    config: McmcConfig, names: tuple[str, ...] | None = None) -> PosteriorDraws:
     """Vectorised MH over records; the workhorse behind abduct_mcmc.
 
-    evidence_cols maps variable name to a column of per-record values. Chains
-    are keyed by (seed, record, chain): outputs are bit-identical however
-    records are batched or scheduled. Returned names default to all exogenous
-    variables not in the evidence (backgrounds first).
+    evidence_cols maps variable name to a column of per-record values.
+    Randomness is keyed by (seed, position of the record in this batch,
+    chain, step, slot), so results are bit-identical for the same batch and
+    seed, but a record's draws change when it sits at another position (see
+    ROADMAP.md, direction 4, for keying by a stable record id). The keys of a
+    block of steps are folded onto each chain's (seed, rows, chain) state at
+    once, _BLOCK_VALUES values at a time. Draws are float64 when every
+    requested variable's domain is numeric, otherwise object. Returned names
+    default to all exogenous variables not in the evidence (backgrounds
+    first).
     """
-    require_valid(model)
+    order = require_valid(model)
     n_records = len(next(iter(evidence_cols.values()))) if evidence_cols else 1
     _validate_evidence_cols(model, evidence_cols)
-    target = _Target(model, evidence_cols, n_records)
+    target = _Target(model, evidence_cols, n_records, order)
     if names is None:
         names = tuple(n for n in _exogenous_names(model) if n not in evidence_cols)
     elif any(n in evidence_cols for n in names):
         raise EvidenceOnBackground("requested draws for a variable that is observed")
-    prior_map = model.prior_map
 
-    disc_names = list(target.disc_prior) + list(target.aux_disc)
-    disc_domains = {n: _domain_of(model, n) for n in disc_names}
     rows = np.arange(n_records, dtype=np.uint64)
-
-    # independent exogenous variables (posterior equals prior) are drawn directly
-    covered = set(target.cont_prior) | set(target.disc_prior) | set(evidence_cols)
-    independent = [n for n in names if n not in covered]
-
-    kept_total = config.chains * config.kept
-    out = np.zeros((n_records, kept_total, len(names)), dtype=object)
+    dtype = np.float64 if all(_numeric(model, n) for n in names) else object
+    out = np.zeros((n_records, config.chains * config.kept, len(names)), dtype=dtype)
     acceptance = np.zeros((n_records, config.chains))
     ever_finite = np.zeros(n_records, dtype=bool)
 
-    for chain in range(config.chains):
-        t = np.zeros((n_records, target.free_dim))
-        aux_c = _init_aux(target, model)
-        disc = _init_disc(target, model, disc_names, disc_domains, n_records)
-        logp = target.log_density(t, disc, aux_c, {n: disc[n] for n in target.aux_disc})
-        if not np.all(np.isfinite(logp)):
-            disc, logp = _feasible_init(target, model, disc_names, disc_domains,
-                                        t, aux_c, disc, logp)
-        ever_finite |= np.isfinite(logp)
+    # output columns: continuous state, decoded discrete state, and independent
+    # exogenous variables (posterior equals prior), drawn directly
+    cont_cols = [(j, target.cont_prior.index(n)) for j, n in enumerate(names)
+                 if n in target.cont_prior]
+    disc_cols = [(j, target.disc_names.index(n), np.array(list(target.values_of[n]), dtype=dtype))
+                 for j, n in enumerate(names) if n in target.disc_names]
+    covered = set(target.cont_prior) | set(target.disc_names) | set(evidence_cols)
+    independent = [(j, n) for j, n in enumerate(names) if n not in covered]
 
-        n_cont = target.free_dim + len(target.aux_cont)
-        accepted = np.zeros(n_records)
-        total_steps = config.burn_in + config.kept * config.thin
-        kept_i = 0
-        for step in range(total_steps):
-            slot = 0
-            t_new = t
-            if target.free_dim:
-                steps = np.column_stack([rng.normals(config.seed, _TAG_MH, rows, chain, step, slot + j)
-                                         for j in range(target.free_dim)])
-                t_new = t + config.proposal_std * steps
-                slot += target.free_dim
-            aux_new = aux_c
-            if target.aux_cont:
-                steps = np.column_stack([rng.normals(config.seed, _TAG_MH, rows, chain, step, slot + j)
-                                         for j in range(len(target.aux_cont))])
-                aux_new = aux_c + config.proposal_std * steps
-                slot += len(target.aux_cont)
-            disc_new = {}
-            for name in disc_names:
-                u = rng.uniforms(config.seed, _TAG_MH, rows, chain, step, slot)
-                disc_new[name] = _disc_column(disc_domains[name], u)
-                slot += 1
-            logp_new = target.log_density(t_new, disc_new, aux_new,
-                                          {n: disc_new[n] for n in target.aux_disc})
-            u = rng.uniforms(config.seed, _TAG_MH, rows, chain, step, slot)
-            with np.errstate(invalid="ignore"):
-                take = np.log(u) < (logp_new - logp)
-            take |= np.isfinite(logp_new) & ~np.isfinite(logp)
-            if n_cont or disc_names:
-                if target.free_dim:
-                    t = np.where(take[:, None], t_new, t)
-                if target.aux_cont:
-                    aux_c = np.where(take[:, None], aux_new, aux_c)
-                for name in disc_names:
-                    disc[name] = np.where(take, disc_new[name], disc[name])
-                logp = np.where(take, logp_new, logp)
+    n_cont = target.free_dim + len(target.aux_cont)
+    n_disc = len(target.disc_names)
+    sizes = np.array([len(target.values_of[n]) for n in target.disc_names], dtype=np.intp)
+    # per-step slots: continuous moves, discrete re-proposals, the accept test
+    slots = np.arange(n_cont + n_disc + 1, dtype=np.uint64)
+    block = max(1, _BLOCK_VALUES // max(1, n_records * len(slots)))
+    total_steps = config.burn_in + config.kept * config.thin
+
+    # impossible states score -inf (log 0, inf - inf) and are rejected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for chain in range(config.chains):
+            t = np.zeros((n_records, target.free_dim))
+            aux_c = _init_aux(target)
+            codes = _init_disc(target)
+            logp = target.log_density(t, codes, aux_c)
+            if not np.all(np.isfinite(logp)):
+                codes, logp = _feasible_init(target, t, aux_c, codes, logp)
             ever_finite |= np.isfinite(logp)
-            if step >= config.burn_in:
-                accepted += take.astype(float)
-                if (step - config.burn_in + 1) % config.thin == 0:
-                    _collect(out, kept_total, chain * config.kept + kept_i, names, target,
-                             t, disc, independent, prior_map, model, config, rows, chain, kept_i)
-                    kept_i += 1
-        acceptance[:, chain] = accepted / max(1, config.kept * config.thin)
+
+            head = rng.key_bits(config.seed, _TAG_MH, rows, chain)[None, :, None]
+            accepted = np.zeros(n_records)
+            kept_i = 0
+            for start in range(0, total_steps, block):
+                steps = np.arange(start, min(start + block, total_steps), dtype=np.uint64)
+                u = rng.bits_to_uniforms(rng.fold_in(head, steps[:, None, None], slots))
+                moves = config.proposal_std * ndtri(u[:, :, :n_cont])
+                proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
+                log_u = np.log(u[:, :, -1])
+                for i, step in enumerate(range(start, start + len(steps))):
+                    t_new = t + moves[i, :, :target.free_dim] if target.free_dim else t
+                    aux_new = aux_c + moves[i, :, target.free_dim:] if target.aux_cont else aux_c
+                    logp_new = target.log_density(t_new, proposals[i], aux_new)
+                    take = log_u[i] < (logp_new - logp)
+                    take |= np.isfinite(logp_new) & ~np.isfinite(logp)
+                    if n_cont or n_disc:
+                        if target.free_dim:
+                            t = np.where(take[:, None], t_new, t)
+                        if target.aux_cont:
+                            aux_c = np.where(take[:, None], aux_new, aux_c)
+                        if n_disc:
+                            codes = np.where(take[:, None], proposals[i], codes)
+                        logp = np.where(take, logp_new, logp)
+                    ever_finite |= np.isfinite(logp)
+                    if step >= config.burn_in:
+                        accepted += take.astype(float)
+                        if (step - config.burn_in + 1) % config.thin == 0:
+                            pos = chain * config.kept + kept_i
+                            cont = target.cont_values(t)
+                            for j, c in cont_cols:
+                                out[:, pos, j] = cont[:, c]
+                            for j, k, decoded in disc_cols:
+                                out[:, pos, j] = decoded[codes[:, k]]
+                            kept_i += 1
+            acceptance[:, chain] = accepted / max(1, config.kept * config.thin)
+            if independent:
+                _draw_independent(out, target.prior_map, independent, config, rows, chain)
 
     if not ever_finite.all():
         raise ZeroPosteriorMass(
             f"no feasible background state for record(s) {np.flatnonzero(~ever_finite)[:5].tolist()}")
-
-    draws = _finalize_dtype(out, names, model)
-    return PosteriorDraws(tuple(names), draws, acceptance)
+    return PosteriorDraws(tuple(names), out, acceptance)
 
 
-def _init_aux(target: _Target, model: CausalModel) -> np.ndarray:
+def _init_aux(target: _Target) -> np.ndarray:
     """Start auxiliary continuous nodes at their conditional means."""
     if not target.aux_cont:
         return np.zeros((target.n, 0))
-    t = np.zeros((target.n, target.free_dim))
-    cont = target.cont_values(t)
-    disc = {n: np.array([_domain_of(model, n)[0]] * target.n, dtype=object)
-            for n in target.disc_prior + target.aux_disc}
+    cont = target.cont_values(np.zeros((target.n, target.free_dim)))
+    codes = np.zeros((target.n, len(target.disc_names)), dtype=np.intp)
+    num, _ = target.resolve(cont, codes, np.zeros((target.n, len(target.aux_cont))))
     cols = []
-    values = target.resolve(cont, {n: disc[n] for n in target.disc_prior},
-                            np.zeros((target.n, len(target.aux_cont))),
-                            {n: disc[n] for n in target.aux_disc})
-    eq_map = model.equation_map
     for name in target.aux_cont:
-        eta = target._eta(eq_map[name], values)
-        values[name] = eta
+        eta = target._eta(name, num)
+        num[name] = eta
         cols.append(eta)
     return np.column_stack(cols)
 
 
-def _init_disc(target, model, disc_names, disc_domains, n_records):
-    disc = {}
-    for name in disc_names:
-        prior = model.prior_map.get(name)
+def _init_disc(target: _Target) -> np.ndarray:
+    """Codes of each discrete state variable's prior mode (first value without a prior)."""
+    codes = np.zeros((target.n, len(target.disc_names)), dtype=np.intp)
+    for k, name in enumerate(target.disc_names):
+        prior = target.prior_map.get(name)
         if prior is not None and hasattr(prior, "probs"):
             best = prior.values[int(np.argmax(prior.probs))]
-        else:
-            best = disc_domains[name][0]
-        disc[name] = np.array([best] * n_records, dtype=object)
-    return disc
+            codes[:, k] = _index_of(target.values_of[name])[best]
+    return codes
 
 
-def _feasible_init(target, model, disc_names, disc_domains, t, aux_c, disc, logp):
+def _feasible_init(target, t, aux_c, codes, logp):
     """Scan small discrete supports for a per-record feasible assignment."""
-    domains = [disc_domains[n] for n in disc_names]
-    n_combo = int(np.prod([len(d) for d in domains])) if domains else 1
-    if not disc_names or n_combo > 4096:
-        return disc, logp
-    best = {n: disc[n].copy() for n in disc_names}
+    sizes = [len(target.values_of[n]) for n in target.disc_names]
+    n_combo = int(np.prod(sizes)) if sizes else 1
+    if not sizes or n_combo > 4096:
+        return codes, logp
+    best = codes.copy()
     best_logp = logp.copy()
-    for combo in product(*domains):
-        trial = {n: np.array([v] * target.n, dtype=object) for n, v in zip(disc_names, combo)}
-        lp = target.log_density(t, trial, aux_c, {n: trial[n] for n in target.aux_disc})
+    for combo in product(*(range(s) for s in sizes)):
+        trial = np.broadcast_to(np.array(combo, dtype=np.intp), codes.shape)
+        lp = target.log_density(t, trial, aux_c)
         upgrade = np.isfinite(lp) & ~np.isfinite(best_logp)
         if upgrade.any():
-            for n in disc_names:
-                best[n] = np.where(upgrade, trial[n], best[n])
+            best = np.where(upgrade[:, None], trial, best)
             best_logp = np.where(upgrade, lp, best_logp)
     return best, best_logp
 
 
-def _collect(out, kept_total, pos, names, target, t, disc, independent,
-             prior_map, model, config, rows, chain, kept_i):
-    cont = target.cont_values(t)
-    for j, name in enumerate(names):
-        if name in target.cont_prior:
-            out[:, pos, j] = cont[:, target.cont_prior.index(name)]
-        elif name in disc:
-            out[:, pos, j] = disc[name]
-        elif name in independent:
-            u = rng.uniforms(config.seed, _TAG_INDEP, rows, chain, kept_i, j)
-            prior = prior_map[name]
-            if isinstance(prior, NormalPrior):
-                out[:, pos, j] = prior.mean + prior.std * ndtri(u)
-            else:
-                cum = np.cumsum(prior.probs)
-                cum[-1] = 1.0
-                idx = np.searchsorted(cum, u, side="right")
-                out[:, pos, j] = np.array(list(prior.values), dtype=object)[idx]
-
-
-def _finalize_dtype(out: np.ndarray, names, model: CausalModel) -> np.ndarray:
-    numeric = True
-    for j, name in enumerate(names):
-        sample = out[0, 0, j]
-        if isinstance(sample, str):
-            numeric = False
-    return out.astype(np.float64) if numeric else out
+def _draw_independent(out, prior_map, independent, config, rows, chain):
+    """Prior draws for one chain's kept slots, keyed (seed, rows, chain, kept, column)."""
+    head = rng.key_bits(config.seed, _TAG_INDEP, rows, chain)[:, None]
+    kept = np.arange(config.kept, dtype=np.uint64)
+    span = slice(chain * config.kept, (chain + 1) * config.kept)
+    for j, name in independent:
+        u = rng.bits_to_uniforms(rng.fold_in(head, kept, j))
+        prior = prior_map[name]
+        if isinstance(prior, NormalPrior):
+            out[:, span, j] = prior.mean + prior.std * ndtri(u)
+        else:
+            cum = np.cumsum(prior.probs)
+            cum[-1] = 1.0
+            idx = np.searchsorted(cum, u, side="right")
+            out[:, span, j] = np.array(list(prior.values), dtype=out.dtype)[idx]
 
 
 def abduct_mcmc(model: CausalModel, evidence: dict, config: McmcConfig) -> PosteriorDraws:
@@ -844,8 +915,11 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
     """(records, chains * kept, len(names)) posterior draws for every record.
 
     Takes the exact joint-normal route when the model supports it, otherwise
-    the record-vectorised MH sampler. Draws are keyed by (seed, record, draw)
-    so batching records differently leaves each record's draws untouched.
+    the record-vectorised MH sampler. Both key a record's draws by its position
+    in this batch: (seed, position, draw) on the exact route, (seed, position,
+    chain, step, slot) on the MH route. Reruns of the same batch are
+    bit-identical, but the same record draws differently at another position
+    (ROADMAP.md, direction 4, keys by a stable record id instead).
     """
     n_records = len(next(iter(evidence_cols.values())))
     m = config.draws
@@ -860,5 +934,5 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
                       for k in range(d)], axis=-1) if d else np.zeros((n_records, m, 0))
         return means[:, None, :] + z @ scale.T
     except NotLinearGaussian:
-        # dtype is object only when a categorical latent takes string values
+        # dtype is object only when a requested variable's domain holds a non-number
         return abduct_records(model, evidence_cols, config, names=names).draws

@@ -10,6 +10,14 @@ variable-by-variable.
 
 All transforms consume exactly one uniform per value (inverse CDF), keeping
 the key -> value map one-to-one.
+
+Because a value depends on its key alone, a long stream can be drawn in
+blocks: hash the fixed head of the key once with key_bits, then fold_in a
+broadcast block of the remaining parts. fold_in(key_bits(seed, *head), *tail)
+equals key_bits(seed, *head, *tail) bit for bit, so the MH sampler folds
+(step, slot) blocks onto a per-chain state instead of hashing the whole key
+once per step (Salmon et al. 2011, "Parallel random numbers: as easy as
+1, 2, 3").
 """
 
 from __future__ import annotations
@@ -49,22 +57,33 @@ def _fold(state, part):
         return _mix(state ^ part)
 
 
+def fold_in(state, *parts) -> np.ndarray:
+    """Continue a key: fold further parts onto a state returned by key_bits.
+
+    Parts broadcast against the state and each other as in key_bits.
+    """
+    for part in parts:
+        state = _fold(state, part)
+    return state
+
+
 def key_bits(seed: int, *parts) -> np.ndarray:
     """Hash (seed, *parts) into uint64 random bits.
 
     Parts combine under numpy broadcasting, so rows[:, None] with
     draws[None, :] keys a full (rows, draws) block in one call.
     """
-    state = _mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    for part in parts:
-        state = _fold(state, part)
-    return state
+    return fold_in(_mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)), *parts)
+
+
+def bits_to_uniforms(bits) -> np.ndarray:
+    """Map uint64 random bits to uniforms on the open interval (0, 1)."""
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def uniforms(seed: int, *parts) -> np.ndarray:
     """Uniforms on the open interval (0, 1) for the given key."""
-    bits = key_bits(seed, *parts)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return bits_to_uniforms(key_bits(seed, *parts))
 
 
 def normals(seed: int, *parts) -> np.ndarray:

@@ -14,6 +14,7 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import record_acceptance
 
 from cfair import (
@@ -287,6 +288,7 @@ def test_criterion_05_loan_flip_rates_match_enumeration():
             f"twin flip {rate:.4f}")
 
 
+@pytest.mark.slow
 @criterion(6, budget=600.0)
 def test_criterion_06_training_pipeline_ordering_and_audit_pattern():
     recipes = ("full", "unaware", "fair_k", "fair_add")

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from cfair import (
+    BernoulliLogit,
     CategoricalPrior,
     CausalModel,
+    DeterministicTable,
     EvidenceOnBackground,
     LinearGaussian,
     McmcConfig,
@@ -18,13 +22,15 @@ from cfair import (
     ZeroPosteriorMass,
     abduct_exact,
     abduct_mcmc,
+    abduct_records,
     build_model,
     counterfactual_sample,
     exact_available,
     ks_2sample,
     validate_evidence,
 )
-from helpers import batch_se, law_school, red_car, single_latent_model, split_outcome_model
+from cfair import counterfactual
+from helpers import batch_se, law_school, loan, red_car, single_latent_model, split_outcome_model
 
 FAST = McmcConfig(chains=2, burn_in=200, kept=200, thin=2, seed=0)
 
@@ -213,3 +219,144 @@ def test_exact_and_mcmc_posteriors_agree_on_gaussian_fixtures():
         u = draws.column(name)
         mu = exact.mean[exact.names.index(name)]
         assert abs(u.mean() - mu) <= 5 * batch_se(u)
+
+
+# ---------------------------------------------------------------------------
+# MH sampler byte identity
+
+
+def _digest(arr) -> str:
+    """SHA-256 of dtype, shape and values; object cells hash as type-tagged values."""
+    arr = np.asarray(arr)
+    h = hashlib.sha256(f"{arr.dtype}{arr.shape}".encode())
+    if arr.dtype == object:
+        for v in arr.ravel().tolist():
+            if isinstance(v, str):
+                h.update(b"s" + v.encode() + b"\0")
+            elif isinstance(v, (int, np.integer)):
+                h.update(b"i%d\0" % int(v))
+            else:
+                h.update(b"f" + float(v).hex().encode() + b"\0")
+    else:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+def string_latent_model() -> CausalModel:
+    """String-valued categorical latent C behind a table G -> E, plus every other
+    kind of MH state: an eliminated zero-noise child X0, a latent Gaussian H,
+    a latent Bernoulli B, and backgrounds W, V that the evidence does not reach."""
+    table_g = {("red",): "g0", ("green",): "g1", ("blue",): "g1"}
+    table_e = {(g, b): int(g == "g1" or b == 1) for g in ("g0", "g1") for b in (0, 1)}
+    return CausalModel(
+        variables=(Variable("A", Role.PROTECTED, domain=(0, 1)),
+                   Variable("C", Role.BACKGROUND, domain=("red", "green", "blue")),
+                   Variable("U", Role.BACKGROUND),
+                   Variable("U2", Role.BACKGROUND),
+                   Variable("W", Role.BACKGROUND),
+                   Variable("V", Role.BACKGROUND, domain=("x", "y")),
+                   Variable("H", Role.OBSERVED),
+                   Variable("B", Role.OBSERVED, domain=(0, 1)),
+                   Variable("G", Role.OBSERVED, domain=("g0", "g1")),
+                   Variable("E", Role.OBSERVED, domain=(0, 1)),
+                   Variable("X", Role.OBSERVED),
+                   Variable("X0", Role.OBSERVED),
+                   Variable("Y", Role.OUTCOME)),
+        equations=(StructuralEquation("H", ("U",), LinearGaussian(0.2, (1.0,), 0.7)),
+                   StructuralEquation("B", ("U",), BernoulliLogit(-0.3, (1.5,))),
+                   StructuralEquation("G", ("C",), DeterministicTable(table_g)),
+                   StructuralEquation("E", ("G", "B"), DeterministicTable(table_e)),
+                   StructuralEquation("X", ("H", "A"), LinearGaussian(0.0, (1.0, 0.8), 0.5)),
+                   StructuralEquation("X0", ("U", "U2"), LinearGaussian(0.1, (1.0, -0.5), 0.0)),
+                   StructuralEquation("Y", ("W",), LinearGaussian(0.0, (1.0,), 1.0))),
+        priors={"A": CategoricalPrior((0, 1), (0.5, 0.5)),
+                "C": CategoricalPrior(("red", "green", "blue"), (0.5, 0.3, 0.2)),
+                "U": NormalPrior(0.0, 1.0), "U2": NormalPrior(0.5, 2.0),
+                "W": NormalPrior(1.0, 0.5),
+                "V": CategoricalPrior(("x", "y"), (0.25, 0.75))})
+
+
+def _abduction_fixture(name):
+    if name == "loan":
+        model, _ = loan(n=1, seed=0)
+        return (model, {"A": np.array([1]), "Employed": np.array([0])},
+                McmcConfig(chains=2, burn_in=37, kept=23, thin=3, seed=6))
+    if name == "law_school":
+        model, data = law_school(n=10, seed=3)
+        return (model, {k: data.column(k) for k in ("R", "S", "GPA", "LSAT")},
+                McmcConfig(chains=2, burn_in=41, kept=12, thin=3, seed=0))
+    if name == "indicator":
+        # Z = 1 + 2 D without noise: D is discrete, so Z's evidence is a
+        # per-record indicator, matched within 1e-9 (the last record is off by 1e-12)
+        model = CausalModel(
+            variables=(Variable("D", Role.BACKGROUND, domain=(0, 1, 2)),
+                       Variable("U", Role.BACKGROUND),
+                       Variable("Z", Role.OBSERVED),
+                       Variable("X", Role.OBSERVED)),
+            equations=(StructuralEquation("Z", ("D",), LinearGaussian(1.0, (2.0,), 0.0)),
+                       StructuralEquation("X", ("U", "D"), LinearGaussian(0.0, (1.0, 0.5), 1.0))),
+            priors={"D": CategoricalPrior((0, 1, 2), (0.2, 0.5, 0.3)),
+                    "U": NormalPrior(0.0, 1.0)})
+        return (model, {"Z": np.array([3.0, 1.0, 5.0 + 1e-12]), "X": np.array([0.4, -0.3, 1.9])},
+                McmcConfig(chains=2, burn_in=31, kept=9, thin=2, seed=4))
+    return (string_latent_model(),
+            {"A": np.array([0, 1, 1, 0]), "E": np.array([1, 0, 1, 1]),
+             "X": np.array([0.3, -1.2, 2.0, 0.0]), "X0": np.array([0.5, 1.0, -0.7, 0.0])},
+            McmcConfig(chains=2, burn_in=29, kept=11, thin=4, seed=5))
+
+
+# (draws, acceptance) digests recorded with the sampler that hashed every
+# step's key in full; drawing the same keys in blocks must reproduce them
+ABDUCTION_DIGESTS = {
+    "loan": ("19198d19a19ed999", "53f7a11ca91762ef"),
+    "law_school": ("bb48b4ac975620ac", "0b9d77f58c109a8e"),
+    "indicator": ("d3fb8b3cdddd3de0", "41704422471b59ab"),
+    "strings": ("dd2fc7cb2e3b611f", "7ac7af70c00c6929"),
+}
+
+
+@pytest.mark.parametrize("block_values", [1, 70, None])
+@pytest.mark.parametrize("name", sorted(ABDUCTION_DIGESTS))
+def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values, monkeypatch):
+    # 1 value per block gives one step per block; 70 splits every fixture's
+    # chain into blocks of a few steps that straddle burn-in and thinning
+    if block_values is not None:
+        monkeypatch.setattr(counterfactual, "_BLOCK_VALUES", block_values)
+    model, evidence, config = _abduction_fixture(name)
+    post = abduct_records(model, evidence, config)
+    assert (_digest(post.draws), _digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
+
+
+def test_numeric_domains_give_float_draws():
+    model, evidence, config = _abduction_fixture("strings")
+    # B is latent Bernoulli state, not exogenous, and is reported from the chain
+    post = abduct_records(model, evidence, config, names=("U", "U2", "W", "B"))
+    assert post.draws.dtype == np.float64
+    assert set(np.unique(post.draws[:, :, 3])) <= {0.0, 1.0}
+    loan_model, loan_evidence, loan_config = _abduction_fixture("loan")
+    draws = abduct_records(loan_model, loan_evidence, loan_config).draws
+    assert draws.dtype == np.float64
+    assert set(np.unique(draws)) <= {0.0, 1.0}
+
+
+def test_string_domains_give_object_draws():
+    model, evidence, config = _abduction_fixture("strings")
+    post = abduct_records(model, evidence, config, names=("U", "C", "V"))
+    assert post.draws.dtype == object
+    assert {type(v) for v in post.draws[:, :, 0].ravel()} == {float}
+    assert set(post.draws[:, :, 1].ravel()) <= {"red", "green", "blue"}
+    assert set(post.draws[:, :, 2].ravel()) == {"x", "y"}
+
+
+def test_mixed_domain_gives_object_draws_whatever_is_drawn_first():
+    # M mixes a number and a string; its first draw may well be the number
+    model = CausalModel(
+        variables=(Variable("X", Role.OBSERVED), Variable("U", Role.BACKGROUND),
+                   Variable("M", Role.BACKGROUND, domain=(0, "a"))),
+        equations=(StructuralEquation("X", ("U",), LinearGaussian(0.0, (1.0,), 1.0)),),
+        priors={"U": NormalPrior(0.0, 1.0), "M": CategoricalPrior((0, "a"), (0.5, 0.5))})
+    config = McmcConfig(chains=2, burn_in=10, kept=20, thin=1, seed=1)
+    post = abduct_records(model, {"X": np.array([0.5, -1.0])}, config)
+    assert post.names == ("U", "M")
+    assert post.draws.dtype == object
+    assert set(post.draws[:, :, 1].ravel()) == {0, "a"}
