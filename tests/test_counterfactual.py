@@ -360,3 +360,57 @@ def test_mixed_domain_gives_object_draws_whatever_is_drawn_first():
     assert post.names == ("U", "M")
     assert post.draws.dtype == object
     assert set(post.draws[:, :, 1].ravel()) == {0, "a"}
+
+
+# ---------------------------------------------------------------------------
+# exact route byte identity
+
+
+def redundant_evidence_model() -> CausalModel:
+    """X2 repeats X1 twice over without noise, so one evidence row is redundant."""
+    return CausalModel(
+        variables=(Variable("U1", Role.BACKGROUND), Variable("U2", Role.BACKGROUND),
+                   Variable("X1", Role.OBSERVED), Variable("X2", Role.OBSERVED),
+                   Variable("X3", Role.OBSERVED)),
+        equations=(StructuralEquation("X1", ("U1", "U2"), LinearGaussian(0.2, (1.0, 1.0), 0.0)),
+                   StructuralEquation("X2", ("X1",), LinearGaussian(-0.1, (2.0,), 0.0)),
+                   StructuralEquation("X3", ("U1", "U2"), LinearGaussian(0.0, (1.0, -0.7), 0.5))),
+        priors={"U1": NormalPrior(0.3, 1.5), "U2": NormalPrior(-0.2, 0.8)})
+
+
+def _exact_outputs(name):
+    config = McmcConfig(chains=2, kept=7, seed=3)
+    if name == "pdm_red_car":
+        model, data = red_car(n=5, seed=2)
+        return counterfactual.posterior_draw_matrix(
+            model, {k: data.column(k) for k in ("A", "X")}, config, ("U",))
+    if name == "pdm_redundant":
+        x1 = np.array([0.5, -1.0, 2.0])
+        evidence = {"X1": x1, "X2": 2.0 * x1 - 0.1, "X3": np.array([0.1, 0.4, -0.9])}
+        return counterfactual.posterior_draw_matrix(
+            redundant_evidence_model(), evidence, config, ("U2", "U1"))
+    if name == "exogenous_draws":
+        draws = counterfactual.exogenous_draws(single_latent_model(), {"X": 2.0}, 40, config)
+        return draws["U"]
+    if name == "counterfactual_sample":
+        out = counterfactual_sample(single_latent_model(0.5), {"X": -0.4}, {"X": 1.0}, 40, config)
+        return np.column_stack([out.column(c) for c in out.columns])
+    post = abduct_exact(redundant_evidence_model(), {"X1": 0.5, "X2": 0.9, "X3": 0.1})
+    return post.mean if name == "abduct_exact_mean" else post.cov
+
+
+# digests of the joint-normal route recorded before its elimination was shared
+# with the MH sampler's; the shared elimination must reproduce them
+EXACT_DIGESTS = {
+    "pdm_red_car": "2293e84c6186090c",
+    "pdm_redundant": "ca3618625b248575",
+    "exogenous_draws": "bfc215c4c53a4887",
+    "counterfactual_sample": "271b981ac27814a5",
+    "abduct_exact_mean": "fc5b31f0084ccc4a",
+    "abduct_exact_cov": "ba88500ddf563b55",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+def test_exact_route_is_byte_identical(name):
+    assert _digest(_exact_outputs(name)) == EXACT_DIGESTS[name]
