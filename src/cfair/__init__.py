@@ -35,7 +35,7 @@ from .scm import (BernoulliLogit, CategoricalPrior, CausalModel,
                   PoissonLogLink, Role, StructuralEquation, ValidationIssue,
                   ValidationResult, Variable, ancestral_sample, descendants,
                   forward_eval, intervene, load_model, model_from_json,
-                  model_to_json, non_descendants, save_model, twin_network,
+                  model_to_json, non_descendants, save_model,
                   validate_model)
 
 __version__ = "0.1.0"

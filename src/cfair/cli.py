@@ -1,8 +1,7 @@
 """Batch command line: validate, simulate, scenario, fit, audit, experiment.
 
 Every subcommand is deterministic given its flags. `--seed` overrides the
-CFAIR_SEED environment variable (default 0). `--threads` is accepted as a
-worker hint everywhere; results never depend on it.
+CFAIR_SEED environment variable (default 0).
 
 Exit codes: 0 success; 1 error, with a `config:` or `io:` prefix for
 configuration and filesystem problems and the error class name for anything
@@ -591,8 +590,6 @@ def cmd_experiment(args) -> int:
 def _add_common(sp) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="random seed (default: $CFAIR_SEED, else 0)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker hint; outputs never depend on it")
 
 
 def _add_mcmc(sp) -> None:

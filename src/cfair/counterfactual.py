@@ -2,24 +2,33 @@
 
 Abduction recovers the posterior over exogenous state (background variables
 plus any unobserved prior-backed roots) given evidence on endogenous
-variables. Two routes:
+variables. One function, _exact_route, validates the evidence and picks the
+route for every caller (exogenous_draws, posterior_draw_matrix,
+exact_available, abduct_exact):
 
-* abduct_exact: joint-normal conditioning when every equation on a path
-  relevant to the evidence is LinearGaussian and the involved priors are
-  normal. Observed prior-backed roots (a protected attribute, say) are plugged
-  in as constants, so finite-domain protected variables do not break
-  exactness. Degenerate directions (singular values below 1e-10) are treated
-  as deterministic; jointly impossible evidence raises SingularConditioning.
+* exact: joint-normal conditioning when every equation on a path relevant to
+  the evidence is LinearGaussian (or a numeric constant) and every unobserved
+  exogenous prior is normal. Observed prior-backed roots (a protected
+  attribute, say) are plugged in as constants, so finite-domain protected
+  variables do not break exactness. Degenerate directions (singular values
+  below 1e-10) are treated as deterministic; jointly impossible evidence
+  raises SingularConditioning.
 
-* abduct_mcmc: random-walk Metropolis, vectorised across records. Continuous
-  components move by Gaussian steps of size proposal_std; finite-domain
-  components are re-proposed uniformly over their domain (symmetric, so no
-  Hastings correction). Evidence on zero-noise LinearGaussian children whose
-  dependence reaches only continuous normal priors is eliminated exactly
-  before sampling, reducing the sampled dimension; evidence on deterministic
-  tables becomes a hard indicator. Unobserved stochastic ancestors of the
-  evidence join the state as auxiliary dimensions (their conditional densities
-  multiply the target); unobserved Poisson ancestors are not supported.
+* MCMC (abduct_records): random-walk Metropolis, vectorised across records.
+  Continuous components move by Gaussian steps of size proposal_std;
+  finite-domain components are re-proposed uniformly over their domain
+  (symmetric, so no Hastings correction). Evidence on zero-noise
+  LinearGaussian children whose dependence reaches only continuous normal
+  priors is eliminated exactly before sampling, reducing the sampled
+  dimension; jointly impossible evidence raises ZeroPosteriorMass. Evidence
+  on deterministic tables becomes a hard indicator. Unobserved stochastic
+  ancestors of the evidence join the state as auxiliary dimensions (their
+  conditional densities multiply the target); unobserved Poisson ancestors
+  are not supported.
+
+Both routes build affine forms of the evidence with one builder (_Affine) and
+solve them with one SVD (_solve); the exact route's coordinates are standard
+normals plus equation noises, the sampler's are the normal priors' values.
 
 Prediction (counterfactual_sample) replaces equations per the intervention
 and evaluates forward once per posterior draw. Equation noise is redrawn,
@@ -55,6 +64,7 @@ from .scm import (
     NormalPrior,
     PoissonLogLink,
     Role,
+    _linear_predictor,
     forward_eval,
     intervene,
     require_valid,
@@ -62,6 +72,7 @@ from .scm import (
 
 _SVD_CUTOFF = 1e-10
 _CONSISTENCY_TOL = 1e-8
+_NUMBER = (int, float, np.integer, np.floating)
 
 # stream tags so the counter-based keys of distinct passes never collide
 _TAG_MH = 11
@@ -90,12 +101,8 @@ class McmcConfig:
 
 
 def validate_evidence(model: CausalModel, evidence: dict) -> None:
-    for name, value in evidence.items():
-        var = model.variable(name)
-        if var.role == Role.BACKGROUND:
-            raise EvidenceOnBackground(f"evidence on background variable {name}")
-        if not model.value_in_domain(name, value):
-            raise UnattainableValue(f"{name} cannot take value {value!r}")
+    """Check one record's evidence; the checks of _validate_evidence_cols."""
+    _validate_evidence_cols(model, _record_cols(evidence))
 
 
 def _validate_evidence_cols(model: CausalModel, evidence_cols: dict[str, np.ndarray]) -> None:
@@ -105,14 +112,22 @@ def _validate_evidence_cols(model: CausalModel, evidence_cols: dict[str, np.ndar
             raise EvidenceOnBackground(f"evidence on background variable {name}")
         col = np.asarray(col)
         if var.domain is None:
-            vals = col.astype(np.float64)
-            if not np.all(np.isfinite(vals)):
+            if col.dtype.kind not in "biuf" and not (
+                    col.dtype == object and all(isinstance(v, _NUMBER) for v in col.tolist())):
+                raise UnattainableValue(f"{name}: evidence contains non-numeric values")
+            if not np.all(np.isfinite(col.astype(np.float64))):
                 raise UnattainableValue(f"{name}: evidence contains non-finite values")
         else:
             allowed = set(var.domain)
             bad = [v for v in dict.fromkeys(col.tolist()) if v not in allowed]
             if bad:
                 raise UnattainableValue(f"{name} cannot take value {bad[0]!r}")
+
+
+def _record_cols(evidence: dict) -> dict[str, np.ndarray]:
+    """One record's evidence as columns; a string keeps an object column."""
+    return {k: np.array([v], dtype=object) if isinstance(v, str) else np.array([v])
+            for k, v in evidence.items()}
 
 
 def _ancestor_closure(model: CausalModel, names) -> set:
@@ -139,6 +154,107 @@ def _exogenous_names(model: CausalModel) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
+# linear-Gaussian core, shared by both routes
+
+
+class _Affine:
+    """Affine forms (offset (records,), coeffs (dim,)) of model nodes over a basis.
+
+    `coords` fixes the forms of basis variables; `plugged` nodes take their
+    observed per-record values; `noise` maps a LinearGaussian node with noise
+    to the basis position of that noise. Every other node is expanded through
+    its equation. A node whose form is None is not affine in the basis: a
+    non-numeric observation, a node outside the linear-Gaussian families, or
+    a noisy node without a noise coordinate.
+    """
+
+    def __init__(self, eq_map, n_records: int, dim: int, coords: dict,
+                 plugged: dict[str, np.ndarray], noise: dict[str, int]):
+        self.eq_map = eq_map
+        self.n = n_records
+        self.dim = dim
+        self.noise = noise
+        self.forms = dict(coords)
+        for name, col in plugged.items():
+            try:
+                self.forms[name] = (np.asarray(col, dtype=np.float64), np.zeros(dim))
+            except (TypeError, ValueError):
+                self.forms[name] = None
+
+    def form(self, name: str):
+        if name not in self.forms:
+            eq = self.eq_map.get(name)
+            self.forms[name] = None if eq is None else self.equation(eq)
+        return self.forms[name]
+
+    def equation(self, eq):
+        """The form of eq's right-hand side, ignoring any plugged value of its child."""
+        fam = eq.family
+        if isinstance(fam, DeterministicTable) and not eq.parents:
+            # constant assignment (e.g. a finite-domain intervention)
+            value = fam.mapping[()]
+            if not isinstance(value, _NUMBER):
+                return None
+            return np.full(self.n, float(value)), np.zeros(self.dim)
+        if not isinstance(fam, LinearGaussian) or (
+                fam.noise_std != 0.0 and eq.child not in self.noise):
+            return None
+        offset = np.full(self.n, float(fam.intercept))
+        vec = np.zeros(self.dim)
+        for w, p in zip(fam.weights, eq.parents):
+            rep = self.form(p)
+            if rep is None:
+                return None
+            offset = offset + w * rep[0]
+            vec = vec + w * rep[1]
+        if fam.noise_std != 0.0:
+            vec[self.noise[eq.child]] = fam.noise_std
+        return offset, vec
+
+
+def _solve(rows: list, rhs: list, dim: int, n_records: int, full_matrices: bool,
+           impossible: type, mean0: np.ndarray | None = None):
+    """Least-norm solution x (records, dim) of rows @ x = rhs, per record.
+
+    With mean0, x is the solution nearest mean0. Singular values at or below
+    _SVD_CUTOFF times the largest are dropped; a record whose equations have
+    no solution raises `impossible`. Returns (x, vt, rank): the first rank
+    rows of vt span the constrained directions, the rest (full_matrices
+    only) the free ones.
+    """
+    if not rows:
+        x = np.zeros((dim, n_records)) if mean0 is None else np.repeat(mean0[:, None], n_records, 1)
+        return x.T, np.eye(dim), 0
+    matrix = np.array(rows)
+    target = np.array(rhs)  # (k, records)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=full_matrices)
+    rank = int((s > _SVD_CUTOFF * s.max(initial=1.0)).sum())
+    pinv = vt[:rank].T / s[:rank] @ u[:, :rank].T
+    if mean0 is None:
+        x = pinv @ target
+    else:
+        x = mean0[:, None] + pinv @ (target - matrix @ mean0[:, None])
+    residual = matrix @ x - target
+    scale = 1.0 + np.abs(target).max(initial=0.0)
+    bad = np.abs(residual).max(axis=0, initial=0.0) > _CONSISTENCY_TOL * scale
+    if bad.any():
+        raise impossible(
+            f"evidence jointly impossible for record(s) {np.flatnonzero(bad)[:5].tolist()}")
+    return x.T, vt, rank
+
+
+def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, shape: tuple, normals) -> np.ndarray:
+    """mean + z @ root.T, root the eigh square root of cov; z[..., k] = normals(k) of `shape`."""
+    d = cov.shape[0]
+    if not d:
+        return mean + np.zeros(shape + (0,))
+    w, v = np.linalg.eigh(cov)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    z = np.stack([normals(k) for k in range(d)], axis=-1)
+    return mean + z @ root.T
+
+
+# ---------------------------------------------------------------------------
 # exact route
 
 
@@ -155,166 +271,74 @@ class GaussianPosterior:
 
     def sample(self, n: int, seed: int, salt: int = 0) -> np.ndarray:
         """(n, len(names)) draws, counter-keyed and deterministic."""
-        d = len(self.names)
-        w, v = np.linalg.eigh(self.cov)
-        w = np.clip(w, 0.0, None)
-        scale = v * np.sqrt(w)
         rows = np.arange(n, dtype=np.uint64)
-        z = np.column_stack([rng.normals(seed, _TAG_EXACT, salt, k, rows)
-                             for k in range(d)]) if d else np.zeros((n, 0))
-        return self.mean + z @ scale.T
+        return _gaussian_draws(self.mean, self.cov, (n,),
+                               lambda k: rng.normals(seed, _TAG_EXACT, salt, k, rows))
 
 
-class _LinearSystem:
-    """Representation of evidence as linear rows over standard-normal coords.
+def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
+                 names: tuple[str, ...] | None = None):
+    """Validate the evidence and choose the abduction route.
 
-    Basis coordinates are one z per normal-prior exogenous variable plus one z
-    per positive-noise LinearGaussian ancestor of the evidence. Representations
-    carry per-record offsets so a whole Dataset of records shares one matrix.
+    Returns the exact posterior of `names` (default: every unobserved
+    exogenous variable) as per-record means (records, d) and a shared
+    covariance (d, d), or None when a path relevant to the evidence is not
+    linear-Gaussian, so that the MH sampler must be used. Conditioning runs
+    over one standard-normal coordinate per unobserved exogenous variable and
+    one per noisy LinearGaussian ancestor of the evidence.
     """
-
-    def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray], n_records: int):
-        order = require_valid(model)
-        prior_map = model.prior_map
-        eq_map = model.equation_map
-        self.model = model
-        self.n_records = n_records
-        closure = _ancestor_closure(model, evidence_cols)
-        exo = _exogenous_names(model)
-
-        self.basis: list[str] = []
-        index: dict[str, int] = {}
-        for name in exo:
-            if name in evidence_cols:
-                continue  # plugged below
-            prior = prior_map[name]
-            if not isinstance(prior, NormalPrior):
-                raise NotLinearGaussian(
-                    f"{name}: categorical prior outside the evidence blocks exact abduction")
-            index[name] = len(self.basis)
-            self.basis.append(name)
-        noise_index: dict[str, int] = {}
-        for name in order:
-            eq = eq_map.get(name)
-            if (eq is not None and name in closure
-                    and isinstance(eq.family, LinearGaussian) and eq.family.noise_std > 0):
-                noise_index[name] = len(self.basis)
-                self.basis.append(f"{name}::noise")
-
-        dim = len(self.basis)
-        zeros = np.zeros(dim)
-        reps: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # name -> (offset (R,), coeffs (dim,))
-        for name in order:
-            if name not in closure:
-                continue
-            if name in evidence_cols and name in prior_map:
-                # observed exogenous root: independent of the z coords, plug the value
-                try:
-                    plugged = np.asarray(evidence_cols[name], dtype=np.float64)
-                except (TypeError, ValueError):
-                    continue  # non-numeric root; legal only if nothing linear consumes it
-                reps[name] = (plugged, zeros)
-                continue
-            if name in prior_map:
-                prior = prior_map[name]
-                vec = np.zeros(dim)
-                vec[index[name]] = prior.std
-                reps[name] = (np.full(n_records, prior.mean), vec)
-                continue
-            eq = eq_map[name]
-            if isinstance(eq.family, DeterministicTable) and not eq.parents:
-                # constant assignment (e.g. a finite-domain intervention)
-                value = eq.family.mapping[()]
-                if not isinstance(value, (int, float, np.integer, np.floating)):
-                    raise NotLinearGaussian(f"{name}: non-numeric constant")
-                reps[name] = (np.full(n_records, float(value)), zeros)
-                continue
-            if not isinstance(eq.family, LinearGaussian):
-                raise NotLinearGaussian(
-                    f"{name}: {type(eq.family).__name__} on a path relevant to the evidence")
-            offset = np.full(n_records, float(eq.family.intercept))
-            vec = np.zeros(dim)
-            for w, p in zip(eq.family.weights, eq.parents):
-                if p not in reps:
-                    raise NotLinearGaussian(f"{name}: parent {p} is not representable linearly")
-                p_off, p_vec = reps[p]
-                offset = offset + w * p_off
-                vec = vec + w * p_vec
-            if eq.family.noise_std > 0:
-                vec[noise_index[name]] = eq.family.noise_std
-            reps[name] = (offset, vec)
-
-        rows, rhs = [], []
-        for name, col in evidence_cols.items():
-            if name in prior_map:
-                continue  # plugged constant; consistency is domain membership
-            offset, vec = reps[name]
-            rows.append(vec)
-            rhs.append(np.asarray(col, dtype=np.float64) - offset)
-        self.matrix = np.array(rows) if rows else np.zeros((0, dim))
-        self.rhs = np.array(rhs) if rhs else np.zeros((0, n_records))
-        self.exo_index = index  # exogenous name -> basis position
-
-    def condition(self) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior (means (R, dim), cov (dim, dim)) of the z coordinates."""
-        dim = len(self.basis)
-        if self.matrix.shape[0] == 0:
-            return np.zeros((self.n_records, dim)), np.eye(dim)
-        u, s, vt = np.linalg.svd(self.matrix, full_matrices=False)
-        cutoff = _SVD_CUTOFF * max(1.0, s[0] if s.size else 1.0)
-        keep = s > cutoff
-        u, s, vt = u[:, keep], s[keep], vt[keep]
-        pinv = vt.T / s @ u.T
-        means = (pinv @ self.rhs).T  # (R, dim)
-        residual = self.matrix @ means.T - self.rhs
-        scale = 1.0 + np.abs(self.rhs).max(initial=0.0)
-        bad = np.abs(residual).max(axis=0, initial=0.0) > _CONSISTENCY_TOL * scale
-        if bad.any():
-            raise SingularConditioning(
-                f"evidence jointly impossible for record(s) {np.flatnonzero(bad)[:5].tolist()}")
-        cov = np.eye(dim) - vt.T @ vt
-        return means, cov
-
-
-def _exact_posterior(model: CausalModel, evidence_cols: dict[str, np.ndarray],
-                     n_records: int, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record means and shared covariance for the named exogenous variables."""
-    system = _LinearSystem(model, evidence_cols, n_records)
-    z_means, z_cov = system.condition()
+    order = require_valid(model)
+    _validate_evidence_cols(model, evidence_cols)
+    n_records = len(next(iter(evidence_cols.values()))) if evidence_cols else 1
     prior_map = model.prior_map
-    idx, scales, mean0 = [], [], []
-    for name in names:
-        if name in evidence_cols:
-            raise EvidenceOnBackground(f"{name} is observed; it has no posterior")
-        idx.append(system.exo_index[name])
-        scales.append(prior_map[name].std)
-        mean0.append(prior_map[name].mean)
-    idx = np.array(idx, dtype=int)
-    scales = np.array(scales)
-    means = np.array(mean0) + scales * z_means[:, idx]
+    latent = [n for n in _exogenous_names(model) if n not in evidence_cols]
+    if names is None:
+        names = tuple(latent)
+    elif any(n in evidence_cols for n in names):
+        raise EvidenceOnBackground("requested draws for a variable that is observed")
+    if not all(isinstance(prior_map[n], NormalPrior) for n in latent):
+        return None
+
+    closure = _ancestor_closure(model, evidence_cols)
+    eq_map = model.equation_map
+    noisy = [n for n in order if n in closure and n in eq_map
+             and isinstance(eq_map[n].family, LinearGaussian) and eq_map[n].family.noise_std > 0]
+    noise = {name: len(latent) + i for i, name in enumerate(noisy)}
+    dim = len(latent) + len(noise)
+    coords = {name: (np.full(n_records, prior_map[name].mean), prior_map[name].std * np.eye(dim)[j])
+              for j, name in enumerate(latent)}
+    plugged = {k: v for k, v in evidence_cols.items() if k in prior_map}
+    affine = _Affine(eq_map, n_records, dim, coords, plugged, noise)
+
+    rows, rhs = [], []
+    for name, col in evidence_cols.items():
+        if name in prior_map:
+            continue  # plugged constant; consistency is domain membership
+        rep = affine.form(name)
+        if rep is None:
+            return None
+        rows.append(rep[1])
+        rhs.append(np.asarray(col, dtype=np.float64) - rep[0])
+    z_means, vt, rank = _solve(rows, rhs, dim, n_records, False, SingularConditioning)
+    z_cov = np.eye(dim) - vt[:rank].T @ vt[:rank]
+
+    idx = np.array([latent.index(n) for n in names], dtype=int)
+    scales = np.array([prior_map[n].std for n in names])
+    means = np.array([prior_map[n].mean for n in names]) + scales * z_means[:, idx]
     cov = np.outer(scales, scales) * z_cov[np.ix_(idx, idx)]
     return means, cov
 
 
 def abduct_exact(model: CausalModel, evidence: dict) -> GaussianPosterior:
     """Posterior over the background variables by joint-normal conditioning."""
-    require_valid(model)
-    validate_evidence(model, evidence)
-    cols = {k: np.array([v], dtype=object) if isinstance(v, str) else np.array([float(v)])
-            for k, v in evidence.items()}
-    names = model.background
-    means, cov = _exact_posterior(model, cols, 1, names)
-    return GaussianPosterior(names, means[0], cov)
+    exact = _exact_route(model, _record_cols(evidence), model.background)
+    if exact is None:
+        raise NotLinearGaussian("an evidence path is not linear-Gaussian")
+    return GaussianPosterior(model.background, exact[0][0], exact[1])
 
 
 def exact_available(model: CausalModel, evidence) -> bool:
-    try:
-        cols = {k: np.asarray([v], dtype=np.float64 if not isinstance(v, str) else object)
-                for k, v in dict(evidence).items()}
-        _LinearSystem(model, cols, 1)
-        return True
-    except NotLinearGaussian:
-        return False
+    return _exact_route(model, _record_cols(dict(evidence))) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -407,93 +431,40 @@ class _Target:
         self._build_elimination(prior_map, eq_map)
         self._compile()
 
-    def _linear_rep(self, name, eq_map, cache):
-        """(offset (R,), coeffs over cont_prior values) or None when not eliminable.
-
-        Coordinates are the cont_prior variables themselves; observed values
-        (of any family) plug in as per-record constants.
-        """
-        if name in cache:
-            return cache[name]
-        if name in self.evidence:
-            try:
-                offset = np.asarray(self.evidence[name], dtype=np.float64)
-                rep = (offset, np.zeros(len(self.cont_prior)))
-            except (TypeError, ValueError):
-                rep = None  # non-numeric observed value cannot feed a linear child
-        elif name in self.cont_prior:
-            vec = np.zeros(len(self.cont_prior))
-            vec[self.cont_prior.index(name)] = 1.0
-            rep = (np.zeros(self.n), vec)
-        else:
-            eq = eq_map.get(name)
-            if eq is None or not isinstance(eq.family, LinearGaussian) or eq.family.noise_std != 0.0:
-                rep = None
-            else:
-                rep = self._combine(eq, eq_map, cache)
-        cache[name] = rep
-        return rep
-
-    def _combine(self, eq, eq_map, cache):
-        offset = np.full(self.n, float(eq.family.intercept))
-        vec = np.zeros(len(self.cont_prior))
-        for w, p in zip(eq.family.weights, eq.parents):
-            rep = self._linear_rep(p, eq_map, cache)
-            if rep is None:
-                return None
-            offset = offset + w * rep[0]
-            vec = vec + w * rep[1]
-        return offset, vec
-
     def _build_elimination(self, prior_map, eq_map):
-        cache: dict = {}
+        """Solve zero-noise linear evidence for the cont_prior values exactly.
+
+        Evidence that resolves through discrete state only, or not at all
+        through cont_prior, becomes an indicator instead.
+        """
+        d = len(self.cont_prior)
+        coords = {name: (np.zeros(self.n), np.eye(d)[j]) for j, name in enumerate(self.cont_prior)}
+        affine = _Affine(eq_map, self.n, d, coords, self.evidence, {})
         rows, rhs = [], []
         for name in list(self.eliminate_nodes):
             # the node's own equation, not its plugged observed value
-            rep = self._combine(eq_map[name], eq_map, cache)
+            rep = affine.equation(eq_map[name])
             if rep is None:
-                # resolvable through discrete state only? treat as indicator
                 anc = _ancestor_closure(self.model, [name]) - {name}
                 if anc & (set(self.cont_prior) | set(self.aux_cont)):
                     raise NonFiniteDensity(
                         f"{name}: zero-noise evidence child mixes continuous latents "
                         "and non-linear structure")
+            if rep is None or not rep[1].any():
                 self.eliminate_nodes.remove(name)
                 self.indicator_nodes.append(name)
                 self.determined.append(name)
                 continue
-            offset, vec = rep
-            if not vec.any():
-                self.eliminate_nodes.remove(name)
-                self.indicator_nodes.append(name)
-                self.determined.append(name)
-                continue
-            rows.append(vec)
-            rhs.append(np.asarray(self.evidence[name], dtype=np.float64) - offset)
+            rows.append(rep[1])
+            rhs.append(np.asarray(self.evidence[name], dtype=np.float64) - rep[0])
         determined = set(self.determined)
         self.determined = [n for n in self.order if n in determined]
 
-        d = len(self.cont_prior)
         self.prior_mean = np.array([prior_map[n].mean for n in self.cont_prior])
         self.prior_std = np.array([max(prior_map[n].std, 0.0) for n in self.cont_prior])
-        if rows:
-            m = np.array(rows)
-            r = np.array(rhs)  # (k, R)
-            u, s, vt = np.linalg.svd(m, full_matrices=True)
-            cutoff = _SVD_CUTOFF * max(1.0, s[0] if s.size else 1.0)
-            rank = int((s > cutoff).sum())
-            pinv = vt[:rank].T / s[:rank] @ u[:, :rank].T
-            base = self.prior_mean[:, None] + pinv @ (r - m @ self.prior_mean[:, None])
-            residual = m @ base - r
-            bad = np.abs(residual).max(axis=0, initial=0.0) > _CONSISTENCY_TOL * (1.0 + np.abs(r).max(initial=0.0))
-            if bad.any():
-                raise ZeroPosteriorMass(
-                    f"deterministic evidence impossible for record(s) {np.flatnonzero(bad)[:5].tolist()}")
-            self.part_solution = base.T  # (R, d)
-            self.null_basis = vt[rank:].T  # (d, f)
-        else:
-            self.part_solution = np.broadcast_to(self.prior_mean, (self.n, d)).copy()
-            self.null_basis = np.eye(d)
+        self.part_solution, vt, rank = _solve(rows, rhs, d, self.n, True, ZeroPosteriorMass,
+                                              self.prior_mean)
+        self.null_basis = vt[rank:].T  # (d, f)
         self.free_dim = self.null_basis.shape[1]
 
     def _compile(self):
@@ -523,13 +494,9 @@ class _Target:
                 index = _index_of(var_map[name].domain)
                 self.base_codes[name] = np.array([index[v] for v in col.tolist()], dtype=np.intp)
 
-        # linear predictors of every node whose density or value needs one
+        # parents of every node whose density or value needs a linear predictor
         eta_nodes = (self.aux_cont + self.aux_disc + self.lik_nodes
                      + [n for n in self.determined if n not in self.tables])
-        self.eta = {}
-        for name in eta_nodes:
-            eq = eq_map[name]
-            self.eta[name] = (float(eq.family.intercept), tuple(zip(eq.family.weights, eq.parents)))
         need_float = {p for n in eta_nodes for p in eq_map[n].parents}
         need_float.update(self.aux_disc, self.lik_nodes)
         self.numeric = {n: np.asarray(self.values_of[n], dtype=np.float64)
@@ -649,11 +616,7 @@ class _Target:
         return np.where(np.isnan(logp), -np.inf, logp)
 
     def _eta(self, name, num) -> np.ndarray:
-        intercept, terms = self.eta[name]
-        eta = np.full(self.n, intercept)
-        for w, p in terms:
-            eta = eta + w * num[p]
-        return eta
+        return _linear_predictor(self.eq_map[name], num, self.n)
 
 
 def _index_of(values: tuple) -> dict:
@@ -846,12 +809,8 @@ def _draw_independent(out, prior_map, independent, config, rows, chain):
 
 def abduct_mcmc(model: CausalModel, evidence: dict, config: McmcConfig) -> PosteriorDraws:
     """Posterior draws over the background variables for one record."""
-    validate_evidence(model, evidence)
-    cols = {k: np.array([v]) if not isinstance(v, str) else np.array([v], dtype=object)
-            for k, v in evidence.items()}
-    result = abduct_records(model, cols, config,
-                            names=tuple(n for n in model.background if n not in evidence))
-    return result
+    return abduct_records(model, _record_cols(evidence), config,
+                          names=tuple(n for n in model.background if n not in evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +828,6 @@ def counterfactual_sample(model: CausalModel, evidence: dict, intervention: dict
     differing only in `intervention` share noise variable-by-variable.
     """
     require_valid(model)
-    validate_evidence(model, evidence)
     modified = intervene(model, intervention)  # validates the intervention up front
     exo_draws = exogenous_draws(model, evidence, n_draws, config)
     given = {name: col for name, col in exo_draws.items() if name not in intervention}
@@ -885,23 +843,14 @@ def exogenous_draws(model: CausalModel, evidence: dict, n_draws: int,
     """Draws of every exogenous variable given evidence, plus pinned observed roots."""
     exo = _exogenous_names(model)
     latent = tuple(n for n in exo if n not in evidence)
-    out: dict[str, np.ndarray] = {}
-    try:
-        cols = {k: (np.array([v], dtype=object) if isinstance(v, str) else np.array([float(v)]))
-                for k, v in evidence.items()}
-        means, cov = _exact_posterior(model, cols, 1, latent)
-        post = GaussianPosterior(latent, means[0], cov)
-        draws = post.sample(n_draws, config.seed)
-        for j, name in enumerate(latent):
-            out[name] = draws[:, j]
-    except NotLinearGaussian:
-        cols = {k: (np.array([v], dtype=object) if isinstance(v, str) else np.array([v]))
-                for k, v in evidence.items()}
-        result = abduct_records(model, cols, config, names=latent)
-        m = result.draws.shape[1]
-        idx = np.arange(n_draws) % m
-        for j, name in enumerate(latent):
-            out[name] = result.draws[0, idx, j]
+    cols = _record_cols(evidence)
+    exact = _exact_route(model, cols, latent)
+    if exact is None:
+        draws = abduct_records(model, cols, config, names=latent).draws[0]
+        draws = draws[np.arange(n_draws) % len(draws)]
+    else:
+        draws = GaussianPosterior(latent, exact[0][0], exact[1]).sample(n_draws, config.seed)
+    out = {name: draws[:, j] for j, name in enumerate(latent)}
     for name in exo:
         if name in evidence:
             v = evidence[name]
@@ -914,25 +863,21 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
                           config: McmcConfig, names: tuple[str, ...]) -> np.ndarray:
     """(records, chains * kept, len(names)) posterior draws for every record.
 
-    Takes the exact joint-normal route when the model supports it, otherwise
-    the record-vectorised MH sampler. Both key a record's draws by its position
-    in this batch: (seed, position, draw) on the exact route, (seed, position,
-    chain, step, slot) on the MH route. Reruns of the same batch are
-    bit-identical, but the same record draws differently at another position
-    (ROADMAP.md, direction 4, keys by a stable record id instead).
+    The evidence is validated and the route chosen once, by _exact_route: the
+    exact joint-normal posterior when every path relevant to the evidence is
+    linear-Gaussian, otherwise the record-vectorised MH sampler
+    (abduct_records). Both key a record's draws by its position in this
+    batch: (seed, position, draw) on the exact route, (seed, position, chain,
+    step, slot) on the MH route. Reruns of the same batch are bit-identical,
+    but the same record draws differently at another position (ROADMAP.md,
+    direction 4, keys by a stable record id instead). Draws are float64 unless
+    a requested variable's domain holds a non-number.
     """
-    n_records = len(next(iter(evidence_cols.values())))
-    m = config.draws
-    try:
-        means, cov = _exact_posterior(model, evidence_cols, n_records, names)
-        d = len(names)
-        w, v = np.linalg.eigh(cov) if d else (np.zeros(0), np.zeros((0, 0)))
-        scale = v * np.sqrt(np.clip(w, 0.0, None))
-        rows = np.arange(n_records, dtype=np.uint64)[:, None]
-        draw_ids = np.arange(m, dtype=np.uint64)[None, :]
-        z = np.stack([rng.normals(config.seed, _TAG_EXACT, 1, k, rows, draw_ids)
-                      for k in range(d)], axis=-1) if d else np.zeros((n_records, m, 0))
-        return means[:, None, :] + z @ scale.T
-    except NotLinearGaussian:
-        # dtype is object only when a requested variable's domain holds a non-number
+    exact = _exact_route(model, evidence_cols, names)
+    if exact is None:
         return abduct_records(model, evidence_cols, config, names=names).draws
+    means, cov = exact
+    rows = np.arange(len(means), dtype=np.uint64)[:, None]
+    draw_ids = np.arange(config.draws, dtype=np.uint64)[None, :]
+    return _gaussian_draws(means[:, None, :], cov, (len(means), config.draws),
+                           lambda k: rng.normals(config.seed, _TAG_EXACT, 1, k, rows, draw_ids))

@@ -47,6 +47,7 @@ from .scm import (
     Role,
     StructuralEquation,
     Variable,
+    _linear_predictor,
     ancestral_sample,
     evaluate_equation,
     forward_eval,
@@ -470,9 +471,7 @@ def _score_equation(predictor: FairPredictor) -> StructuralEquation:
 def _pmf_factor(eq: StructuralEquation, values: dict[str, np.ndarray],
                 observed, n: int) -> np.ndarray:
     fam = eq.family
-    eta = np.broadcast_to(np.asarray(
-        sum((w * values[p].astype(np.float64) for w, p in zip(fam.weights, eq.parents)),
-            start=float(fam.intercept)), dtype=np.float64), (n,))
+    eta = _linear_predictor(eq, values, n)
     if isinstance(fam, BernoulliLogit):
         y = float(observed)
         return np.exp(np.where(y == 1.0, log_expit(eta), log_expit(-eta)))

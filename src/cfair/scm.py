@@ -39,10 +39,7 @@ from .errors import (
     UnknownVariable,
 )
 
-TWIN_FACTUAL = "@f"
-TWIN_COUNTERFACTUAL = "@f'"
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(@f'?)?$")
+_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class Role(str, Enum):
@@ -443,13 +440,11 @@ def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
     return col
 
 
-def _linear_predictor(eq, values: dict[str, np.ndarray]) -> np.ndarray:
-    total = float(eq.family.intercept)
-    if not eq.parents:
-        return total
-    eta = np.full(values[eq.parents[0]].shape, total, dtype=np.float64)
+def _linear_predictor(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """intercept + sum of weight * parent over n rows, as float64."""
+    eta = np.full(n, float(eq.family.intercept))
     for w, p in zip(eq.family.weights, eq.parents):
-        eta += w * values[p].astype(np.float64)
+        eta += w * np.asarray(values[p], dtype=np.float64)
     return eta
 
 
@@ -478,17 +473,16 @@ def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
     fam = eq.family
     if isinstance(fam, DeterministicTable):
         return _table_column(eq, values, n)
-    eta = _linear_predictor(eq, values)
+    eta = _linear_predictor(eq, values, n)
     if isinstance(fam, LinearGaussian):
         if fam.noise_std == 0.0:
-            out = np.full(n, eta, dtype=np.float64) if np.isscalar(eta) else eta
-            return np.asarray(out, dtype=np.float64)
+            return eta
         return eta + fam.noise_std * ndtri(u)
     if isinstance(fam, BernoulliLogit):
         p = expit(eta)
         return (u < p).astype(np.int64)
     # PoissonLogLink
-    lam = np.exp(np.broadcast_to(np.asarray(eta, dtype=np.float64), (n,)))
+    lam = np.exp(eta)
     if not np.all(np.isfinite(lam)):
         raise NonFiniteDensity(f"{eq.child}: Poisson rate overflowed")
     return scipy.stats.poisson.ppf(u, lam).astype(np.int64)
@@ -581,58 +575,6 @@ def non_descendants(model: CausalModel, of) -> frozenset:
     """Variables with no directed path from the given set (the set excluded)."""
     reached = descendants(model, of)
     return frozenset(v.name for v in model.variables) - reached
-
-
-def twin_network(model: CausalModel, factual: dict, counterfactual: dict) -> CausalModel:
-    """Join the factual and counterfactual worlds in one model.
-
-    Non-descendants of the assigned set are shared; the assigned variables and
-    their descendants are duplicated with suffixes @f and @f', each branch
-    intervened to its assignment. Background variables are shared by
-    construction, so sampling the twin couples the branches through them.
-    """
-    if set(factual) != set(counterfactual):
-        raise UnknownVariable("factual and counterfactual must assign the same variables")
-    require_valid(model)
-    for assignment in (factual, counterfactual):
-        for name, value in assignment.items():
-            var = model.variable(name)
-            if var.role == Role.BACKGROUND:
-                raise InterveneOnBackground(f"cannot intervene on background variable {name}")
-            if not model.value_in_domain(name, value):
-                raise UnattainableValue(f"{name} cannot take value {value!r}")
-    dup = descendants(model, list(factual)) if factual else frozenset()
-    variables: list[Variable] = []
-    for v in model.variables:
-        if v.name in dup:
-            variables.append(Variable(v.name + TWIN_FACTUAL, v.role, v.domain))
-            variables.append(Variable(v.name + TWIN_COUNTERFACTUAL, v.role, v.domain))
-        else:
-            variables.append(v)
-
-    def branch_name(name: str, suffix: str) -> str:
-        return name + suffix if name in dup else name
-
-    equations: list[StructuralEquation] = []
-    for eq in model.equations:
-        if eq.child not in dup:
-            equations.append(eq)
-            continue
-        if eq.child in factual:
-            continue  # replaced by per-branch constants below
-        for suffix in (TWIN_FACTUAL, TWIN_COUNTERFACTUAL):
-            parents = tuple(branch_name(p, suffix) for p in eq.parents)
-            equations.append(StructuralEquation(eq.child + suffix, parents, eq.family))
-    priors = [(n, p) for n, p in model.priors if n not in dup]
-    twin = CausalModel(variables, equations, priors)
-    for name in factual:
-        # assigned variables always end up duplicated (they are in `dup`)
-        equations.append(constant_equation(twin, name + TWIN_FACTUAL, factual[name]))
-        equations.append(constant_equation(twin, name + TWIN_COUNTERFACTUAL,
-                                           counterfactual[name]))
-    decl = {v.name: i for i, v in enumerate(variables)}
-    equations.sort(key=lambda e: decl[e.child])
-    return CausalModel(variables, equations, priors)
 
 
 # ---------------------------------------------------------------------------

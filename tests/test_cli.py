@@ -195,6 +195,9 @@ def test_usage_errors_exit_sixtyfour(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["defragment"])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "m.json", "--threads", "2"])  # the flag was removed
+    assert exc.value.code == 64
     capsys.readouterr()
 
 

@@ -143,6 +143,28 @@ def test_evidence_outside_domain_rejected():
         validate_evidence(split_outcome_model(), {"A": 5})
 
 
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
+def test_both_routes_validate_evidence(route):
+    # red_car and single_latent_model are linear-Gaussian; abduct_records is
+    # the MH sampler whatever the model, as is any route on loan
+    def draws(model, evidence, names):
+        if route == "exact":
+            return counterfactual.posterior_draw_matrix(model, evidence, FAST, names)
+        return abduct_records(model, evidence, FAST, names=names).draws
+
+    model, data = red_car(n=2)
+    with pytest.raises(UnattainableValue):  # A's domain is (-1, 1)
+        draws(model, {"A": np.array([7.0, 1.0]), "X": data.column("X")}, ("U",))
+    for bad in ("abc", "1.5"):
+        with pytest.raises(UnattainableValue):
+            draws(single_latent_model(), {"X": np.array([bad])}, ("U",))
+    one = (model, {"A": 7.0, "X": 0.1}) if route == "exact" else (loan(n=1)[0], {"A": 5})
+    with pytest.raises(UnattainableValue):
+        counterfactual.exogenous_draws(*one, 10, FAST)
+    with pytest.raises(UnattainableValue):
+        counterfactual.exogenous_draws(single_latent_model(), {"X": "1.5"}, 10, FAST)
+
+
 # ---------------------------------------------------------------------------
 # three-step counterfactuals
 

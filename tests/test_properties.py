@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cfair import (
+    BernoulliLogit,
     CategoricalPrior,
     CausalModel,
     InvalidPath,
@@ -14,17 +15,23 @@ from cfair import (
     NormalPrior,
     Role,
     ScenarioParams,
+    SingularConditioning,
     StructuralEquation,
     Variable,
+    ZeroPosteriorMass,
+    abduct_exact,
+    abduct_records,
     ancestral_sample,
     cf_fairness_test,
     descendants,
+    exact_available,
     intervene,
     ks_2sample,
     model_from_json,
     model_to_json,
     non_descendants,
     oracle,
+    posterior_draw_matrix,
     strict_cf_check,
 )
 from helpers import linear_predictor, manifest_for, model_signature
@@ -195,3 +202,121 @@ def test_descendant_inputs_must_be_whitelisted(model):
     manifest = manifest_for(model, observables=("X0",))
     with pytest.raises(InvalidPath):
         manifest.validate(model)
+
+
+# ---------------------------------------------------------------------------
+# abduction over random linear-Gaussian DAGs
+
+_ABDUCTION_CONFIG = McmcConfig(chains=2, burn_in=30, kept=10, thin=1, seed=2)
+_COEF = st.sampled_from((-1.5, -0.5, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def abduction_dags(draw):
+    """(model, evidence columns over 3 records): 2-4 normal backgrounds U*, then a
+    short chain of LinearGaussian nodes X*, each reading up to 3 earlier nodes.
+
+    Noisy nodes are always observed, so every latent endogenous node has zero
+    noise and follows from the backgrounds and the evidence; zero-noise nodes
+    are observed or not at random, and at least one node is observed. Evidence
+    is sampled from the model itself.
+    """
+    n_bg = draw(st.integers(2, 4))
+    priors = {f"U{i}": NormalPrior(draw(_COEF), draw(st.sampled_from((0.5, 1.0, 2.0))))
+              for i in range(n_bg)}
+    variables = [Variable(u, Role.BACKGROUND) for u in priors]
+    equations, observed, pool = [], [], list(priors)
+    for k in range(draw(st.integers(1, 4))):
+        name = f"X{k}"
+        parents = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        noise = draw(st.sampled_from((0.0, 0.0, 0.5)))
+        variables.append(Variable(name, Role.OBSERVED))
+        equations.append(StructuralEquation(name, tuple(parents), LinearGaussian(
+            draw(_COEF), tuple(draw(_COEF) for _ in parents), noise)))
+        if noise > 0 or draw(st.booleans()):
+            observed.append(name)
+        pool.append(name)
+    observed = observed or [name]
+    model = CausalModel(tuple(variables), tuple(equations), priors)
+    data = ancestral_sample(model, 3, seed=draw(st.integers(0, 1000)))
+    return model, {n: data.column(n) for n in observed}
+
+
+def _zero_noise_gaps(model, evidence, backgrounds):
+    """|equation - observation| / scale for every zero-noise evidence node.
+
+    backgrounds maps each U to an array of values; latent X nodes are
+    evaluated forward from them and from the evidence.
+    """
+    values = dict(backgrounds)
+    gaps = []
+    for eq in model.equations:
+        fam = eq.family
+        terms = [w * np.asarray(values[p]) for w, p in zip(fam.weights, eq.parents)]
+        implied = fam.intercept + sum(terms)
+        if eq.child in evidence:
+            obs = evidence[eq.child].reshape((-1,) + (1,) * (np.ndim(implied) - 1))
+            values[eq.child] = obs
+            if fam.noise_std == 0.0:
+                scale = 1.0 + np.abs(obs) + sum(np.abs(t) for t in terms)
+                gaps.append(np.max(np.abs(implied - obs) / scale))
+        else:
+            values[eq.child] = implied
+    return max(gaps, default=0.0)
+
+
+@settings(max_examples=30)
+@given(abduction_dags())
+def test_abduction_satisfies_zero_noise_evidence(dag):
+    model, evidence = dag
+    names = model.background
+    post = abduct_records(model, evidence, _ABDUCTION_CONFIG)
+    assert post.names == names
+    assert _zero_noise_gaps(model, evidence,
+                            {u: post.draws[:, :, j] for j, u in enumerate(names)}) <= 1e-9
+    means = np.array([abduct_exact(model, {k: v[r] for k, v in evidence.items()}).mean
+                      for r in range(3)])
+    assert _zero_noise_gaps(model, evidence,
+                            {u: means[:, j] for j, u in enumerate(names)}) <= 1e-9
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.data())
+def test_impossible_zero_noise_evidence_raises_on_both_routes(dag, data):
+    model, evidence = dag
+    pinned = [eq for eq in model.equations
+              if eq.child in evidence and eq.family.noise_std == 0.0]
+    if not pinned:
+        return
+    # Z repeats a pinned node's equation, but is observed a little elsewhere
+    eq = data.draw(st.sampled_from(pinned))
+    twin = CausalModel(model.variables + (Variable("Z", Role.OBSERVED),),
+                       model.equations + (StructuralEquation("Z", eq.parents, eq.family),),
+                       dict(model.priors))
+    obs = evidence[eq.child]
+    evidence = {**evidence, "Z": obs + 1.0 + np.abs(obs)}
+    with pytest.raises(SingularConditioning):
+        posterior_draw_matrix(twin, evidence, _ABDUCTION_CONFIG, twin.background)
+    with pytest.raises(ZeroPosteriorMass):
+        abduct_records(twin, evidence, _ABDUCTION_CONFIG)
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.sampled_from(("linear", "bernoulli", "categorical")))
+def test_posterior_draw_matrix_routes_every_model(dag, twist):
+    model, evidence = dag
+    variables, equations, priors = model.variables, model.equations, dict(model.priors)
+    if twist == "bernoulli":
+        # an observed Bernoulli child of U0 leaves the joint-normal family
+        variables += (Variable("B", Role.OBSERVED, domain=(0, 1)),)
+        equations += (StructuralEquation("B", ("U0",), BernoulliLogit(0.0, (1.0,))),)
+        evidence = {**evidence, "B": np.array([0, 1, 1])}
+    elif twist == "categorical":
+        # a categorical background no evidence reaches
+        variables += (Variable("C", Role.BACKGROUND, domain=(0, 1)),)
+        priors["C"] = CategoricalPrior((0, 1), (0.3, 0.7))
+    model = CausalModel(variables, equations, priors)
+    assert exact_available(model, {k: v[0] for k, v in evidence.items()}) == (twist == "linear")
+    draws = posterior_draw_matrix(model, evidence, _ABDUCTION_CONFIG, model.background)
+    assert draws.shape == (3, _ABDUCTION_CONFIG.draws, len(model.background))
+    assert np.all(np.isfinite(draws))

@@ -16,14 +16,12 @@ from cfair import (
     ancestral_sample,
     build_model,
     descendants,
-    forward_eval,
     intervene,
     load_model,
     model_from_json,
     model_to_json,
     non_descendants,
     save_model,
-    twin_network,
     validate_model,
 )
 from helpers import (chain_model, loan, model_signature, red_car,
@@ -228,62 +226,6 @@ def test_descendants_partition():
         up = non_descendants(model, {model.protected[0]})
         assert down | up == full
         assert down & up == frozenset()
-
-
-# ---------------------------------------------------------------------------
-# twin networks
-
-
-def test_twin_shares_nondescendants_and_duplicates_the_rest():
-    model = split_outcome_model()
-    twin = twin_network(model, {"A": 1}, {"A": 0})
-    names = {v.name for v in twin.variables}
-    assert {"U", "Y", "A@f", "A@f'", "X@f", "X@f'"} == names
-    result = validate_model(twin)
-    assert result.ok
-
-
-def test_twin_with_no_downstream_variables_duplicates_nothing_else():
-    m = CausalModel(
-        variables=(Variable("A", Role.PROTECTED, domain=(0, 1)),
-                   Variable("X", Role.OBSERVED),
-                   Variable("U", Role.BACKGROUND)),
-        equations=(StructuralEquation("X", ("U",),
-                                      LinearGaussian(0.0, (1.0,), 0.5)),),
-        priors={"A": CategoricalPrior((0, 1), (0.5, 0.5)),
-                "U": NormalPrior(0.0, 1.0)})
-    twin = twin_network(m, {"A": 1}, {"A": 0})
-    duplicated = {v.name for v in twin.variables if "@" in v.name}
-    assert duplicated == {"A@f", "A@f'"}  # only the assignment itself forks
-
-
-def test_loan_twin_flips_employment_for_double_positive_latents():
-    model, _ = loan(n=1)
-    twin = twin_network(model, {"A": 1}, {"A": 0})
-    given = {"P": np.array([1]), "Q": np.array([1])}
-    values = forward_eval(twin, given, 1, seed=0)
-    assert values["Employed@f"][0] == 0
-    assert values["Employed@f'"][0] == 1
-
-
-def test_twin_branch_difference_is_exact_in_linear_world():
-    alpha = 1.5
-    model, _ = red_car(n=1, alpha=alpha)
-    root = float(np.sqrt(1.0))  # v_a = 1 -> A in {-1, +1}
-    twin = twin_network(model, {"A": root}, {"A": -root})
-    data = ancestral_sample(twin, 256, seed=11)
-    gap = data.column("X@f") - data.column("X@f'")
-    assert np.allclose(gap, alpha * (root - (-root)), atol=1e-12)
-
-
-def test_twin_branch_marginal_matches_plain_intervention():
-    from cfair import ks_2sample
-    model = chain_model(noise=0.5)
-    twin = twin_network(model, {"A": 1}, {"A": 0})
-    twin_draws = ancestral_sample(twin, 100_000, seed=3)
-    plain = ancestral_sample(intervene(model, {"A": 1}), 100_000, seed=4)
-    assert ks_2sample(twin_draws.column("X@f"), plain.column("X")) <= 0.02
-    assert ks_2sample(twin_draws.column("Y@f"), plain.column("Y")) <= 0.02
 
 
 # ---------------------------------------------------------------------------
