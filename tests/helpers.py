@@ -1,5 +1,7 @@
 """Shared model builders and numeric utilities for the test suite."""
 
+import hashlib
+
 import numpy as np
 
 from cfair import (
@@ -118,3 +120,20 @@ def observed_only(model: CausalModel, data) -> "Dataset":
     keep = [c for c in data.columns if c not in model.background]
     return Dataset(tuple(keep), {c: data.column(c) for c in keep},
                    {k: v for k, v in data.domains.items() if k in keep})
+
+
+def digest(arr) -> str:
+    """SHA-256 of dtype, shape and values; object cells hash as type-tagged values."""
+    arr = np.asarray(arr)
+    h = hashlib.sha256(f"{arr.dtype}{arr.shape}".encode())
+    if arr.dtype == object:
+        for v in arr.ravel().tolist():
+            if isinstance(v, str):
+                h.update(b"s" + v.encode() + b"\0")
+            elif isinstance(v, (int, np.integer)):
+                h.update(b"i%d\0" % int(v))
+            else:
+                h.update(b"f" + float(v).hex().encode() + b"\0")
+    else:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]

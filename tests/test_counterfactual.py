@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -30,7 +28,8 @@ from cfair import (
     validate_evidence,
 )
 from cfair import counterfactual
-from helpers import batch_se, law_school, loan, red_car, single_latent_model, split_outcome_model
+from helpers import (batch_se, digest, law_school, loan, red_car, single_latent_model,
+                     split_outcome_model)
 
 FAST = McmcConfig(chains=2, burn_in=200, kept=200, thin=2, seed=0)
 
@@ -247,23 +246,6 @@ def test_exact_and_mcmc_posteriors_agree_on_gaussian_fixtures():
 # MH sampler byte identity
 
 
-def _digest(arr) -> str:
-    """SHA-256 of dtype, shape and values; object cells hash as type-tagged values."""
-    arr = np.asarray(arr)
-    h = hashlib.sha256(f"{arr.dtype}{arr.shape}".encode())
-    if arr.dtype == object:
-        for v in arr.ravel().tolist():
-            if isinstance(v, str):
-                h.update(b"s" + v.encode() + b"\0")
-            elif isinstance(v, (int, np.integer)):
-                h.update(b"i%d\0" % int(v))
-            else:
-                h.update(b"f" + float(v).hex().encode() + b"\0")
-    else:
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:16]
-
-
 def string_latent_model() -> CausalModel:
     """String-valued categorical latent C behind a table G -> E, plus every other
     kind of MH state: an eliminated zero-noise child X0, a latent Gaussian H,
@@ -346,7 +328,7 @@ def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values,
         monkeypatch.setattr(counterfactual, "_BLOCK_VALUES", block_values)
     model, evidence, config = _abduction_fixture(name)
     post = abduct_records(model, evidence, config)
-    assert (_digest(post.draws), _digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
+    assert (digest(post.draws), digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
 
 
 def test_numeric_domains_give_float_draws():
@@ -435,4 +417,4 @@ EXACT_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
 def test_exact_route_is_byte_identical(name):
-    assert _digest(_exact_outputs(name)) == EXACT_DIGESTS[name]
+    assert digest(_exact_outputs(name)) == EXACT_DIGESTS[name]

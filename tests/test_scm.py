@@ -6,6 +6,7 @@ from cfair import (
     CausalModel,
     InterveneOnBackground,
     LinearGaussian,
+    McmcConfig,
     NormalPrior,
     PoissonLogLink,
     Role,
@@ -14,8 +15,11 @@ from cfair import (
     UnattainableValue,
     Variable,
     ancestral_sample,
+    baseline_fit,
     build_model,
+    cf_fairness_test,
     descendants,
+    forward_eval,
     intervene,
     load_model,
     model_from_json,
@@ -24,7 +28,7 @@ from cfair import (
     save_model,
     validate_model,
 )
-from helpers import (chain_model, loan, model_signature, red_car,
+from helpers import (chain_model, digest, law_school, loan, model_signature, red_car,
                      split_outcome_model)
 
 
@@ -135,6 +139,40 @@ def test_parentless_poisson_mean():
     data = ancestral_sample(m, 1_000_000, seed=5)
     assert 0.99 <= float(data.column("N").mean()) <= 1.01
     assert data.column("N").dtype.kind == "i"
+
+
+def _poisson_outputs(name):
+    if name.startswith("lsat_seed"):
+        model = build_model(ScenarioParams(kind="law_school"))
+        return ancestral_sample(model, 5000, seed=int(name[len("lsat_seed"):])).column("LSAT")
+    if name == "forward_eval_do_s":
+        model, data = law_school(n=3000, seed=8)
+        out = forward_eval(intervene(model, {"R": 1, "S": 0}), {"K": data.column("K")},
+                           3000, seed=21, salt=5)
+        return np.column_stack([out["GPA"], out["LSAT"], out["FYA"]])
+    model, data = law_school(n=400, seed=2)
+    observed = data.drop(model.background)
+    predictor = baseline_fit(observed, "full", "FYA", protected=model.protected)
+    report = cf_fairness_test(model, predictor, observed, {"S": 1}, {"S": 0},
+                              McmcConfig(chains=2, burn_in=60, kept=20, thin=2, seed=3),
+                              draws=200, max_records=12)
+    return np.array([[r["mean_factual"], r["mean_counterfactual"]]
+                     for r in report.per_record])
+
+
+# digests of everything drawn through the Poisson inverse CDF, recorded with
+# scipy.stats.poisson.ppf; the quantile search must reproduce them
+POISSON_DIGESTS = {
+    "lsat_seed0": "4e61b483bc0e8d63",
+    "lsat_seed7": "53b9404927c2c3bb",
+    "forward_eval_do_s": "5d8a30eec2c48267",
+    "cf_fairness_test_s": "9a61f463f24d1d55",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POISSON_DIGESTS))
+def test_poisson_draws_are_byte_identical(name):
+    assert digest(_poisson_outputs(name)) == POISSON_DIGESTS[name]
 
 
 def test_seed_determinism_and_sensitivity():
