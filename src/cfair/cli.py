@@ -38,8 +38,6 @@ from .scm import (CausalModel, ancestral_sample, load_model, save_model,
 RECIPES = ("full", "unaware", "fair_k", "fair_add", "fair_learning")
 CRITERIA = ("cf", "strict", "path", "dp", "ftu", "ace", "ps")
 
-_SPLIT_TAG = 71
-_SCENARIO_TAG = 11
 _TRAIN_FRAC = 0.8
 _MCMC_DEFAULT = McmcConfig()
 
@@ -213,7 +211,7 @@ def _fit_recipe(recipe: str, train: Dataset, model: CausalModel, outcome: str,
 def _split_indices(y: np.ndarray, frac: float, seed: int):
     """Seeded 80/20 split; stratified when the outcome is binary 0/1."""
     n = len(y)
-    order = rng.generator(seed, _SPLIT_TAG).permutation(n)
+    order = rng.generator(seed, rng.TAG_SPLIT).permutation(n)
     stratified = False
     try:
         yf = y.astype(np.float64)
@@ -436,7 +434,7 @@ def _resolve_experiment(cfg: dict, seed: int):
         except KeyError:
             raise _Failure("config: scenario needs a 'kind'") from None
         n = int(sc.pop("n", 1000))
-        sc_seed = int(sc.pop("seed", rng.child_seed(seed, _SCENARIO_TAG)))
+        sc_seed = int(sc.pop("seed", rng.child_seed(seed, rng.TAG_SCENARIO)))
         params = ScenarioParams(kind, dict(sc.pop("params", {})), n=n, seed=sc_seed)
         if sc:
             raise _Failure(f"config: unknown scenario keys {sorted(sc)}")

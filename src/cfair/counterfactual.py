@@ -54,6 +54,7 @@ from .errors import (
     NotLinearGaussian,
     SingularConditioning,
     UnattainableValue,
+    UnknownVariable,
     ZeroPosteriorMass,
 )
 from .scm import (
@@ -73,12 +74,6 @@ from .scm import (
 _SVD_CUTOFF = 1e-10
 _CONSISTENCY_TOL = 1e-8
 _NUMBER = (int, float, np.integer, np.floating)
-
-# stream tags so the counter-based keys of distinct passes never collide
-_TAG_MH = 11
-_TAG_INDEP = 12
-_TAG_EXACT = 13
-_TAG_PREDICT = 14
 
 # values per block of MH randomness: a chain's (step, slot) keys are folded and
 # transformed this many at a time, so the block's memory stays bounded at any
@@ -273,7 +268,7 @@ class GaussianPosterior:
         """(n, len(names)) draws, counter-keyed and deterministic."""
         rows = np.arange(n, dtype=np.uint64)
         return _gaussian_draws(self.mean, self.cov, (n,),
-                               lambda k: rng.normals(seed, _TAG_EXACT, salt, k, rows))
+                               lambda k: rng.normals(seed, rng.TAG_EXACT, salt, k, rows))
 
 
 def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
@@ -322,6 +317,9 @@ def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     z_means, vt, rank = _solve(rows, rhs, dim, n_records, False, SingularConditioning)
     z_cov = np.eye(dim) - vt[:rank].T @ vt[:rank]
 
+    unknown = [n for n in names if n not in latent]
+    if unknown:
+        raise UnknownVariable(f"no exogenous variables {unknown} to draw")
     idx = np.array([latent.index(n) for n in names], dtype=int)
     scales = np.array([prior_map[n].std for n in names])
     means = np.array([prior_map[n].mean for n in names]) + scales * z_means[:, idx]
@@ -682,6 +680,9 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                  for j, n in enumerate(names) if n in target.disc_names]
     covered = set(target.cont_prior) | set(target.disc_names) | set(evidence_cols)
     independent = [(j, n) for j, n in enumerate(names) if n not in covered]
+    unknown = [n for _, n in independent if n not in target.prior_map]
+    if unknown:
+        raise UnknownVariable(f"{unknown} are neither exogenous nor sampler state")
 
     n_cont = target.free_dim + len(target.aux_cont)
     n_disc = len(target.disc_names)
@@ -702,7 +703,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                 codes, logp = _feasible_init(target, t, aux_c, codes, logp)
             ever_finite |= np.isfinite(logp)
 
-            head = rng.key_bits(config.seed, _TAG_MH, rows, chain)[None, :, None]
+            head = rng.key_bits(config.seed, rng.TAG_MH, rows, chain)[None, :, None]
             accepted = np.zeros(n_records)
             kept_i = 0
             for start in range(0, total_steps, block):
@@ -792,7 +793,7 @@ def _feasible_init(target, t, aux_c, codes, logp):
 
 def _draw_independent(out, prior_map, independent, config, rows, chain):
     """Prior draws for one chain's kept slots, keyed (seed, rows, chain, kept, column)."""
-    head = rng.key_bits(config.seed, _TAG_INDEP, rows, chain)[:, None]
+    head = rng.key_bits(config.seed, rng.TAG_INDEP, rows, chain)[:, None]
     kept = np.arange(config.kept, dtype=np.uint64)
     span = slice(chain * config.kept, (chain + 1) * config.kept)
     for j, name in independent:
@@ -832,7 +833,7 @@ def counterfactual_sample(model: CausalModel, evidence: dict, intervention: dict
     exo_draws = exogenous_draws(model, evidence, n_draws, config)
     given = {name: col for name, col in exo_draws.items() if name not in intervention}
     values = forward_eval(modified, given, n_draws,
-                          rng.child_seed(config.seed, _TAG_PREDICT), salt=_TAG_PREDICT)
+                          rng.child_seed(config.seed, rng.TAG_PREDICT), salt=rng.TAG_PREDICT)
     order = require_valid(modified)
     domains = {v.name: v.domain for v in modified.variables if v.domain is not None}
     return Dataset(tuple(order), {k: values[k] for k in order}, domains)
@@ -880,4 +881,4 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
     rows = np.arange(len(means), dtype=np.uint64)[:, None]
     draw_ids = np.arange(config.draws, dtype=np.uint64)[None, :]
     return _gaussian_draws(means[:, None, :], cov, (len(means), config.draws),
-                           lambda k: rng.normals(config.seed, _TAG_EXACT, 1, k, rows, draw_ids))
+                           lambda k: rng.normals(config.seed, rng.TAG_EXACT, 1, k, rows, draw_ids))

@@ -55,12 +55,6 @@ from .scm import (
     require_valid,
 )
 
-_TAG_SUBSAMPLE = 31
-_TAG_BRANCH = 33
-_TAG_PATH = 43
-_TAG_SUFF = 51
-_TAG_ACE = 61
-
 _ACE_BAND = 0.05
 _STRICT_TOL = 1e-9
 _MATCH_TOL = 1e-6
@@ -145,7 +139,7 @@ def _group_mask(data: Dataset, assignment: dict) -> np.ndarray:
 def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
     if len(indices) <= max_records:
         return indices
-    gen = rng.generator(seed, _TAG_SUBSAMPLE)
+    gen = rng.generator(seed, rng.TAG_SUBSAMPLE)
     pick = gen.choice(len(indices), size=max_records, replace=False)
     return indices[np.sort(pick)]
 
@@ -192,11 +186,11 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
     exo = posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
 
-    seed_fwd = rng.child_seed(config.seed, _TAG_BRANCH)
+    seed_fwd = rng.child_seed(config.seed, rng.TAG_BRANCH)
     scores_f = _branch_scores(predictor, model, sub, a, latent, exo,
-                              seed_fwd, _TAG_BRANCH)
+                              seed_fwd, rng.TAG_BRANCH)
     scores_cf = _branch_scores(predictor, model, sub, a_prime, latent, exo,
-                               seed_fwd, _TAG_BRANCH)
+                               seed_fwd, rng.TAG_BRANCH)
     return indices, scores_f, scores_cf
 
 
@@ -322,14 +316,14 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
         pinned = {name: _py(sub.column(name)[i]) for name in held}
         iv_f = {**a, **pinned}
         iv_cf = {**a_prime, **pinned}
-        seed_r = rng.child_seed(config.seed, _TAG_PATH, int(ridx))
+        seed_r = rng.child_seed(config.seed, rng.TAG_PATH, int(ridx))
         row = Dataset(sub.columns, {c: sub.data[c][i:i + 1] for c in sub.columns},
                       dict(sub.domains))
         exo_row = exo[i:i + 1]
         all_f[i] = _branch_scores(predictor, model, row, iv_f, latent, exo_row,
-                                  seed_r, _TAG_PATH)[0]
+                                  seed_r, rng.TAG_PATH)[0]
         all_cf[i] = _branch_scores(predictor, model, row, iv_cf, latent, exo_row,
-                                   seed_r, _TAG_PATH)[0]
+                                   seed_r, rng.TAG_PATH)[0]
     tie_tol = _tie_tolerance(all_f, all_cf, tie_frac)
     per_record = []
     ks_values = np.empty(len(indices))
@@ -410,11 +404,11 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
             given[name] = (np.full(n_draws, value, dtype=object)
                            if isinstance(value, str) else np.full(n_draws, float(value)))
         values = forward_eval(iv_model, given, n_draws,
-                              rng.child_seed(config.seed, _TAG_ACE), salt=_TAG_ACE)
+                              rng.child_seed(config.seed, rng.TAG_ACE), salt=rng.TAG_ACE)
         inputs = {n: values[n] for n in predictor.manifest.input_order()}
         return float(predictor.score(inputs).mean()), "exact", n_draws
     sim = ancestral_sample(iv_model, n_draws,
-                           rng.child_seed(config.seed, _TAG_ACE, 1))
+                           rng.child_seed(config.seed, rng.TAG_ACE, 1))
     accept = np.ones(n_draws, dtype=bool)
     for name, value in x_evidence.items():
         col = sim.column(name)
@@ -600,7 +594,7 @@ def _pinned_sufficiency(model: CausalModel, predictor: FairPredictor,
     cf_model = intervene(model, a_prime)
     given = {k: v for k, v in draws.items() if k not in a_prime}
     values = forward_eval(cf_model, given, m,
-                          rng.child_seed(config.seed, _TAG_SUFF), salt=_TAG_SUFF)
+                          rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
     score_cf = predictor.score(
         {n: values[n] for n in predictor.manifest.input_order()})
     return {"probability": float(np.mean(np.abs(score_cf - y) > tol)),
@@ -660,7 +654,7 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     cf_model = intervene(aug, a_prime)
     given = {k: v for k, v in draws.items() if k not in a_prime}
     values = forward_eval(cf_model, given, m,
-                          rng.child_seed(config.seed, _TAG_SUFF), salt=_TAG_SUFF)
+                          rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
     score_cf = values["_score_"].astype(np.float64)
     pred_cf = expit(score_cf) if predictor.head == "logistic" else score_cf
     prob = float(np.mean(np.abs(pred_cf - y) > tol))

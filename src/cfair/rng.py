@@ -27,6 +27,22 @@ import hashlib
 import numpy as np
 from scipy.special import ndtri
 
+# Stream tags: the key part after the seed that keeps one kind of draw apart
+# from the others. Every value is baked into seeded outputs and must not
+# change. TAG_SCENARIO shares 11 with TAG_MH: the CLI's scenario seed is
+# child_seed(seed, 11) alone, while every MH key also folds rows and chain.
+TAG_MH = 11  # counterfactual: MH chain steps
+TAG_INDEP = 12  # counterfactual: prior draws of exogenous variables outside the chain
+TAG_EXACT = 13  # counterfactual: joint-normal posterior draws
+TAG_PREDICT = 14  # counterfactual: forward pass of counterfactual_sample
+TAG_SUBSAMPLE = 31  # metrics: subsample of audited records
+TAG_BRANCH = 33  # metrics: cf_fairness_test's factual and counterfactual branches
+TAG_PATH = 43  # metrics: path_cf_test's per-record branches
+TAG_SUFF = 51  # metrics: prob_sufficiency's forward passes
+TAG_ACE = 61  # metrics: ace's forward passes
+TAG_SPLIT = 71  # cli: train/test split
+TAG_SCENARIO = 11  # cli: scenario seed derived from the master seed
+
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -26,8 +26,7 @@ from itertools import product
 from typing import Union
 
 import numpy as np
-import scipy.stats
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtri, pdtr, pdtrik
 
 from . import rng
 from .dataset import Dataset
@@ -467,6 +466,74 @@ def _table_column(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
     return arr
 
 
+# rates up to this bound start a stepwise search from a Cornish-Fisher guess;
+# larger rates, elements the search leaves unsettled and elements whose u lies
+# just above the CDF one below the result use scipy's formula (there the
+# rounding of its root-find decides the answer)
+_POISSON_SEARCH_MAX_RATE = 1e3
+_POISSON_SEARCH_STEPS = 8
+_POISSON_GUARD = 1e-10
+
+
+def _poisson_search(u: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step from a Cornish-Fisher guess to the smallest k with pdtr(k, lam) >= u.
+
+    Returns k and the mask of elements that settled within the step limit
+    and outside the guard band.
+    """
+    z = ndtri(u)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
+    below = np.zeros(k.size)  # pdtr(k - 1, lam) once settled, 0 at k = 0
+    cdf = pdtr(k, lam)
+    low = cdf < u  # a NaN CDF steps down, is never settled and falls back
+    up, down = np.flatnonzero(low), np.flatnonzero(~low)
+    cdf = cdf[up]
+    # step up while the CDF at k is below u ...
+    for _ in range(_POISSON_SEARCH_STEPS):
+        if not up.size:
+            break
+        below[up] = cdf
+        k[up] += 1.0
+        cdf = pdtr(k[up], lam[up])
+        keep = cdf < u[up]
+        up, cdf = up[keep], cdf[keep]
+    # ... or down while the CDF one below k still reaches u
+    for step in range(_POISSON_SEARCH_STEPS + 1):
+        down = down[k[down] > 0.0]
+        cdf = pdtr(k[down] - 1.0, lam[down])
+        keep = cdf >= u[down]
+        below[down[~keep]] = cdf[~keep]
+        down = down[keep]
+        if not down.size or step == _POISSON_SEARCH_STEPS:
+            break
+        k[down] -= 1.0
+    settled = u - below > _POISSON_GUARD * u
+    settled[up] = False
+    settled[down] = False
+    return k, settled
+
+
+def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Poisson inverse CDF as float64.
+
+    Equals scipy.stats.poisson.ppf(u, lam) for u in (0, 1) and lam >= 0, the
+    only inputs here, including NaN where scipy's root-find fails (rates of
+    about 1e11 and up).
+    """
+    k = np.empty(u.shape)
+    search = lam <= _POISSON_SEARCH_MAX_RATE
+    k[search], settled = _poisson_search(u[search], lam[search])
+    rest = ~search
+    rest[np.flatnonzero(search)[~settled]] = True
+    if rest.any():
+        # scipy.stats.poisson._ppf, which rv_discrete.ppf calls for u in (0, 1)
+        ur, lr = u[rest], lam[rest]
+        v = np.ceil(pdtrik(ur, lr))
+        v1 = np.maximum(v - 1.0, 0.0)
+        k[rest] = np.where(pdtr(v1, lr) >= ur, v1, v)
+    return k
+
+
 def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
                       u: np.ndarray | None, n: int) -> np.ndarray:
     """One column from one equation given parent columns and uniforms u."""
@@ -485,7 +552,10 @@ def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
     lam = np.exp(eta)
     if not np.all(np.isfinite(lam)):
         raise NonFiniteDensity(f"{eq.child}: Poisson rate overflowed")
-    return scipy.stats.poisson.ppf(u, lam).astype(np.int64)
+    k = _poisson_quantile(u, lam)
+    if not np.all(np.isfinite(k)):
+        raise NonFiniteDensity(f"{eq.child}: Poisson quantile is not finite")
+    return k.astype(np.int64)
 
 
 def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,

@@ -16,6 +16,7 @@ from cfair import (
     ScenarioParams,
     StructuralEquation,
     UnattainableValue,
+    UnknownVariable,
     Variable,
     ZeroPosteriorMass,
     abduct_exact,
@@ -140,6 +141,24 @@ def test_evidence_on_background_rejected():
 def test_evidence_outside_domain_rejected():
     with pytest.raises(UnattainableValue):
         validate_evidence(split_outcome_model(), {"A": 5})
+
+
+def _red_car_evidence():
+    model, data = red_car(n=3, seed=0)
+    return model, {k: data.column(k) for k in ("A", "X")}
+
+
+def test_posterior_draw_matrix_rejects_an_endogenous_name():
+    # Y is unobserved but has an equation: neither exogenous nor sampler state
+    model, evidence = _red_car_evidence()
+    with pytest.raises(UnknownVariable):
+        counterfactual.posterior_draw_matrix(model, evidence, FAST, ("U", "Y"))
+
+
+def test_abduct_records_rejects_an_endogenous_name():
+    model, evidence = _red_car_evidence()
+    with pytest.raises(UnknownVariable):
+        abduct_records(model, evidence, FAST, names=("U", "Y"))
 
 
 @pytest.mark.parametrize("route", ["exact", "mcmc"])

@@ -80,3 +80,13 @@ def test_child_seed_and_generator_determinism():
     p1 = rng.generator(5, 71).permutation(10)
     p2 = rng.generator(5, 71).permutation(10)
     assert np.array_equal(p1, p2)
+
+
+def test_stream_tags_are_pinned():
+    # every tag is baked into seeded outputs; TAG_SCENARIO = TAG_MH = 11 is the
+    # one shared value (the scenario seed is child_seed(seed, 11) alone, MH keys
+    # also fold rows and chain)
+    tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
+    assert tags == {"TAG_MH": 11, "TAG_INDEP": 12, "TAG_EXACT": 13, "TAG_PREDICT": 14,
+                    "TAG_SUBSAMPLE": 31, "TAG_BRANCH": 33, "TAG_PATH": 43,
+                    "TAG_SUFF": 51, "TAG_ACE": 61, "TAG_SPLIT": 71, "TAG_SCENARIO": 11}

@@ -1,12 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import pdtr
 
+import cfair
 from cfair import (
     CategoricalPrior,
     CausalModel,
     InterveneOnBackground,
     LinearGaussian,
     McmcConfig,
+    NonFiniteDensity,
     NormalPrior,
     PoissonLogLink,
     Role,
@@ -28,6 +39,7 @@ from cfair import (
     save_model,
     validate_model,
 )
+from cfair.scm import _POISSON_SEARCH_MAX_RATE, _poisson_quantile
 from helpers import (chain_model, digest, law_school, loan, model_signature, red_car,
                      split_outcome_model)
 
@@ -173,6 +185,82 @@ POISSON_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(POISSON_DIGESTS))
 def test_poisson_draws_are_byte_identical(name):
     assert digest(_poisson_outputs(name)) == POISSON_DIGESTS[name]
+
+
+def _assert_quantiles_match_scipy(u, lam):
+    u, lam = (np.ascontiguousarray(a, dtype=np.float64) for a in np.broadcast_arrays(u, lam))
+    assert np.all((u > 0.0) & (u < 1.0))
+    np.testing.assert_array_equal(_poisson_quantile(u, lam), scipy.stats.poisson.ppf(u, lam))
+
+
+def test_poisson_quantile_matches_scipy_on_random_draws():
+    gen = np.random.default_rng(0)
+    lam = 10.0 ** gen.uniform(-3.0, np.log10(_POISSON_SEARCH_MAX_RATE) + 1.0, 60_000)
+    _assert_quantiles_match_scipy(gen.uniform(2.0 ** -54, 1.0, lam.size), lam)
+
+
+def test_poisson_quantile_matches_scipy_in_the_tails():
+    gen = np.random.default_rng(1)
+    lam = 10.0 ** gen.uniform(-3.0, np.log10(_POISSON_SEARCH_MAX_RATE) + 1.0, 20_000)
+    tail = 10.0 ** gen.uniform(-16.0, -9.0, lam.size)
+    _assert_quantiles_match_scipy(tail, lam)
+    _assert_quantiles_match_scipy(1.0 - tail, lam)
+    for u in (2.0 ** -54, 2.0 ** -53, 1.0 - 2.0 ** -53):
+        _assert_quantiles_match_scipy(u, lam)
+
+
+def test_poisson_quantile_matches_scipy_at_cdf_steps():
+    # u = pdtr(k, lam) and its float neighbours, where scipy's own root-find
+    # rounding decides between k and k + 1
+    gen = np.random.default_rng(2)
+    lam = 10.0 ** gen.uniform(-1.0, np.log10(_POISSON_SEARCH_MAX_RATE) + 0.5, 20_000)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * gen.normal(0.0, 2.0, lam.size)), 0.0)
+    step = pdtr(k, lam)
+    for u in (np.nextafter(step, 0.0), step, np.nextafter(step, 1.0)):
+        inside = (u > 0.0) & (u < 1.0)
+        _assert_quantiles_match_scipy(u[inside], lam[inside])
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-310, 1e-300])
+def test_poisson_quantile_matches_scipy_at_zero_and_subnormal_rates(lam):
+    u = np.random.default_rng(3).uniform(2.0 ** -54, 1.0, 2000)
+    _assert_quantiles_match_scipy(np.concatenate([u, [2.0 ** -54, 1.0 - 2.0 ** -53]]), lam)
+
+
+@settings(max_examples=300)
+@given(log_lam=st.floats(-3.0, np.log10(_POISSON_SEARCH_MAX_RATE) + 1.0),
+       z=st.floats(-9.0, 9.0), ulps=st.integers(-2, 2),
+       u=st.floats(2.0 ** -54, 1.0 - 2.0 ** -53))
+def test_poisson_quantile_matches_scipy_property(log_lam, z, ulps, u):
+    lam = 10.0 ** log_lam
+    near = pdtr(max(np.floor(lam + np.sqrt(lam) * z), 0.0), lam)
+    for _ in range(abs(ulps)):
+        near = np.nextafter(near, np.sign(ulps) * 2.0)
+    points = [u] + ([near] if 0.0 < near < 1.0 else [])
+    _assert_quantiles_match_scipy(np.array(points), lam)
+
+
+def test_poisson_quantile_beyond_the_search_bound_is_scipys():
+    # scipy's formula, NaN included: its root-find fails at 0.3 and rate 1e12
+    _assert_quantiles_match_scipy(np.array([0.3, 0.5, 0.9]), np.array([1e5, 1e9, 1e12]))
+
+
+def test_non_finite_poisson_quantile_raises():
+    # exp(28) is about 1.4e12: the quantile is NaN, which used to cast to INT64_MIN
+    m = CausalModel(
+        variables=(Variable("N", Role.OBSERVED),),
+        equations=(StructuralEquation("N", (), PoissonLogLink(28.0, ())),),
+        priors={})
+    with pytest.raises(NonFiniteDensity):
+        ancestral_sample(m, 10, seed=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, cfair; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cfair.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_seed_determinism_and_sensitivity():
