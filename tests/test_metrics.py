@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +8,7 @@ from scipy import stats
 from cfair import (
     CategoricalPrior,
     CausalModel,
+    DeterministicTable,
     EmptyGroup,
     InvalidPath,
     LinearGaussian,
@@ -15,10 +19,12 @@ from cfair import (
     UnattainableValue,
     Variable,
     ace,
+    additive_fair_fit,
     ancestral_sample,
     baseline_fit,
     cf_fairness_test,
     fair_learning,
+    fair_predict,
     ftu_check,
     group_gaps,
     ks_2sample,
@@ -26,8 +32,8 @@ from cfair import (
     prob_sufficiency,
     strict_cf_check,
 )
-from helpers import (high_crime, law_school, linear_predictor, loan,
-                     manifest_for, observed_only, red_car)
+from helpers import (chain_model, digest, high_crime, law_school, linear_predictor,
+                     loan, manifest_for, observed_only, red_car)
 
 A_HI, A_LO = {"A": 1.0}, {"A": -1.0}
 LS_CFG = McmcConfig(chains=2, burn_in=200, kept=40, thin=2, seed=0)
@@ -352,3 +358,201 @@ def test_sufficiency_requires_attainable_score():
     score = float(unaware.score({"X": np.ones(1)})[0])
     with pytest.raises(UnattainableValue):
         prob_sufficiency(model, unaware, record, score + 0.5, {"A": -1.0})
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+
+_PIN_CFG = McmcConfig(chains=2, burn_in=60, kept=20, thin=2, seed=3)
+
+
+def _string_model() -> CausalModel:
+    # a string-valued protected root read through a lookup table, so every
+    # audit path that pins or matches an observed value meets a str
+    return CausalModel(
+        variables=(Variable("A", Role.PROTECTED, domain=("f", "m")),
+                   Variable("B", Role.OBSERVED),
+                   Variable("U", Role.BACKGROUND),
+                   Variable("X", Role.OBSERVED),
+                   Variable("Y", Role.OUTCOME)),
+        equations=(StructuralEquation("B", ("A",),
+                                      DeterministicTable({("f",): 0.0, ("m",): 1.0})),
+                   StructuralEquation("X", ("B", "U"),
+                                      LinearGaussian(0.0, (1.0, 1.0), 0.5)),
+                   StructuralEquation("Y", ("X",), LinearGaussian(0.0, (1.0,), 0.5))),
+        priors={"A": CategoricalPrior(("f", "m"), (0.5, 0.5)),
+                "U": NormalPrior(0.0, 1.0)})
+
+
+def _pinned_law(n=300, seed=2):
+    model, data = law_school(n=n, seed=seed)
+    obs = observed_only(model, data)
+    return model, obs, baseline_fit(obs, "full", "FYA", protected=model.protected)
+
+
+def _pinned_chain(n=300, seed=4):
+    model = chain_model(noise=0.5)
+    return model, observed_only(model, ancestral_sample(model, n, seed=seed))
+
+
+def _reader(model, weights, backgrounds=(), intercept=0.0):
+    observables = tuple(n for n in weights if n not in backgrounds)
+    return linear_predictor(model, manifest_for(model, backgrounds=backgrounds,
+                                                observables=observables,
+                                                whitelist=observables),
+                            weights, intercept)
+
+
+def _audit_outputs(name):
+    if name == "cf_exact":
+        model, data = red_car(n=400, seed=30)
+        obs = observed_only(model, data)
+        unaware = baseline_fit(obs, "unaware", "Y", protected=("A",))
+        return cf_fairness_test(model, unaware, obs, A_HI, A_LO, draws=60,
+                                max_records=15).to_json()
+    if name == "cf_mcmc_law":
+        model, obs, full = _pinned_law()
+        return cf_fairness_test(model, full, obs, {"R": 1}, {"R": 0}, _PIN_CFG,
+                                draws=40, max_records=8).to_json()
+    if name == "cf_mcmc_string":
+        model = _string_model()
+        obs = observed_only(model, ancestral_sample(model, 200, seed=1))
+        return cf_fairness_test(model, _reader(model, {"X": 1.0}), obs, {"A": "m"},
+                                {"A": "f"}, _PIN_CFG, draws=40, max_records=8).to_json()
+    if name == "strict_exact":
+        model, data = high_crime(n=300, seed=31)
+        obs = observed_only(model, data)
+        full = baseline_fit(obs, "full", "Y", protected=("A",))
+        return strict_cf_check(model, full, obs, A_HI, A_LO, draws=40,
+                               max_records=10).to_json()
+    if name == "strict_mcmc_law":
+        model, obs, full = _pinned_law()
+        return strict_cf_check(model, full, obs, {"S": 1}, {"S": 0}, _PIN_CFG,
+                               draws=40, max_records=8).to_json()
+    if name == "path_held":
+        model = _admissions_model()
+        data = ancestral_sample(model, 300, seed=1)
+        reader = linear_predictor(model, manifest_for(model, observables=("D",),
+                                                      include_protected=True,
+                                                      whitelist=("D",)),
+                                  {"D": 1.0, "A": 0.5})
+        return path_cf_test(model, reader, data, [["A", "Y"]], {"A": 1}, {"A": 0},
+                            draws=30, max_records=8).to_json()
+    if name == "path_mcmc_law":
+        model, obs, full = _pinned_law()
+        return path_cf_test(model, full, obs, [["R", "GPA"]], {"R": 1}, {"R": 0},
+                            _PIN_CFG, draws=40, max_records=6).to_json()
+    if name == "suff_enumeration":
+        model, _ = loan(n=1, seed=0)
+        return prob_sufficiency(model, _reader(model, {"Employed": 1.0}),
+                                {"A": 1, "Employed": 0}, 0.0, {"A": 0})
+    long_chain = McmcConfig(chains=1, burn_in=60, kept=100, thin=1, seed=2)
+    if name == "suff_pinned_exact":
+        model, _ = _pinned_chain()
+        return prob_sufficiency(model, _reader(model, {"X": 0.5}, intercept=0.1),
+                                {"A": 1, "X": 0.7}, 0.45, {"A": 0},
+                                McmcConfig(chains=1, kept=200, seed=2), tol=0.4)
+    if name == "suff_pinned_mcmc":
+        model, obs, _ = _pinned_law()
+        record = {k: obs.record(0)[k] for k in ("R", "S", "GPA", "LSAT")}
+        return prob_sufficiency(model, _reader(model, {"GPA": 1.0}), record,
+                                record["GPA"], {"R": 0}, long_chain, tol=1.5)
+    if name == "suff_pinned_string":
+        model = _string_model()
+        return prob_sufficiency(model, _reader(model, {"X": 1.0}),
+                                {"A": "m", "B": 1.0, "X": 0.4}, 0.4, {"A": "f"},
+                                long_chain, tol=1.0)
+    if name == "suff_abduction_exact":
+        model, _ = _pinned_chain()
+        return prob_sufficiency(model, _reader(model, {"U": 1.0, "X": 0.5}, ("U",)),
+                                {"A": 1, "X": 0.7}, 0.3, {"A": 0},
+                                McmcConfig(chains=1, kept=200, seed=2), tol=0.4)
+    if name == "suff_abduction_mcmc":
+        model, obs, _ = _pinned_law()
+        record = {k: obs.record(0)[k] for k in ("R", "S", "GPA", "LSAT")}
+        return prob_sufficiency(model, _reader(model, {"K": 1.0, "GPA": 0.5}, ("K",)),
+                                record, 0.4, {"R": 0}, long_chain, tol=1.5)
+    if name == "learning_exact":
+        model, obs = _pinned_chain()
+        config = McmcConfig(chains=1, kept=20, seed=1)
+        predictor = fair_learning(obs, model, manifest_for(model, backgrounds=("U",)),
+                                  config=config)
+        preds = fair_predict(predictor, model, obs.take(np.arange(50)), config)
+        return np.concatenate([predictor.weights, preds])
+    if name == "learning_mcmc":
+        model, obs, _ = _pinned_law(n=80, seed=5)
+        config = McmcConfig(chains=1, burn_in=40, kept=10, thin=2, seed=2)
+        predictor = fair_learning(obs, model, manifest_for(model, backgrounds=("K",)),
+                                  config=config)
+        return np.concatenate([predictor.weights, fair_predict(predictor, model, obs, config)])
+    if name == "ace_exact":
+        model, _ = _pinned_chain()
+        return ace(model, _reader(model, {"U": 1.0, "X": 0.5}, ("U",)), {"X": 1.0},
+                   {"A": 1}, {"A": 0}, n_draws=500)
+    if name == "ace_exact_string":
+        model = _string_model()
+        return ace(model, _reader(model, {"X": 1.0}), {"A": "m"}, {"B": 1.0}, {"B": 0.0},
+                   n_draws=500)
+    if name == "ace_rejection":
+        model, _ = law_school(n=1, seed=0)
+        return ace(model, _reader(model, {"GPA": 1.0}), {"LSAT": 3.0, "S": 1},
+                   {"R": 1}, {"R": 0}, n_draws=4000, config=McmcConfig(seed=3))
+    if name == "ace_rejection_string":
+        model = _string_model()
+        return ace(model, _reader(model, {"Y": 1.0}), {"A": "m", "B": 1.0},
+                   {"X": 1.0}, {"X": 0.0}, n_draws=2000)
+    if name == "additive_fair_fit":
+        model, obs, _ = _pinned_law(n=500, seed=6)
+        predictor = additive_fair_fit(obs, model, "FYA")
+        return np.append(predictor.weights, predictor.diagnostics["residual_std"])
+    if name == "group_gaps_latent":
+        model, obs = _pinned_chain()
+        config = McmcConfig(chains=1, kept=20, seed=1)
+        predictor = fair_learning(obs, model, manifest_for(model, backgrounds=("U",)),
+                                  config=config)
+        return group_gaps(predictor, obs, "Y", {"A": 1}, {"A": 0}, model=model,
+                          config=config)
+    model, data = loan(n=400, seed=7)
+    obs = observed_only(model, data)
+    logistic = baseline_fit(obs, "unaware", "Y", head="logistic", protected=("A",))
+    return group_gaps(logistic, obs, "Y", {"A": 1}, {"A": 0})
+
+
+# digests of audit and learning outputs across routes (exact, MCMC,
+# enumeration, rejection) and value kinds (numeric, str); the steps shared
+# between abduction and the predictor must reproduce them byte for byte
+AUDIT_DIGESTS = {
+    "ace_exact": "f2ab802659a78201",
+    "ace_exact_string": "8422fc83c3365e1e",
+    "ace_rejection": "e8f6cb21d652947f",
+    "ace_rejection_string": "8ddcf62aa8c3e193",
+    "additive_fair_fit": "7c7233269747fca7",
+    "cf_exact": "3f06e7661ddf8844",
+    "cf_mcmc_law": "5b8dcb60d6a01040",
+    "cf_mcmc_string": "86142d0a33e2dc59",
+    "group_gaps_latent": "1e880b736ef6d74c",
+    "group_gaps_logistic": "6876cfba927a203e",
+    "learning_exact": "9e6a72dac9d10371",
+    "learning_mcmc": "ee1b3092c13838fb",
+    "path_held": "f2d813b3d2287964",
+    "path_mcmc_law": "4a78612628dcf1ff",
+    "strict_exact": "ebccd5f8f8896494",
+    "strict_mcmc_law": "a5fc17d854227dfa",
+    "suff_abduction_exact": "b21c84a6d3d5f6b1",
+    "suff_abduction_mcmc": "fd3c7baad54e132e",
+    "suff_enumeration": "fcd9b454d2360c6f",
+    "suff_pinned_exact": "2af976c3e03e4d76",
+    "suff_pinned_mcmc": "c1db6aa0386fe997",
+    "suff_pinned_string": "4a25127c2721ffd9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_DIGESTS))
+def test_audit_outputs_are_byte_identical(name):
+    out = _audit_outputs(name)
+    if isinstance(out, np.ndarray):
+        got = digest(out)
+    else:  # JSON floats are shortest round-trip reprs, so this is exact
+        got = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
+    assert got == AUDIT_DIGESTS[name]
