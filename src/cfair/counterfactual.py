@@ -66,6 +66,7 @@ from .scm import (
     PoissonLogLink,
     Role,
     _linear_predictor,
+    _prior_column,
     forward_eval,
     intervene,
     require_valid,
@@ -117,6 +118,37 @@ def _validate_evidence_cols(model: CausalModel, evidence_cols: dict[str, np.ndar
             bad = [v for v in dict.fromkeys(col.tolist()) if v not in allowed]
             if bad:
                 raise UnattainableValue(f"{name} cannot take value {bad[0]!r}")
+
+
+def _abduction_prelude(model: CausalModel, evidence_cols: dict[str, np.ndarray],
+                       names: tuple[str, ...] | None):
+    """Validate an abduction: (topological order, record count, unobserved
+    exogenous names, requested names, by default the unobserved ones)."""
+    order = require_valid(model)
+    _validate_evidence_cols(model, evidence_cols)
+    n_records = len(next(iter(evidence_cols.values()))) if evidence_cols else 1
+    latent = tuple(n for n in _exogenous_names(model) if n not in evidence_cols)
+    if names is None:
+        names = latent
+    elif any(n in evidence_cols for n in names):
+        raise EvidenceOnBackground("requested draws for a variable that is observed")
+    return order, n_records, latent, names
+
+
+def _constant_column(value, n: int) -> np.ndarray:
+    """n copies of an observed value: object for a string, else float64."""
+    return np.full(n, value, dtype=object) if isinstance(value, str) else np.full(n, float(value))
+
+
+def _stacked(draws: np.ndarray, names, others: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """m rows per record: draws (records, m, len(names)) flattened per name, then
+    each column of `others` whose name is not among them repeated m times."""
+    m = draws.shape[1]
+    columns = {name: draws[:, :, j].reshape(-1) for j, name in enumerate(names)}
+    for name, col in others.items():
+        if name not in columns:
+            columns[name] = np.repeat(col, m)
+    return columns
 
 
 def _record_cols(evidence: dict) -> dict[str, np.ndarray]:
@@ -282,15 +314,8 @@ def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     over one standard-normal coordinate per unobserved exogenous variable and
     one per noisy LinearGaussian ancestor of the evidence.
     """
-    order = require_valid(model)
-    _validate_evidence_cols(model, evidence_cols)
-    n_records = len(next(iter(evidence_cols.values()))) if evidence_cols else 1
+    order, n_records, latent, names = _abduction_prelude(model, evidence_cols, names)
     prior_map = model.prior_map
-    latent = [n for n in _exogenous_names(model) if n not in evidence_cols]
-    if names is None:
-        names = tuple(latent)
-    elif any(n in evidence_cols for n in names):
-        raise EvidenceOnBackground("requested draws for a variable that is observed")
     if not all(isinstance(prior_map[n], NormalPrior) for n in latent):
         return None
 
@@ -492,9 +517,10 @@ class _Target:
                 index = _index_of(var_map[name].domain)
                 self.base_codes[name] = np.array([index[v] for v in col.tolist()], dtype=np.intp)
 
+        # nodes whose conditional density enters the target, in summation order
+        self.density_nodes = self.aux_cont + self.aux_disc + self.lik_nodes
         # parents of every node whose density or value needs a linear predictor
-        eta_nodes = (self.aux_cont + self.aux_disc + self.lik_nodes
-                     + [n for n in self.determined if n not in self.tables])
+        eta_nodes = self.density_nodes + [n for n in self.determined if n not in self.tables]
         need_float = {p for n in eta_nodes for p in eq_map[n].parents}
         need_float.update(self.aux_disc, self.lik_nodes)
         self.numeric = {n: np.asarray(self.values_of[n], dtype=np.float64)
@@ -587,15 +613,7 @@ class _Target:
                 logp = logp - 0.5 * ((cont[:, j] - self.prior_mean[j]) / std) ** 2 - math.log(std)
         for k, name in enumerate(self.disc_prior):
             logp = logp + self.log_pmf[name][codes[:, k]]
-        for name in self.aux_cont:
-            eta = self._eta(name, num)
-            sd = self.eq_map[name].family.noise_std
-            logp = logp - 0.5 * ((num[name] - eta) / sd) ** 2 - math.log(sd)
-        for name in self.aux_disc:
-            eta = self._eta(name, num)
-            y = num[name]
-            logp = logp + y * log_expit(eta) + (1.0 - y) * log_expit(-eta)
-        for name in self.lik_nodes:
+        for name in self.density_nodes:
             eta = self._eta(name, num)
             y = num[name]
             fam = self.eq_map[name].family
@@ -650,21 +668,15 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     Randomness is keyed by (seed, position of the record in this batch,
     chain, step, slot), so results are bit-identical for the same batch and
     seed, but a record's draws change when it sits at another position (see
-    ROADMAP.md, direction 4, for keying by a stable record id). The keys of a
+    ROADMAP.md, direction 1, for keying by a stable record id). The keys of a
     block of steps are folded onto each chain's (seed, rows, chain) state at
     once, _BLOCK_VALUES values at a time. Draws are float64 when every
     requested variable's domain is numeric, otherwise object. Returned names
     default to all exogenous variables not in the evidence (backgrounds
     first).
     """
-    order = require_valid(model)
-    n_records = len(next(iter(evidence_cols.values()))) if evidence_cols else 1
-    _validate_evidence_cols(model, evidence_cols)
+    order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
     target = _Target(model, evidence_cols, n_records, order)
-    if names is None:
-        names = tuple(n for n in _exogenous_names(model) if n not in evidence_cols)
-    elif any(n in evidence_cols for n in names):
-        raise EvidenceOnBackground("requested draws for a variable that is observed")
 
     rows = np.arange(n_records, dtype=np.uint64)
     dtype = np.float64 if all(_numeric(model, n) for n in names) else object
@@ -798,14 +810,7 @@ def _draw_independent(out, prior_map, independent, config, rows, chain):
     span = slice(chain * config.kept, (chain + 1) * config.kept)
     for j, name in independent:
         u = rng.bits_to_uniforms(rng.fold_in(head, kept, j))
-        prior = prior_map[name]
-        if isinstance(prior, NormalPrior):
-            out[:, span, j] = prior.mean + prior.std * ndtri(u)
-        else:
-            cum = np.cumsum(prior.probs)
-            cum[-1] = 1.0
-            idx = np.searchsorted(cum, u, side="right")
-            out[:, span, j] = np.array(list(prior.values), dtype=out.dtype)[idx]
+        out[:, span, j] = _prior_column(prior_map[name], u)
 
 
 def abduct_mcmc(model: CausalModel, evidence: dict, config: McmcConfig) -> PosteriorDraws:
@@ -854,9 +859,7 @@ def exogenous_draws(model: CausalModel, evidence: dict, n_draws: int,
     out = {name: draws[:, j] for j, name in enumerate(latent)}
     for name in exo:
         if name in evidence:
-            v = evidence[name]
-            out[name] = (np.full(n_draws, v, dtype=object) if isinstance(v, str)
-                         else np.full(n_draws, float(v)))
+            out[name] = _constant_column(evidence[name], n_draws)
     return out
 
 
@@ -871,7 +874,7 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
     batch: (seed, position, draw) on the exact route, (seed, position, chain,
     step, slot) on the MH route. Reruns of the same batch are bit-identical,
     but the same record draws differently at another position (ROADMAP.md,
-    direction 4, keys by a stable record id instead). Draws are float64 unless
+    direction 1, keys by a stable record id instead). Draws are float64 unless
     a requested variable's domain holds a non-number.
     """
     exact = _exact_route(model, evidence_cols, names)

@@ -72,8 +72,7 @@ class Dataset:
         gone = set(names)
         keep = tuple(c for c in self.columns if c not in gone)
         return Dataset(keep, {c: self.data[c] for c in keep},
-                       {k: v for k, v in self.domains.items() if k in gone or k in keep
-                        if k in keep})
+                       {k: v for k, v in self.domains.items() if k in keep})
 
     def record(self, i: int) -> dict:
         """Row i as a plain {name: python value} dict."""

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import rng
-from .counterfactual import McmcConfig, abduct_records
+from .counterfactual import McmcConfig, _stacked, abduct_records
 from .dataset import Dataset
 from .errors import (
     DegenerateScale,
@@ -181,20 +181,25 @@ def poisson_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
     return LinearFit(design.labels, w, float(np.sqrt(np.mean((y - lam) ** 2))))
 
 
+def _residual_fits(data: Dataset, targets, regressors) -> dict[str, tuple[LinearFit, np.ndarray]]:
+    """Per target, its OLS fit on an intercept plus the regressors, and its residual."""
+    design, _ = design_matrix(data, regressors)
+    fits = {}
+    for target in targets:
+        y = data.numeric(target)
+        fit = ols_fit(design, y)
+        fits[target] = fit, y - fit.predict(design.matrix)
+    return fits
+
+
 def level3_residuals(data: Dataset, targets, regressors) -> Dataset:
     """Append eps_<target> columns: each target minus its fit on the regressors.
 
     The regression uses an intercept plus the (possibly one-hot) regressors,
     so residuals are empirically orthogonal to the regressor design.
     """
-    out = data
-    extra = {}
-    for target in targets:
-        design, _ = design_matrix(data, regressors)
-        y = data.numeric(target)
-        fit = ols_fit(design, y)
-        extra[f"eps_{target}"] = y - fit.predict(design.matrix)
-    return out.with_columns(extra)
+    fits = _residual_fits(data, targets, regressors)
+    return data.with_columns({f"eps_{t}": eps for t, (_, eps) in fits.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +295,9 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
     model = _rebuild_model(template, params)
     trace = []
     for it in range(_EM_ITERATIONS):
-        e_cfg = replace(em_cfg, seed=rng.child_seed(config.seed, 21, it))
+        e_cfg = replace(em_cfg, seed=rng.child_seed(config.seed, rng.TAG_EM, it))
         post = abduct_records(model, evidence_cols, e_cfg, names=(latent,))
-        draws = post.draws[:, :, 0].astype(np.float64)  # (n, m_e)
-        m_e = draws.shape[1]
-
-        aug = {latent: draws.reshape(-1)}
-        for name, col in evidence_cols.items():
-            aug[name] = np.repeat(col, m_e)
+        aug = _stacked(post.draws, (latent,), evidence_cols)
         aug_data = Dataset(tuple(aug), aug, dict(data.domains))
 
         for eq in template.equations:

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .counterfactual import McmcConfig, posterior_draw_matrix
+from .counterfactual import McmcConfig, _stacked, posterior_draw_matrix
 from .dataset import Dataset
 from .errors import DimensionMismatch, EmptyInputs, InvalidPath, UnknownVariable
-from .estimators import LinearFit, design_matrix, logistic_fit, ols_fit
+from .estimators import LinearFit, _residual_fits, design_matrix, logistic_fit, ols_fit
 from .scm import CausalModel, Role, non_descendants
 
 
@@ -109,7 +109,6 @@ class FairPredictor:
 
     def design_from(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         order = self.manifest.input_order()
-        n = len(next(iter(columns.values()))) if columns else 0
         data = Dataset(tuple(order), {c: np.asarray(columns[c]) for c in order}, {})
         design, _ = design_matrix(data, order, encoders=self.encoders)
         if design.labels != self.labels:
@@ -159,6 +158,19 @@ def _evidence_for(model: CausalModel, data: Dataset) -> dict[str, np.ndarray]:
     return {name: data.column(name) for name in data.columns if name in names}
 
 
+def _manifest_rows(model: CausalModel, manifest: InputManifest, data: Dataset,
+                   outcome: str | None, config: McmcConfig):
+    """(manifest input columns, m): one row per record and posterior draw of the
+    background inputs given the record's evidence, or m = 1 without them."""
+    backgrounds = tuple(sorted(manifest.background_inputs))
+    observed = {n: data.column(n) for n in manifest.input_order() if n not in backgrounds}
+    if not backgrounds:
+        return observed, 1
+    evidence = {k: v for k, v in _evidence_for(model, data).items() if k != outcome}
+    draws = posterior_draw_matrix(model, evidence, config, names=backgrounds)
+    return _stacked(draws, backgrounds, observed), draws.shape[1]
+
+
 def _fit_head(head: str, design, y) -> LinearFit:
     if head == "logistic":
         return logistic_fit(design, y)
@@ -187,27 +199,11 @@ def fair_learning(data: Dataset, model: CausalModel, manifest: InputManifest,
     if data.n == 0:
         raise EmptyInputs("empty training data")
 
-    backgrounds = sorted(manifest.background_inputs)
-    if backgrounds:
-        evidence = {k: v for k, v in _evidence_for(model, data).items() if k != outcome}
-        draws = posterior_draw_matrix(model, evidence, config, names=tuple(backgrounds))
-        m = draws.shape[1]
-        columns: dict[str, np.ndarray] = {}
-        for j, name in enumerate(backgrounds):
-            columns[name] = draws[:, :, j].reshape(-1)
-        for name in manifest.input_order():
-            if name not in columns:
-                columns[name] = np.repeat(data.column(name), m)
-        y_fit = np.repeat(y, m)
-    else:
-        m = 1
-        columns = {name: data.column(name) for name in manifest.input_order()}
-        y_fit = y
-
+    columns, m = _manifest_rows(model, manifest, data, outcome, config)
     order = manifest.input_order()
     fit_data = Dataset(order, columns, dict(data.domains))
     design, encoders = design_matrix(fit_data, order)
-    fit = _fit_head(head, design, y_fit)
+    fit = _fit_head(head, design, np.repeat(y, m))
     return FairPredictor(
         manifest=manifest, head=head, labels=fit.labels, weights=fit.weights,
         encoders=encoders,
@@ -221,24 +217,17 @@ def fair_learning(data: Dataset, model: CausalModel, manifest: InputManifest,
 
 def fair_predict(predictor: FairPredictor, model: CausalModel, data: Dataset,
                  config: McmcConfig | None = None) -> np.ndarray:
-    """Per-record predictions; latent inputs are posterior-averaged per record."""
-    backgrounds = sorted(predictor.manifest.background_inputs)
-    if not backgrounds:
-        cols = {name: data.column(name) for name in predictor.manifest.input_order()}
-        return predictor.score(cols)
+    """Per-record predictions; latent inputs are posterior-averaged per record.
+
+    `model` is read only when the manifest has background inputs.
+    """
     cfg = config or McmcConfig(seed=predictor.training.get("seed", 0))
-    evidence = {k: v for k, v in _evidence_for(model, data).items()
-                if k != predictor.training.get("outcome")}
-    draws = posterior_draw_matrix(model, evidence, cfg, names=tuple(backgrounds))
-    m = draws.shape[1]
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(backgrounds):
-        columns[name] = draws[:, :, j].reshape(-1)
-    for name in predictor.manifest.input_order():
-        if name not in columns:
-            columns[name] = np.repeat(data.column(name), m)
-    scores = predictor.score(columns).reshape(data.n, m)
-    return scores.mean(axis=1)
+    columns, m = _manifest_rows(model, predictor.manifest, data,
+                                predictor.training.get("outcome"), cfg)
+    scores = predictor.score(columns)
+    if not predictor.manifest.background_inputs:
+        return scores
+    return scores.reshape(data.n, m).mean(axis=1)
 
 
 def baseline_fit(data: Dataset, kind: str, outcome: str, head: str = "linear",
@@ -285,8 +274,6 @@ def additive_fair_fit(data: Dataset, model: CausalModel, outcome: str) -> FairPr
     plus the protected columns, so the returned predictor evaluates directly
     on raw records. Numeric columns only; valid for squared loss.
     """
-    from .estimators import level3_residuals
-
     protected = model.protected
     observables = [c for c in data.columns
                    if c != outcome and c not in protected and c in model.variable_map]
@@ -294,7 +281,8 @@ def additive_fair_fit(data: Dataset, model: CausalModel, outcome: str) -> FairPr
         raise EmptyInputs("no observable columns")
     safe = non_descendants(model, set(protected))
     touched = [c for c in observables if c not in safe]
-    with_eps = level3_residuals(data, touched, list(protected)) if touched else data
+    first = _residual_fits(data, touched, list(protected)) if touched else {}
+    with_eps = data.with_columns({f"eps_{c}": eps for c, (_, eps) in first.items()})
 
     cols = [c if c in safe else f"eps_{c}" for c in observables]
     fit_data = Dataset(tuple(cols), {c: with_eps.column(c) for c in cols},
@@ -311,9 +299,8 @@ def additive_fair_fit(data: Dataset, model: CausalModel, outcome: str) -> FairPr
         for c in observables:
             w = fit.coefficient(c if c in safe else f"eps_{c}")
             folded[c] = w
-            if c in touched:
-                sub_design, _ = design_matrix(data, list(protected))
-                sub = ols_fit(sub_design, data.numeric(c))
+            if c in first:
+                sub = first[c][0]
                 folded["intercept"] -= w * sub.coefficient("intercept")
                 for p in protected:
                     folded[p] -= w * sub.coefficient(p)

@@ -19,7 +19,9 @@ from scipy.special import expit, gammaln, log_expit, logit
 from . import rng
 from .counterfactual import (
     McmcConfig,
+    _constant_column,
     _exogenous_names,
+    _stacked,
     exact_available,
     exogenous_draws,
     posterior_draw_matrix,
@@ -36,7 +38,7 @@ from .errors import (
     UnattainableValue,
     ZeroPosteriorMass,
 )
-from .learning import FairPredictor, fair_predict
+from .learning import FairPredictor, _evidence_for, fair_predict
 from .scm import (
     BernoulliLogit,
     CategoricalPrior,
@@ -125,14 +127,17 @@ class FairnessReport:
         return rows
 
 
+def _matches(col: np.ndarray, value) -> np.ndarray:
+    """Elementwise col == value: exact for a string, as float64 otherwise."""
+    if isinstance(value, str):
+        return np.array([v == value for v in col.tolist()])
+    return col.astype(np.float64) == float(value)
+
+
 def _group_mask(data: Dataset, assignment: dict) -> np.ndarray:
     mask = np.ones(data.n, dtype=bool)
     for name, value in assignment.items():
-        col = data.column(name)
-        if isinstance(value, str):
-            mask &= np.array([v == value for v in col.tolist()])
-        else:
-            mask &= (col.astype(np.float64) == float(value))
+        mask &= _matches(data.column(name), value)
     return mask
 
 
@@ -144,27 +149,38 @@ def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
     return indices[np.sort(pick)]
 
 
-def _evidence_columns(model: CausalModel, data: Dataset) -> dict[str, np.ndarray]:
-    usable = set(model.protected) | set(model.names(Role.OBSERVED))
-    return {c: data.column(c) for c in data.columns if c in usable}
-
-
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
-                   intervention: dict, latent: tuple[str, ...], exo_draws: np.ndarray,
-                   seed: int, salt: int) -> np.ndarray:
-    """(records, draws) predictor outputs under do(intervention), noise shared by key."""
-    iv_model = intervene(model, intervention)
+                   branches, latent: tuple[str, ...], exo_draws: np.ndarray,
+                   seed: int, salt: int) -> list[np.ndarray]:
+    """(records, draws) predictor outputs under do(b) for each intervention b in
+    branches; every branch reads the same draws and shares noise by key."""
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
-    given: dict[str, np.ndarray] = {}
-    for j, name in enumerate(latent):
-        given[name] = exo_draws[:, :, j].reshape(-1)
-    for name in _exogenous_names(model):
-        if name in sub.data and name not in given:
-            given[name] = np.repeat(sub.column(name), m)
-    given = {k: v for k, v in given.items() if k not in intervention}
-    values = forward_eval(iv_model, given, n_rec * m, seed, salt=salt)
-    inputs = {name: values[name] for name in predictor.manifest.input_order()}
-    return predictor.score(inputs).reshape(n_rec, m)
+    observed = {n: sub.column(n) for n in _exogenous_names(model) if n in sub.data}
+
+    def scores(intervention: dict) -> np.ndarray:
+        # one branch's columns at a time: they are freed before the next pass
+        given = {k: v for k, v in _stacked(exo_draws, latent, observed).items()
+                 if k not in intervention}
+        values = forward_eval(intervene(model, intervention), given, n_rec * m, seed, salt=salt)
+        inputs = {name: values[name] for name in predictor.manifest.input_order()}
+        return predictor.score(inputs).reshape(n_rec, m)
+
+    return [scores(b) for b in branches]
+
+
+def _abducted_group(model: CausalModel, data: Dataset, a: dict, config: McmcConfig,
+                    draws: int, max_records: int):
+    """Subsample the a-group and abduct its latent exogenous state: (record
+    indices, their rows, latent names, (records, draws, latent) draws)."""
+    indices = np.flatnonzero(_group_mask(data, a))
+    if len(indices) == 0:
+        raise EmptyGroup(f"no records with {a}")
+    indices = _subsample(indices, max_records, config.seed)
+    sub = data.take(indices)
+    evidence = _evidence_for(model, sub)
+    latent = tuple(n for n in _exogenous_names(model) if n not in evidence)
+    cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
+    return indices, sub, latent, posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
 
 
 def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
@@ -174,30 +190,22 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     require_valid(model)
     if set(a) != set(a_prime):
         raise DimensionMismatch("a and a_prime must assign the same variables")
-    mask = _group_mask(data, a)
-    indices = np.flatnonzero(mask)
-    if len(indices) == 0:
-        raise EmptyGroup(f"no records with {a}")
-    indices = _subsample(indices, max_records, config.seed)
-    sub = data.take(indices)
-
-    evidence = _evidence_columns(model, sub)
-    latent = tuple(n for n in _exogenous_names(model) if n not in evidence)
-    cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
-    exo = posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
-
-    seed_fwd = rng.child_seed(config.seed, rng.TAG_BRANCH)
-    scores_f = _branch_scores(predictor, model, sub, a, latent, exo,
-                              seed_fwd, rng.TAG_BRANCH)
-    scores_cf = _branch_scores(predictor, model, sub, a_prime, latent, exo,
-                               seed_fwd, rng.TAG_BRANCH)
+    indices, sub, latent, exo = _abducted_group(model, data, a, config, draws, max_records)
+    scores_f, scores_cf = _branch_scores(predictor, model, sub, (a, a_prime), latent, exo,
+                                         rng.child_seed(config.seed, rng.TAG_BRANCH),
+                                         rng.TAG_BRANCH)
     return indices, scores_f, scores_cf
 
 
-def _tie_tolerance(scores_f: np.ndarray, scores_cf: np.ndarray,
-                   tie_frac: float) -> float:
-    return tie_frac * float(np.std(np.concatenate([scores_f.ravel(),
-                                                   scores_cf.ravel()])))
+def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray,
+                tie_frac: float):
+    """({"record", "ks"} per record, worst KS, tie tolerance) of paired (records,
+    draws) scores; the tolerance is tie_frac times their pooled spread."""
+    tie_tol = tie_frac * float(np.std(np.concatenate([scores_f.ravel(),
+                                                      scores_cf.ravel()])))
+    ks = [_resolution_ks(f, cf, tie_tol) for f, cf in zip(scores_f, scores_cf)]
+    per_record = [{"record": int(ridx), "ks": float(v)} for ridx, v in zip(indices, ks)]
+    return per_record, float(np.max(ks)), tie_tol
 
 
 def cf_fairness_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
@@ -215,17 +223,10 @@ def cf_fairness_test(model: CausalModel, predictor: FairPredictor, data: Dataset
     """
     indices, scores_f, scores_cf = _paired_scores(
         model, predictor, data, a, a_prime, config, draws, max_records)
-    tie_tol = _tie_tolerance(scores_f, scores_cf, tie_frac)
-    per_record = []
-    ks_values = np.empty(len(indices))
-    for i, ridx in enumerate(indices):
-        ks = _resolution_ks(scores_f[i], scores_cf[i], tie_tol)
-        ks_values[i] = ks
-        per_record.append({"record": int(ridx), "ks": float(ks),
-                           "mean_factual": float(scores_f[i].mean()),
-                           "mean_counterfactual": float(scores_cf[i].mean()),
-                           "mean_shift": float(scores_f[i].mean() - scores_cf[i].mean())})
-    aggregate = float(np.max(ks_values))
+    per_record, aggregate, tie_tol = _ks_records(indices, scores_f, scores_cf, tie_frac)
+    for r, f, cf in zip(per_record, scores_f, scores_cf):
+        r.update(mean_factual=float(f.mean()), mean_counterfactual=float(cf.mean()),
+                 mean_shift=float(f.mean() - cf.mean()))
     return FairnessReport(
         criterion="counterfactual_ks",
         params={"a": a, "a_prime": a_prime, "draws": draws, "seed": config.seed,
@@ -297,41 +298,21 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
     """
     require_valid(model)
     on_path = _validate_paths(model, paths, a)
-    mask = _group_mask(data, a)
-    indices = np.flatnonzero(mask)
-    if len(indices) == 0:
-        raise EmptyGroup(f"no records with {a}")
-    indices = _subsample(indices, max_records, config.seed)
-    sub = data.take(indices)
-
-    evidence = _evidence_columns(model, sub)
-    latent = tuple(n for n in _exogenous_names(model) if n not in evidence)
-    cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
-    exo = posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
+    indices, sub, latent, exo = _abducted_group(model, data, a, config, draws, max_records)
     held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in sub.data]
 
-    all_f = np.empty((len(indices), exo.shape[1]))
-    all_cf = np.empty_like(all_f)
+    rows = []
     for i, ridx in enumerate(indices):
         pinned = {name: _py(sub.column(name)[i]) for name in held}
-        iv_f = {**a, **pinned}
-        iv_cf = {**a_prime, **pinned}
-        seed_r = rng.child_seed(config.seed, rng.TAG_PATH, int(ridx))
-        row = Dataset(sub.columns, {c: sub.data[c][i:i + 1] for c in sub.columns},
-                      dict(sub.domains))
-        exo_row = exo[i:i + 1]
-        all_f[i] = _branch_scores(predictor, model, row, iv_f, latent, exo_row,
-                                  seed_r, rng.TAG_PATH)[0]
-        all_cf[i] = _branch_scores(predictor, model, row, iv_cf, latent, exo_row,
-                                   seed_r, rng.TAG_PATH)[0]
-    tie_tol = _tie_tolerance(all_f, all_cf, tie_frac)
-    per_record = []
-    ks_values = np.empty(len(indices))
-    for i, ridx in enumerate(indices):
-        ks_values[i] = _resolution_ks(all_f[i], all_cf[i], tie_tol)
-        per_record.append({"record": int(ridx), "ks": float(ks_values[i]),
-                           "mean_shift": float(all_f[i].mean() - all_cf[i].mean())})
-    aggregate = float(np.max(ks_values))
+        rows.append(_branch_scores(predictor, model, sub.take([i]),
+                                   ({**a, **pinned}, {**a_prime, **pinned}), latent,
+                                   exo[i:i + 1],
+                                   rng.child_seed(config.seed, rng.TAG_PATH, int(ridx)),
+                                   rng.TAG_PATH))
+    all_f, all_cf = (np.concatenate(branch) for branch in zip(*rows))
+    per_record, aggregate, tie_tol = _ks_records(indices, all_f, all_cf, tie_frac)
+    for r, f, cf in zip(per_record, all_f, all_cf):
+        r["mean_shift"] = float(f.mean() - cf.mean())
     return FairnessReport(
         criterion="path_counterfactual_ks",
         params={"a": a, "a_prime": a_prime, "paths": [list(p) for p in paths],
@@ -354,13 +335,9 @@ def group_gaps(predictor: FairPredictor, data: Dataset, outcome: str,
     unless the outcome column is 0/1; the predictive-parity diagnostic is None
     unless the head is logistic.
     """
-    if predictor.manifest.background_inputs:
-        if model is None:
-            raise DimensionMismatch("background inputs need the model to predict")
-        preds = fair_predict(predictor, model, data, config)
-    else:
-        preds = predictor.score({n: data.column(n)
-                                 for n in predictor.manifest.input_order()})
+    if predictor.manifest.background_inputs and model is None:
+        raise DimensionMismatch("background inputs need the model to predict")
+    preds = fair_predict(predictor, model, data, config)
     mask_a, mask_ap = _group_mask(data, a), _group_mask(data, a_prime)
     if not mask_a.any() or not mask_ap.any():
         raise EmptyGroup(f"empty group for {a} / {a_prime}")
@@ -401,8 +378,7 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
         draws = exogenous_draws(iv_model, x_evidence, n_draws, config)
         given = dict(draws)
         for name, value in x_evidence.items():
-            given[name] = (np.full(n_draws, value, dtype=object)
-                           if isinstance(value, str) else np.full(n_draws, float(value)))
+            given[name] = _constant_column(value, n_draws)
         values = forward_eval(iv_model, given, n_draws,
                               rng.child_seed(config.seed, rng.TAG_ACE), salt=rng.TAG_ACE)
         inputs = {n: values[n] for n in predictor.manifest.input_order()}
@@ -414,10 +390,8 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
         col = sim.column(name)
         if model.variable(name).domain is None:
             accept &= np.abs(col.astype(np.float64) - float(value)) <= _ACE_BAND
-        elif isinstance(value, str):
-            accept &= np.array([v == value for v in col.tolist()])
         else:
-            accept &= (col.astype(np.float64) == float(value))
+            accept &= _matches(col, value)
     if not accept.any():
         raise NoAcceptedSamples(
             f"no simulated rows matched {x_evidence} within band {_ACE_BAND}")
@@ -489,29 +463,19 @@ def _is_deterministic(eq: StructuralEquation | None) -> bool:
 
 
 def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
-                             evidence: dict, y: float, a_prime: dict,
-                             tol: float) -> dict:
-    latents = [n for n in _exogenous_names(model) if n not in evidence]
+                             evidence: dict, latents: list[str], y: float,
+                             a_prime: dict, tol: float) -> dict:
+    """Exact sufficiency over the joint states of categorical latents (at least one)."""
     priors = model.prior_map
-    for name in latents:
-        if not isinstance(priors[name], CategoricalPrior):
-            raise ConstraintNotInvertible(f"{name} is not finitely enumerable")
     sizes = [len(priors[n].values) for n in latents]
-    total = int(np.prod(sizes)) if sizes else 1
-    if total > _MAX_ENUM:
-        raise ConstraintNotInvertible(f"{total} joint states exceed the enumeration cap")
-
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij") if sizes else []
+    total = int(np.prod(sizes))
+    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
     state_cols = {}
     weight = np.ones(total)
     for name, grid in zip(latents, grids):
         idx = grid.reshape(-1)
         state_cols[name] = np.array(priors[name].values, dtype=object)[idx]
         weight = weight * np.array(priors[name].probs, dtype=np.float64)[idx]
-
-    def _pin(value) -> np.ndarray:
-        return (np.full(total, value, dtype=object) if isinstance(value, str)
-                else np.full(total, float(value)))
 
     def resolve(m: CausalModel, pins: dict) -> dict[str, np.ndarray]:
         """Columns over the state grid; stochastic unobserved nodes become NaN."""
@@ -521,7 +485,7 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
             if name in values:
                 continue
             if name in pins:
-                values[name] = _pin(pins[name])
+                values[name] = _constant_column(pins[name], total)
             elif _is_deterministic(eq_map.get(name)):
                 values[name] = evaluate_equation(eq_map[name], values, None, total)
             else:
@@ -545,11 +509,10 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
         eq = eq_map.get(name)
         if eq is None:
             continue  # observed exogenous root: constant factor, cancels
-        if isinstance(eq.family, DeterministicTable) or (
-                isinstance(eq.family, LinearGaussian) and eq.family.noise_std == 0.0):
+        if _is_deterministic(eq):
             implied = evaluate_equation(eq, factual, None, total)
             if isinstance(obs, str):
-                w = w * np.array([v == obs for v in implied.tolist()], dtype=np.float64)
+                w = w * _matches(implied, obs)
             else:
                 w = w * (np.abs(implied.astype(np.float64) - float(obs)) <= _STRICT_TOL)
         else:
@@ -574,6 +537,15 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
             "conditioned_mass": float(mass / w.sum())}
 
 
+def _regenerated(model: CausalModel, evidence: dict, a_prime: dict,
+                 config: McmcConfig) -> dict[str, np.ndarray]:
+    """config.draws exogenous states abducted from the evidence, run forward under do(a')."""
+    draws = exogenous_draws(model, evidence, config.draws, config)
+    given = {k: v for k, v in draws.items() if k not in a_prime}
+    return forward_eval(intervene(model, a_prime), given, config.draws,
+                        rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
+
+
 def _pinned_sufficiency(model: CausalModel, predictor: FairPredictor,
                         evidence: dict, y: float, a_prime: dict,
                         config: McmcConfig, tol: float) -> dict:
@@ -582,23 +554,16 @@ def _pinned_sufficiency(model: CausalModel, predictor: FairPredictor,
     for name in predictor.manifest.input_order():
         if name not in evidence:
             raise ConstraintNotInvertible(f"record does not pin input {name}")
-        v = evidence[name]
-        factual_inputs[name] = (np.array([v], dtype=object) if isinstance(v, str)
-                                else np.array([float(v)]))
+        factual_inputs[name] = _constant_column(evidence[name], 1)
     s_f = float(predictor.score(factual_inputs)[0])
     if abs(s_f - y) > tol:
         raise UnattainableValue(
             f"factual prediction {s_f} does not equal {y} within {tol}")
-    m = config.draws
-    draws = exogenous_draws(model, evidence, m, config)
-    cf_model = intervene(model, a_prime)
-    given = {k: v for k, v in draws.items() if k not in a_prime}
-    values = forward_eval(cf_model, given, m,
-                          rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
+    values = _regenerated(model, evidence, a_prime, config)
     score_cf = predictor.score(
         {n: values[n] for n in predictor.manifest.input_order()})
     return {"probability": float(np.mean(np.abs(score_cf - y) > tol)),
-            "method": "abduction", "draws": m}
+            "method": "abduction", "draws": config.draws}
 
 
 def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
@@ -626,8 +591,8 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     if latents and all(isinstance(priors[n], CategoricalPrior) for n in latents):
         sizes = np.prod([len(priors[n].values) for n in latents])
         if sizes <= _MAX_ENUM:
-            return _enumeration_sufficiency(model, predictor, evidence, y,
-                                            a_prime, tol)
+            return _enumeration_sufficiency(model, predictor, evidence, latents,
+                                            y, a_prime, tol)
 
     if not predictor.manifest.background_inputs:
         return _pinned_sufficiency(model, predictor, evidence, y, a_prime,
@@ -644,18 +609,12 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     aug = CausalModel(model.variables + (Variable("_score_", Role.OBSERVED),),
                       model.equations + (score_eq,), model.priors)
     require_valid(aug)
-    m = config.draws
     try:
-        draws = exogenous_draws(aug, {**evidence, "_score_": rhs}, m, config)
+        values = _regenerated(aug, {**evidence, "_score_": rhs}, a_prime, config)
     except (SingularConditioning, ZeroPosteriorMass) as exc:
         raise UnattainableValue(
             f"prediction {y} is not attainable for this record") from exc
-
-    cf_model = intervene(aug, a_prime)
-    given = {k: v for k, v in draws.items() if k not in a_prime}
-    values = forward_eval(cf_model, given, m,
-                          rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
     score_cf = values["_score_"].astype(np.float64)
     pred_cf = expit(score_cf) if predictor.head == "logistic" else score_cf
     prob = float(np.mean(np.abs(pred_cf - y) > tol))
-    return {"probability": prob, "method": "abduction", "draws": m}
+    return {"probability": prob, "method": "abduction", "draws": config.draws}

@@ -35,6 +35,7 @@ TAG_MH = 11  # counterfactual: MH chain steps
 TAG_INDEP = 12  # counterfactual: prior draws of exogenous variables outside the chain
 TAG_EXACT = 13  # counterfactual: joint-normal posterior draws
 TAG_PREDICT = 14  # counterfactual: forward pass of counterfactual_sample
+TAG_EM = 21  # estimators: E-step chains of fit_level2_latent, one seed per iteration
 TAG_SUBSAMPLE = 31  # metrics: subsample of audited records
 TAG_BRANCH = 33  # metrics: cf_fairness_test's factual and counterfactual branches
 TAG_PATH = 43  # metrics: path_cf_test's per-record branches
@@ -93,8 +94,12 @@ def key_bits(seed: int, *parts) -> np.ndarray:
 
 
 def bits_to_uniforms(bits) -> np.ndarray:
-    """Map uint64 random bits to uniforms on the open interval (0, 1)."""
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    """Map uint64 random bits to uniforms on the open interval (0, 1).
+
+    The largest 53-bit values round to 1.0, so values are capped below 1.
+    """
+    return np.minimum(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53),
+                      1.0 - 2.0 ** -53)
 
 
 def uniforms(seed: int, *parts) -> np.ndarray:

@@ -22,6 +22,15 @@ def test_any_part_change_decorrelates():
         assert abs(np.corrcoef(base, other)[0, 1]) < 0.1
 
 
+def test_top_bits_stay_below_one():
+    # the largest 53-bit values round to exactly 1.0 without the cap, and
+    # ndtri(1.0) is inf
+    bits = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+    u = rng.bits_to_uniforms(bits)
+    assert np.all(u < 1.0)
+    assert np.all(np.isfinite(ndtri(u)))
+
+
 def test_uniforms_support_and_mean():
     u = rng.uniforms(11, np.arange(200_000, dtype=np.uint64))
     assert u.min() >= 0.0 and u.max() < 1.0
@@ -88,5 +97,5 @@ def test_stream_tags_are_pinned():
     # also fold rows and chain)
     tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
     assert tags == {"TAG_MH": 11, "TAG_INDEP": 12, "TAG_EXACT": 13, "TAG_PREDICT": 14,
-                    "TAG_SUBSAMPLE": 31, "TAG_BRANCH": 33, "TAG_PATH": 43,
+                    "TAG_EM": 21, "TAG_SUBSAMPLE": 31, "TAG_BRANCH": 33, "TAG_PATH": 43,
                     "TAG_SUFF": 51, "TAG_ACE": 61, "TAG_SPLIT": 71, "TAG_SCENARIO": 11}
