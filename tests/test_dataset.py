@@ -1,6 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import csv_oracle
 from cfair import Dataset, DimensionMismatch, UnknownVariable
 
 
@@ -76,3 +81,159 @@ def test_csv_rejects_ragged_and_empty(tmp_path):
     empty.write_text("")
     with pytest.raises(DimensionMismatch):
         Dataset.from_csv(empty)
+
+
+# -- CSV I/O against the cell-by-cell oracle in csv_oracle.py ---------------
+
+def _outcome(read, path):
+    """Columns with dtype and raw bytes (object columns as lists), or the error class."""
+    try:
+        d = read(path)
+    except Exception as exc:  # the class is part of what must match
+        return type(exc)
+    return d.columns, [(d.data[c].dtype.str,
+                        list(d.data[c]) if d.data[c].dtype == object else d.data[c].tobytes())
+                       for c in d.columns]
+
+
+def _same_read(path):
+    assert _outcome(Dataset.from_csv, path) == _outcome(csv_oracle.read, path)
+
+
+_OBJECTS = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.booleans())
+_COLUMNS = {
+    "float": lambda n: st.lists(st.floats(), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float64)),
+    "int": lambda n: st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=bool)),
+    # commas, quotes, line breaks and non-ASCII text all need quoting or decoding
+    "text": lambda n: st.lists(st.text(max_size=6), min_size=n, max_size=n),
+    "object": lambda n: st.lists(_OBJECTS, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=object)),
+}
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=4))
+    names = draw(st.lists(st.text(max_size=3), min_size=len(kinds), max_size=len(kinds),
+                          unique=True))
+    return Dataset(tuple(names), {name: draw(_COLUMNS[kind](n))
+                                  for name, kind in zip(names, kinds)})
+
+
+@settings(max_examples=200)
+@given(datasets())
+def test_csv_write_and_read_back_match_the_oracle(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        data.to_csv(ours)
+        csv_oracle.write(data, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        _same_read(ref)
+
+
+_INT_CELLS = st.one_of(st.integers(-2 ** 64, 2 ** 64).map(str),
+                       st.sampled_from(["-0", "+1", " 7 ", "007", "1_0", "0" * 4301 + "1"]))
+_FLOAT_CELLS = st.one_of(st.floats().map(repr),
+                         st.sampled_from(["1e3", ".5", "5.", "-nan", "Infinity", "1E-320",
+                                          " 2.5", "9" * 400]))
+_ODD_CELLS = st.sampled_from(["", " ", "a", "x y", "0x10", "1 2", "#1", "1#", '"3"', '"a,b"',
+                              '"q""q"', "é", "\x1c", "\x0b1", "1\t", "\x7f"])
+_ANY_CELLS = st.one_of(_INT_CELLS, _FLOAT_CELLS, _ODD_CELLS)
+_EOLS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly numeric CSV text, now and then ragged, blank-lined or with mixed line ends."""
+    ncols = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["a", "b", "U", " x", "y "]),
+                           min_size=ncols, max_size=ncols))
+    kinds = [draw(st.sampled_from((_INT_CELLS, _FLOAT_CELLS, _ANY_CELLS))) for _ in header]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        lines.append(",".join(draw(kind) for kind in kinds))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), ",".join(["1"] * draw(st.integers(1, 5))))
+    eol = draw(st.sampled_from(_EOLS + ("mixed",)))
+    ends = [draw(st.sampled_from(_EOLS)) if eol == "mixed" else eol for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+@settings(max_examples=300)
+@given(csv_texts())
+def test_csv_read_matches_the_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text)
+        _same_read(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"a,b\n1,2\n\n3,4\n",               # blank line
+    b"a,b\n1,2\n\n",                    # blank last line
+    b"\n1\n2\n",                        # blank header line
+    b"a\r\n1\r\n\r\n2\r\n",             # blank line, CRLF
+    b"a\n1\n  \n2\n",                   # whitespace-only line
+    b"a\n1_0\n2\n",                     # digit separator
+    "a\n1\né\n".encode(),             # non-ASCII
+    "é\n1\n".encode(),
+    b"a\n\xff\n",                       # not UTF-8
+    b"a\n1\x1c\n2\n",                   # control characters
+    b"a\n\x0b1\n",
+    b"a\n1\t\n",
+    b"a\n1\x00\n",
+    b'a,b\n"1",2\n',                    # quotes
+    b'"a",b\n1,2\n',
+    b'a\n"1\n2"\n',
+    b"a,b\n1,2\n3\n",                   # ragged
+    b"a,b\n1,2,3\n",
+    b"a,b\n1\n2\n",
+    b"",                                # empty
+    b"a,b\n",                           # header only
+    b"a,b",
+    b"a,b\r\n",
+    b"a\r1\r2\r",                       # lone CR
+    b"a\n1\r2\n",
+    b"a,b\r\n1,2\n3,4\r\n",             # mixed line ends
+    b"a,b\nnan,inf\n-nan,-inf\n",       # non-finite
+    b"a\nNaN\nInfinity\n",
+    b"a,b\n1,2",                        # no final line end
+    b" a , b \n 1 , +2 \n-0,01\n",      # spaces and signs
+    b"k,x\n1,1.0\n2,2.5\n",
+    b"k\n1e3\n2\n",
+    b"a\n#1\n2\n",                      # comment characters are data
+    b"a,b\n1,2#c\n",
+    b"a,b\n1,\n",                       # empty fields
+    b"a,b,\n1,2,\n",
+    b"a\n9007199254740993\n1\n",        # exact beyond 2**53
+    b"a\n9223372036854775807\n-9223372036854775808\n",
+    ("a\n" + "9" * 5000 + "\n").encode(),
+    ("a\n" + "0" * 5000 + "1\n").encode(),
+])
+def test_csv_read_edge_cases_match_the_oracle(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    _same_read(path)
+
+
+def test_csv_large_numeric_file_matches_the_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 100_000
+    data = Dataset(("A", "U", "K", "S"),
+                   {"A": rng.choice([-1.0, 1.0], n), "U": rng.normal(size=n),
+                    "K": rng.integers(-10 ** 12, 10 ** 12, n),
+                    "S": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)})
+    path = tmp_path / "big.csv"
+    csv_oracle.write(data, path)
+    data.to_csv(tmp_path / "ours.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == path.read_bytes()
+    _same_read(path)
