@@ -9,6 +9,7 @@ loads carry values only.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ class Dataset:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
+        dupes = [c for c, k in Counter(self.columns).items() if k > 1]
+        if dupes:
+            raise DimensionMismatch(f"duplicate column names {dupes}")
         self.data = {k: _coerce_column(v) for k, v in self.data.items()}
         if set(self.columns) != set(self.data):
             raise DimensionMismatch("column list and data keys disagree")
@@ -122,7 +126,7 @@ def _parse_column(values: list[str]) -> np.ndarray:
     try:
         ints = [int(v) for v in values]
         return np.array(ints, dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):  # not all integers, or not all within int64
         pass
     try:
         return np.array([float(v) for v in values], dtype=np.float64)

@@ -4,6 +4,11 @@
 every file and every dataset: the same columns, dtypes, values (bitwise for
 floats) and error classes on read, and the same bytes on write. Each cell goes
 through Python's `csv` module, `int()`, `float()` and `repr`, one at a time.
+
+Two fixes over the first cell-by-cell reader hold here as in the library:
+duplicate header names raise `DimensionMismatch` (through the `Dataset`
+constructor), and an integer column with a value outside int64 is read as
+float64 instead of raising `OverflowError`.
 """
 
 import csv
@@ -51,7 +56,7 @@ def _parse_column(values: list[str]) -> np.ndarray:
     try:
         ints = [int(v) for v in values]
         return np.array(ints, dtype=np.int64)
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     try:
         return np.array([float(v) for v in values], dtype=np.float64)

@@ -237,3 +237,27 @@ def test_csv_large_numeric_file_matches_the_oracle(tmp_path):
     data.to_csv(tmp_path / "ours.csv")
     assert (tmp_path / "ours.csv").read_bytes() == path.read_bytes()
     _same_read(path)
+
+
+def test_duplicate_column_names_rejected():
+    with pytest.raises(DimensionMismatch, match="'a'"):
+        Dataset(("a", "b", "a"), {"a": [1], "b": [2]})
+
+
+@pytest.mark.parametrize("text", [b"a,a\n1,2\n", b"a,a,b\n1,2,3\n", b"a,a\nx,2\n"])
+def test_csv_duplicate_header_names_rejected(tmp_path, text):
+    path = tmp_path / "dup.csv"
+    path.write_bytes(text)
+    with pytest.raises(DimensionMismatch, match="duplicate column names \\['a'\\]"):
+        Dataset.from_csv(path)
+
+
+@pytest.mark.parametrize("text", [b"a,t\n9223372036854775808,x\n1,y\n",
+                                  b"a,t\n9223372036854775808,7\n1,8\n"])
+def test_csv_integers_beyond_int64_read_as_float(tmp_path, text):
+    path = tmp_path / "big.csv"
+    path.write_bytes(text)
+    back = Dataset.from_csv(path)
+    assert back.column("a").dtype == np.float64
+    assert back.column("a").tolist() == [2.0 ** 63, 1.0]
+    assert back.column("t").dtype != np.float64
