@@ -788,8 +788,7 @@ def _init_disc(target: _Target) -> np.ndarray:
 def _feasible_init(target, t, aux_c, codes, logp):
     """Scan small discrete supports for a per-record feasible assignment."""
     sizes = [len(target.values_of[n]) for n in target.disc_names]
-    n_combo = int(np.prod(sizes)) if sizes else 1
-    if not sizes or n_combo > 4096:
+    if not sizes or math.prod(sizes) > 4096:
         return codes, logp
     best = codes.copy()
     best_logp = logp.copy()

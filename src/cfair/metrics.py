@@ -468,7 +468,7 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
     """Exact sufficiency over the joint states of categorical latents (at least one)."""
     priors = model.prior_map
     sizes = [len(priors[n].values) for n in latents]
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
     state_cols = {}
     weight = np.ones(total)
@@ -589,8 +589,7 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     latents = [n for n in _exogenous_names(model) if n not in evidence]
     priors = model.prior_map
     if latents and all(isinstance(priors[n], CategoricalPrior) for n in latents):
-        sizes = np.prod([len(priors[n].values) for n in latents])
-        if sizes <= _MAX_ENUM:
+        if math.prod(len(priors[n].values) for n in latents) <= _MAX_ENUM:
             return _enumeration_sufficiency(model, predictor, evidence, latents,
                                             y, a_prime, tol)
 

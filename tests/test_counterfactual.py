@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -348,6 +350,19 @@ def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values,
     model, evidence, config = _abduction_fixture(name)
     post = abduct_records(model, evidence, config)
     assert (digest(post.draws), digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
+
+
+def test_feasible_init_skips_more_than_4096_combinations():
+    # 2**64 combinations wrap to 0 in an int64 product, which once passed the
+    # cap and started a scan over every combination
+    def unreachable(*args):
+        raise AssertionError("scanned combinations above the cap")
+
+    names = tuple(f"P{i}" for i in range(64))
+    target = SimpleNamespace(disc_names=names, values_of={n: (0, 1) for n in names},
+                             log_density=unreachable)
+    codes, logp = np.zeros((1, 64), dtype=np.intp), np.array([-np.inf])
+    assert counterfactual._feasible_init(target, None, None, codes, logp) == (codes, logp)
 
 
 def test_numeric_domains_give_float_draws():

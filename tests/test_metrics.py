@@ -360,6 +360,23 @@ def test_sufficiency_requires_attainable_score():
         prob_sufficiency(model, unaware, record, score + 0.5, {"A": -1.0})
 
 
+def test_sufficiency_counts_joint_states_without_wrapping():
+    # 2**64 joint states wrap to 0 in an int64 product, which once passed the
+    # enumeration cap and failed in np.meshgrid; they take the abduction route
+    noise = [f"P{i}" for i in range(64)]
+    coin = CategoricalPrior((0, 1), (0.5, 0.5))
+    model = CausalModel(
+        variables=(Variable("A", Role.PROTECTED, domain=(0, 1)), Variable("X", Role.OBSERVED))
+        + tuple(Variable(p, Role.BACKGROUND, domain=(0, 1)) for p in noise),
+        equations=(StructuralEquation("X", ("A", "P0"), LinearGaussian(0.0, (1.0, 1.0), 0.0)),),
+        priors={"A": coin, **{p: coin for p in noise}})
+    reader = _reader(model, {"X": 1.0})
+    out = prob_sufficiency(model, reader, {"A": 1, "X": 1.0}, 1.0, {"A": 0},
+                           config=McmcConfig(chains=1, burn_in=10, kept=10, seed=1))
+    assert out["method"] == "abduction"
+    assert out["probability"] == 1.0  # P0 = 0, so X = 0 under do(A = 0)
+
+
 # ---------------------------------------------------------------------------
 # pinned outputs
 
