@@ -4,11 +4,23 @@ Columns are numpy arrays (float64, int64 or object for categorical string
 values). Optional per-column domain metadata travels with the dataset when it
 was produced by a model (ancestral sampling, scenario generators); plain CSV
 loads carry values only.
+
+CSV files are read and written a whole column at a time where that is sure
+to give what the cell-by-cell csv module path gives. `to_csv` formats float
+and integer columns in chunks of rows and emits them through one csv writer.
+`from_csv` hands a file to numpy's C parser (`np.loadtxt`) only when every
+cell is a number and the file is printable ASCII without quotes or '_',
+ends each line alike with LF or CRLF, and has no blank line and at least one
+data row; every other file, and every file that parser rejects, goes through
+the csv module cell by cell. Either path gives the same columns, dtypes,
+values and errors, and the writer the same bytes as a cell-by-cell one.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -89,29 +101,52 @@ class Dataset:
     # -- CSV round trip -------------------------------------------------
 
     def to_csv(self, path) -> None:
+        """Write a header row, then one row per record (csv module, excel dialect).
+
+        Float cells are written with repr, integer cells with str(int) and
+        any other cell with str, so from_csv reads float64 and int64 columns
+        back exactly.
+        """
+        cols = [self.data[c] for c in self.columns]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            cols = [self.data[c] for c in self.columns]
-            for i in range(self.n):
-                writer.writerow([_format_value(col[i]) for col in cols])
+            for lo in range(0, self.n, _CSV_CHUNK_ROWS):
+                writer.writerows(zip(*(_format_column(col[lo:lo + _CSV_CHUNK_ROWS])
+                                       for col in cols)))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DimensionMismatch(f"{path}: empty CSV") from None
-            raw = {c: [] for c in header}
-            for row in reader:
-                if len(row) != len(header):
-                    raise DimensionMismatch(f"{path}: ragged row {row!r}")
-                for c, v in zip(header, row):
-                    raw[c].append(v)
-        data = {c: _parse_column(vals) for c, vals in raw.items()}
+        """Read a header row of names, then one row per record.
+
+        A column is int64 if every cell is an integer, as int() reads it, that
+        fits in int64; else float64 if every cell is a number, as float()
+        reads it; else object, holding the cell strings. An empty file, a
+        row of another length than the header, and a repeated name raise
+        DimensionMismatch.
+        """
+        header, data = _read_numeric(path) or _read_cells(path)
         return cls(tuple(header), data)
+
+
+# Rows formatted at once by to_csv: bounds the strings held in memory.
+_CSV_CHUNK_ROWS = 1 << 16
+
+# Bytes of a file that _read_numeric may hand to np.loadtxt: printable ASCII
+# without the quote character and without '_', which int() and float() accept
+# as a digit separator and np.loadtxt does not; plus line ends.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"_') + b"\r\n"
+
+_LOADTXT = {"delimiter": ",", "skiprows": 1, "comments": None}
+
+
+def _format_column(col: np.ndarray):
+    """_format_value of each cell, a whole column at a time."""
+    if col.dtype == np.float64:
+        return map(repr, col.tolist())
+    if col.dtype.kind == "i":
+        return map(str, col.tolist())
+    return map(_format_value, col)
 
 
 def _format_value(v) -> str:
@@ -120,6 +155,72 @@ def _format_value(v) -> str:
     if isinstance(v, (np.integer, int)):
         return str(int(v))
     return str(v)
+
+
+def _read_numeric(path) -> tuple[list[str], dict] | None:
+    """Header and columns of an all-numeric CSV through numpy's C parser.
+
+    None unless the result is sure to equal _read_cells'. np.loadtxt parses a
+    float with the same routine as float() and an integer as int() does, but
+    the two readers differ elsewhere, so the file must be printable ASCII
+    without quotes or '_', end every line alike with LF or CRLF, hold no
+    blank line (np.loadtxt skips it) and no run of zeros long enough to pass
+    int()'s digit limit, and have at least one data row of header width.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    lf, crlf = text.count(b"\n"), text.count(b"\r\n")
+    eol = b"\r\n" if crlf else b"\n"
+    rows = lf - text.endswith(b"\n")
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if (rows < 1 or text.translate(None, _PLAIN_BYTES) or text.count(b"\r") != crlf
+            or crlf not in (0, lf) or text.startswith(eol) or eol + eol in text
+            or (digit_limit and b"0" * (digit_limit - 18) in text)):
+        return None
+    header = text[:text.index(eol)].decode("ascii").split(",")
+    del text
+    try:
+        table = np.loadtxt(path, dtype=np.float64, ndmin=2, **_LOADTXT)
+    except ValueError:  # a cell that is not a number, or a ragged row
+        return None
+    if table.shape != (rows, len(header)):
+        return None
+    data = {}
+    for j, name in enumerate(header):
+        col = table[:, j]
+        if np.isfinite(col).all() and (np.trunc(col) == col).all():
+            ints = _read_int64(path, j)
+            col = col if ints is None else ints
+        data[name] = col
+    return header, data
+
+
+def _read_int64(path, j: int) -> np.ndarray | None:
+    """Column j as int64 if every cell is an integer literal that fits, else None."""
+    with warnings.catch_warnings():
+        # numpy < 2 reads "1.0" as an integer with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(path, dtype=np.int64, usecols=[j], ndmin=1, **_LOADTXT)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _read_cells(path) -> tuple[list[str], dict]:
+    """Header and columns of any CSV, one cell at a time through the csv module."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DimensionMismatch(f"{path}: empty CSV") from None
+        raw = {c: [] for c in header}
+        for row in reader:
+            if len(row) != len(header):
+                raise DimensionMismatch(f"{path}: ragged row {row!r}")
+            for c, v in zip(header, row):
+                raw[c].append(v)
+    return header, {c: _parse_column(vals) for c, vals in raw.items()}
 
 
 def _parse_column(values: list[str]) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import csv_oracle
-from cfair import Dataset, DimensionMismatch, UnknownVariable
+from cfair import Dataset, DimensionMismatch, UnknownVariable, dataset
 
 
 def _mixed() -> Dataset:
@@ -119,8 +119,8 @@ _COLUMNS = {
 def datasets(draw):
     n = draw(st.integers(0, 5))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=4))
-    names = draw(st.lists(st.text(max_size=3), min_size=len(kinds), max_size=len(kinds),
-                          unique=True))
+    names = draw(st.lists(st.one_of(st.text("abc xyz", max_size=3), st.text(max_size=3)),
+                          min_size=len(kinds), max_size=len(kinds), unique=True))
     return Dataset(tuple(names), {name: draw(_COLUMNS[kind](n))
                                   for name, kind in zip(names, kinds)})
 
@@ -137,12 +137,13 @@ def test_csv_write_and_read_back_match_the_oracle(data):
 
 
 _INT_CELLS = st.one_of(st.integers(-2 ** 64, 2 ** 64).map(str),
-                       st.sampled_from(["-0", "+1", " 7 ", "007", "1_0", "0" * 4301 + "1"]))
+                       st.sampled_from(["-0", "+1", " 7 ", "007", "0" * 4000 + "1"]))
 _FLOAT_CELLS = st.one_of(st.floats().map(repr),
                          st.sampled_from(["1e3", ".5", "5.", "-nan", "Infinity", "1E-320",
                                           " 2.5", "9" * 400]))
 _ODD_CELLS = st.sampled_from(["", " ", "a", "x y", "0x10", "1 2", "#1", "1#", '"3"', '"a,b"',
-                              '"q""q"', "é", "\x1c", "\x0b1", "1\t", "\x7f"])
+                              '"q""q"', "é", "\x1c", "\x0b1", "1\t", "\x7f", "1_0",
+                              "0" * 4301 + "1"])
 _ANY_CELLS = st.one_of(_INT_CELLS, _FLOAT_CELLS, _ODD_CELLS)
 _EOLS = ("\n", "\r\n", "\r")
 
@@ -203,6 +204,7 @@ def test_csv_read_matches_the_oracle(text):
     b"a,b\r\n",
     b"a\r1\r2\r",                       # lone CR
     b"a\n1\r2\n",
+    b"a\n\r1\n",                        # lone CR as a blank line
     b"a,b\r\n1,2\n3,4\r\n",             # mixed line ends
     b"a,b\nnan,inf\n-nan,-inf\n",       # non-finite
     b"a\nNaN\nInfinity\n",
@@ -225,7 +227,7 @@ def test_csv_read_edge_cases_match_the_oracle(tmp_path, text):
     _same_read(path)
 
 
-def test_csv_large_numeric_file_matches_the_oracle(tmp_path):
+def test_csv_large_numeric_file_matches_the_oracle(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     n = 100_000
     data = Dataset(("A", "U", "K", "S"),
@@ -236,7 +238,10 @@ def test_csv_large_numeric_file_matches_the_oracle(tmp_path):
     csv_oracle.write(data, path)
     data.to_csv(tmp_path / "ours.csv")
     assert (tmp_path / "ours.csv").read_bytes() == path.read_bytes()
-    _same_read(path)
+    expected = _outcome(csv_oracle.read, path)
+    # an all-numeric file takes the columnar path, never the cell-by-cell one
+    monkeypatch.setattr(dataset, "_read_cells", None)
+    assert _outcome(Dataset.from_csv, path) == expected
 
 
 def test_duplicate_column_names_rejected():
