@@ -8,12 +8,14 @@ loads carry values only.
 CSV files are read and written a whole column at a time where that is sure
 to give what the cell-by-cell csv module path gives. `to_csv` formats float
 and integer columns in chunks of rows and emits them through one csv writer.
-`from_csv` hands a file to numpy's C parser (`np.loadtxt`) only when every
-cell is a number and the file is printable ASCII without quotes or '_',
-ends each line alike with LF or CRLF, and has no blank line and at least one
-data row; every other file, and every file that parser rejects, goes through
-the csv module cell by cell. Either path gives the same columns, dtypes,
-values and errors, and the writer the same bytes as a cell-by-cell one.
+`from_csv` hands a file to numpy's C parser (`np.loadtxt`) only when its
+header is printable ASCII without quotes or '_', the rows below it hold only
+the bytes numbers are written with (digits, signs, '.', 'e', nan, inf,
+spaces, commas), every line ends alike with LF or CRLF, and there is no
+blank line and at least one data row. Every other file, and every file that
+parser rejects, goes through the csv module cell by cell. Either path gives
+the same columns, dtypes, values and errors, and the writer the same bytes
+as a cell-by-cell one.
 """
 
 from __future__ import annotations
@@ -132,10 +134,14 @@ class Dataset:
 # Rows formatted at once by to_csv: bounds the strings held in memory.
 _CSV_CHUNK_ROWS = 1 << 16
 
-# Bytes of a file that _read_numeric may hand to np.loadtxt: printable ASCII
+# Bytes of a header that _read_numeric may hand to np.loadtxt: printable ASCII
 # without the quote character and without '_', which int() and float() accept
 # as a digit separator and np.loadtxt does not; plus line ends.
 _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"_') + b"\r\n"
+# Bytes of the rows below it: those of numbers as float() reads them (digits,
+# signs, point, exponent, nan, inf, infinity, spaces), commas and line ends.
+# A file with any other byte there goes to the csv path without a loadtxt try.
+_NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY ,\r\n"
 
 _LOADTXT = {"delimiter": ",", "skiprows": 1, "comments": None}
 
@@ -162,28 +168,35 @@ def _read_numeric(path) -> tuple[list[str], dict] | None:
 
     None unless the result is sure to equal _read_cells'. np.loadtxt parses a
     float with the same routine as float() and an integer as int() does, but
-    the two readers differ elsewhere, so the file must be printable ASCII
-    without quotes or '_', end every line alike with LF or CRLF, hold no
-    blank line (np.loadtxt skips it) and no run of zeros long enough to pass
-    int()'s digit limit, and have at least one data row of header width.
+    the two readers differ elsewhere, so the header must be printable ASCII
+    without quotes or '_', the rows below it written with _NUMBER_BYTES only,
+    every line ended alike with LF or CRLF, with no blank line (np.loadtxt
+    skips it) and no run of zeros long enough to pass int()'s digit limit,
+    and at least one data row of header width.
     """
     with open(path, "rb") as fh:
         text = fh.read()
     lf, crlf = text.count(b"\n"), text.count(b"\r\n")
     eol = b"\r\n" if crlf else b"\n"
     rows = lf - text.endswith(b"\n")
+    if rows < 1 or text.count(b"\r") != crlf or crlf not in (0, lf):
+        return None
+    head = text[:text.index(eol)]
+    # int() rejects more digits than this limit. A cell that fits int64 has at
+    # most 19 significant digits, so one past the limit starts with limit - 18 zeros.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if (rows < 1 or text.translate(None, _PLAIN_BYTES) or text.count(b"\r") != crlf
-            or crlf not in (0, lf) or text.startswith(eol) or eol + eol in text
+    if (not head or head.translate(None, _PLAIN_BYTES) or eol + eol in text
+            or (len(text.translate(None, _NUMBER_BYTES))
+                != len(head.translate(None, _NUMBER_BYTES)))
             or (digit_limit and b"0" * (digit_limit - 18) in text)):
         return None
-    header = text[:text.index(eol)].decode("ascii").split(",")
+    header = head.decode("ascii").split(",")
     del text
     try:
         table = np.loadtxt(path, dtype=np.float64, ndmin=2, **_LOADTXT)
     except ValueError:  # a cell that is not a number, or a ragged row
         return None
-    if table.shape != (rows, len(header)):
+    if table.shape != (rows, len(header)):  # a short row or a line np.loadtxt skipped
         return None
     data = {}
     for j, name in enumerate(header):

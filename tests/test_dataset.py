@@ -266,3 +266,14 @@ def test_csv_integers_beyond_int64_read_as_float(tmp_path, text):
     assert back.column("a").dtype == np.float64
     assert back.column("a").tolist() == [2.0 ** 63, 1.0]
     assert back.column("t").dtype != np.float64
+
+
+def test_csv_text_below_the_header_skips_the_numeric_parser(tmp_path, monkeypatch):
+    # a letter no number is written with sends the file to the csv path at
+    # once, instead of after np.loadtxt has parsed every row above it
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"x,t\n1.5,2\n2.5,red\n")
+    monkeypatch.setattr(np, "loadtxt", None)
+    back = Dataset.from_csv(path)
+    assert back.column("x").tolist() == [1.5, 2.5]
+    assert back.column("t").tolist() == ["2", "red"]
