@@ -136,8 +136,8 @@ _CSV_CHUNK_ROWS = 1 << 16
 
 # Bytes of a header that _read_numeric may hand to np.loadtxt: printable ASCII
 # without the quote character and without '_', which int() and float() accept
-# as a digit separator and np.loadtxt does not; plus line ends.
-_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"_') + b"\r\n"
+# as a digit separator and np.loadtxt does not.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"_')
 # Bytes of the rows below it: those of numbers as float() reads them (digits,
 # signs, point, exponent, nan, inf, infinity, spaces), commas and line ends.
 # A file with any other byte there goes to the csv path without a loadtxt try.
