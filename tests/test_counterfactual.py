@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -350,6 +351,18 @@ def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values,
     model, evidence, config = _abduction_fixture(name)
     post = abduct_records(model, evidence, config)
     assert (digest(post.draws), digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ABDUCTION_DIGESTS))
+def test_chains_are_prefixes_of_longer_runs(name):
+    # chain c is keyed by (seed, record, c) alone, so adding chains appends
+    # draws without moving the ones before them
+    model, evidence, config = _abduction_fixture(name)
+    runs = {c: abduct_records(model, evidence, replace(config, chains=c)) for c in (1, 2, 3)}
+    kept = config.kept
+    for short, long in ((1, 2), (2, 3)):
+        np.testing.assert_array_equal(runs[short].draws, runs[long].draws[:, :short * kept])
+        np.testing.assert_array_equal(runs[short].acceptance, runs[long].acceptance[:, :short])
 
 
 def test_feasible_init_skips_more_than_4096_combinations():
