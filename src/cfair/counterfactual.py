@@ -14,7 +14,8 @@ exact_available, abduct_exact):
   below 1e-10) are treated as deterministic; jointly impossible evidence
   raises SingularConditioning.
 
-* MCMC (abduct_records): random-walk Metropolis, vectorised across records.
+* MCMC (abduct_records): random-walk Metropolis, vectorised across records
+  and chains.
   Continuous components move by Gaussian steps of size proposal_std;
   finite-domain components are re-proposed uniformly over their domain
   (symmetric, so no Hastings correction). Evidence on zero-noise
@@ -76,10 +77,14 @@ _SVD_CUTOFF = 1e-10
 _CONSISTENCY_TOL = 1e-8
 _NUMBER = (int, float, np.integer, np.floating)
 
-# values per block of MH randomness: a chain's (step, slot) keys are folded and
-# transformed this many at a time, so the block's memory stays bounded at any
-# record count while the per-step hashing cost is paid once per block
-_BLOCK_VALUES = 1 << 16
+# values per block of MH randomness: the (step, slot) keys of every state row
+# (chains x records) are folded and transformed this many at a time, so the
+# block's memory stays bounded at any record and chain count while the
+# per-step hashing cost is paid once per block. A block's uniforms and the
+# moves, proposals and log-uniforms made from them are most of the sampler's
+# memory on a small batch: one record through 2 chains of 10,500 steps with 3
+# slots each fills 4 blocks.
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -394,14 +399,16 @@ class _Target:
     categorical and Bernoulli state, evidence feeding a lookup table, and the
     tables themselves, compiled to dense arrays indexed by parent codes. The
     model's maps, linear predictors and prior pmfs are resolved once here, so
-    a step does array arithmetic only.
+    a step does array arithmetic only. With copies > 1 the state holds that
+    many stacked copies of the records (one per MH chain); the evidence is
+    tiled to match.
     """
 
     def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray],
-                 n_records: int, order: tuple[str, ...]):
+                 n_records: int, order: tuple[str, ...], copies: int = 1):
         self.model = model
-        self.n = n_records
-        self.evidence = {k: np.asarray(v) for k, v in evidence_cols.items()}
+        self.n = n_records * copies
+        self.evidence = {k: np.tile(np.asarray(v), copies) for k, v in evidence_cols.items()}
         self.order = order
         prior_map = self.prior_map = model.prior_map
         eq_map = self.eq_map = model.equation_map
@@ -451,14 +458,16 @@ class _Target:
                 self.determined.append(name)
 
         # linear elimination system over cont_prior coordinates
-        self._build_elimination(prior_map, eq_map)
+        self._build_elimination(prior_map, eq_map, n_records, copies)
         self._compile()
 
-    def _build_elimination(self, prior_map, eq_map):
+    def _build_elimination(self, prior_map, eq_map, n_records: int, copies: int):
         """Solve zero-noise linear evidence for the cont_prior values exactly.
 
         Evidence that resolves through discrete state only, or not at all
-        through cont_prior, becomes an indicator instead.
+        through cont_prior, becomes an indicator instead. The solve runs over
+        the first copy of the records, so an impossible record is named by
+        its own position, and its solution is tiled over the copies.
         """
         d = len(self.cont_prior)
         coords = {name: (np.zeros(self.n), np.eye(d)[j]) for j, name in enumerate(self.cont_prior)}
@@ -479,14 +488,15 @@ class _Target:
                 self.determined.append(name)
                 continue
             rows.append(rep[1])
-            rhs.append(np.asarray(self.evidence[name], dtype=np.float64) - rep[0])
+            rhs.append((np.asarray(self.evidence[name], dtype=np.float64) - rep[0])[:n_records])
         determined = set(self.determined)
         self.determined = [n for n in self.order if n in determined]
 
         self.prior_mean = np.array([prior_map[n].mean for n in self.cont_prior])
         self.prior_std = np.array([max(prior_map[n].std, 0.0) for n in self.cont_prior])
-        self.part_solution, vt, rank = _solve(rows, rhs, d, self.n, True, ZeroPosteriorMass,
-                                              self.prior_mean)
+        solution, vt, rank = _solve(rows, rhs, d, n_records, True, ZeroPosteriorMass,
+                                    self.prior_mean)
+        self.part_solution = np.tile(solution, (copies, 1))
         self.null_basis = vt[rank:].T  # (d, f)
         self.free_dim = self.null_basis.shape[1]
 
@@ -662,27 +672,34 @@ def _numeric(model: CausalModel, name: str) -> bool:
 
 def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                    config: McmcConfig, names: tuple[str, ...] | None = None) -> PosteriorDraws:
-    """Vectorised MH over records; the workhorse behind abduct_mcmc.
+    """Vectorised MH over records and chains; the workhorse behind abduct_mcmc.
 
-    evidence_cols maps variable name to a column of per-record values.
-    Randomness is keyed by (seed, position of the record in this batch,
-    chain, step, slot), so results are bit-identical for the same batch and
-    seed, but a record's draws change when it sits at another position (see
-    ROADMAP.md, direction 1, for keying by a stable record id). The keys of a
-    block of steps are folded onto each chain's (seed, rows, chain) state at
-    once, _BLOCK_VALUES values at a time. Draws are float64 when every
-    requested variable's domain is numeric, otherwise object. Returned names
-    default to all exogenous variables not in the evidence (backgrounds
-    first).
+    evidence_cols maps variable name to a column of per-record values. All
+    chains step together in one loop over chains * records state rows: row
+    chain * records + i is chain `chain` of record i. Randomness is keyed by
+    (seed, position of the record in this batch, chain, step, slot), so
+    results are bit-identical for the same batch and seed, and a chain's
+    draws do not depend on how many chains run beside it, but a record's
+    draws change when it sits at another position (see ROADMAP.md, direction
+    1, for keying by a stable record id). The keys of a block of steps are
+    folded onto every row's (seed, record, chain) state at once,
+    _BLOCK_VALUES values at a time. Draws are float64 when every requested
+    variable's domain is numeric, otherwise object. Returned names default
+    to all exogenous variables not in the evidence (backgrounds first).
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
-    target = _Target(model, evidence_cols, n_records, order)
+    chains = config.chains
+    target = _Target(model, evidence_cols, n_records, order, copies=chains)
+
+    def per_record(col: np.ndarray) -> np.ndarray:
+        """A (rows,) state column as (records, chains)."""
+        return col.reshape(chains, n_records).T
 
     rows = np.arange(n_records, dtype=np.uint64)
+    chain_ids = np.arange(chains, dtype=np.uint64)
     dtype = np.float64 if all(_numeric(model, n) for n in names) else object
-    out = np.zeros((n_records, config.chains * config.kept, len(names)), dtype=dtype)
-    acceptance = np.zeros((n_records, config.chains))
-    ever_finite = np.zeros(n_records, dtype=bool)
+    out = np.zeros((n_records, chains * config.kept, len(names)), dtype=dtype)
+    kept_out = out.reshape(n_records, chains, config.kept, len(names))  # a view of out
 
     # output columns: continuous state, decoded discrete state, and independent
     # exogenous variables (posterior equals prior), drawn directly
@@ -701,58 +718,58 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     sizes = np.array([len(target.values_of[n]) for n in target.disc_names], dtype=np.intp)
     # per-step slots: continuous moves, discrete re-proposals, the accept test
     slots = np.arange(n_cont + n_disc + 1, dtype=np.uint64)
-    block = max(1, _BLOCK_VALUES // max(1, n_records * len(slots)))
+    block = max(1, _BLOCK_VALUES // max(1, target.n * len(slots)))
     total_steps = config.burn_in + config.kept * config.thin
 
     # impossible states score -inf (log 0, inf - inf) and are rejected
     with np.errstate(divide="ignore", invalid="ignore"):
-        for chain in range(config.chains):
-            t = np.zeros((n_records, target.free_dim))
-            aux_c = _init_aux(target)
-            codes = _init_disc(target)
-            logp = target.log_density(t, codes, aux_c)
-            if not np.all(np.isfinite(logp)):
-                codes, logp = _feasible_init(target, t, aux_c, codes, logp)
-            ever_finite |= np.isfinite(logp)
+        t = np.zeros((target.n, target.free_dim))
+        aux_c = _init_aux(target)
+        codes = _init_disc(target)
+        logp = target.log_density(t, codes, aux_c)
+        if not np.all(np.isfinite(logp)):
+            codes, logp = _feasible_init(target, t, aux_c, codes, logp)
+        ever_finite = np.isfinite(logp)
 
-            head = rng.key_bits(config.seed, rng.TAG_MH, rows, chain)[None, :, None]
-            accepted = np.zeros(n_records)
-            kept_i = 0
-            for start in range(0, total_steps, block):
-                steps = np.arange(start, min(start + block, total_steps), dtype=np.uint64)
-                u = rng.bits_to_uniforms(rng.fold_in(head, steps[:, None, None], slots))
-                moves = config.proposal_std * ndtri(u[:, :, :n_cont])
-                proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
-                log_u = np.log(u[:, :, -1])
-                for i, step in enumerate(range(start, start + len(steps))):
-                    t_new = t + moves[i, :, :target.free_dim] if target.free_dim else t
-                    aux_new = aux_c + moves[i, :, target.free_dim:] if target.aux_cont else aux_c
-                    logp_new = target.log_density(t_new, proposals[i], aux_new)
-                    take = log_u[i] < (logp_new - logp)
-                    take |= np.isfinite(logp_new) & ~np.isfinite(logp)
-                    if n_cont or n_disc:
-                        if target.free_dim:
-                            t = np.where(take[:, None], t_new, t)
-                        if target.aux_cont:
-                            aux_c = np.where(take[:, None], aux_new, aux_c)
-                        if n_disc:
-                            codes = np.where(take[:, None], proposals[i], codes)
-                        logp = np.where(take, logp_new, logp)
-                    ever_finite |= np.isfinite(logp)
-                    if step >= config.burn_in:
-                        accepted += take.astype(float)
-                        if (step - config.burn_in + 1) % config.thin == 0:
-                            pos = chain * config.kept + kept_i
-                            cont = target.cont_values(t)
-                            for j, c in cont_cols:
-                                out[:, pos, j] = cont[:, c]
-                            for j, k, decoded in disc_cols:
-                                out[:, pos, j] = decoded[codes[:, k]]
-                            kept_i += 1
-            acceptance[:, chain] = accepted / max(1, config.kept * config.thin)
-            if independent:
-                _draw_independent(out, target.prior_map, independent, config, rows, chain)
+        head = rng.key_bits(config.seed, rng.TAG_MH, np.tile(rows, chains),
+                            np.repeat(chain_ids, n_records))[None, :, None]
+        accepted = np.zeros(target.n)
+        kept_i = 0
+        for start in range(0, total_steps, block):
+            steps = np.arange(start, min(start + block, total_steps), dtype=np.uint64)
+            u = rng.bits_to_uniforms(rng.fold_in(head, steps[:, None, None], slots))
+            moves = config.proposal_std * ndtri(u[:, :, :n_cont])
+            proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
+            log_u = np.log(u[:, :, -1])
+            for i, step in enumerate(range(start, start + len(steps))):
+                t_new = t + moves[i, :, :target.free_dim] if target.free_dim else t
+                aux_new = aux_c + moves[i, :, target.free_dim:] if target.aux_cont else aux_c
+                logp_new = target.log_density(t_new, proposals[i], aux_new)
+                take = log_u[i] < (logp_new - logp)
+                take |= np.isfinite(logp_new) & ~np.isfinite(logp)
+                if n_cont or n_disc:
+                    if target.free_dim:
+                        t = np.where(take[:, None], t_new, t)
+                    if target.aux_cont:
+                        aux_c = np.where(take[:, None], aux_new, aux_c)
+                    if n_disc:
+                        codes = np.where(take[:, None], proposals[i], codes)
+                    logp = np.where(take, logp_new, logp)
+                ever_finite |= np.isfinite(logp)
+                if step >= config.burn_in:
+                    accepted += take.astype(float)
+                    if (step - config.burn_in + 1) % config.thin == 0:
+                        cont = target.cont_values(t)
+                        for j, c in cont_cols:
+                            kept_out[:, :, kept_i, j] = per_record(cont[:, c])
+                        for j, k, decoded in disc_cols:
+                            kept_out[:, :, kept_i, j] = per_record(decoded[codes[:, k]])
+                        kept_i += 1
+    acceptance = per_record(accepted / max(1, config.kept * config.thin)).copy()
+    if independent:
+        _draw_independent(kept_out, target.prior_map, independent, config, rows, chain_ids)
 
+    ever_finite = per_record(ever_finite).any(axis=1)
     if not ever_finite.all():
         raise ZeroPosteriorMass(
             f"no feasible background state for record(s) {np.flatnonzero(~ever_finite)[:5].tolist()}")
@@ -802,14 +819,14 @@ def _feasible_init(target, t, aux_c, codes, logp):
     return best, best_logp
 
 
-def _draw_independent(out, prior_map, independent, config, rows, chain):
-    """Prior draws for one chain's kept slots, keyed (seed, rows, chain, kept, column)."""
-    head = rng.key_bits(config.seed, rng.TAG_INDEP, rows, chain)[:, None]
+def _draw_independent(out, prior_map, independent, config, rows, chain_ids):
+    """Prior draws for every kept slot of out, viewed as (records, chains, kept,
+    names), keyed (seed, rows, chain, kept, column)."""
+    head = rng.key_bits(config.seed, rng.TAG_INDEP, rows[:, None], chain_ids)[:, :, None]
     kept = np.arange(config.kept, dtype=np.uint64)
-    span = slice(chain * config.kept, (chain + 1) * config.kept)
     for j, name in independent:
         u = rng.bits_to_uniforms(rng.fold_in(head, kept, j))
-        out[:, span, j] = _prior_column(prior_map[name], u)
+        out[..., j] = _prior_column(prior_map[name], u)
 
 
 def abduct_mcmc(model: CausalModel, evidence: dict, config: McmcConfig) -> PosteriorDraws:
