@@ -145,13 +145,16 @@ def _constant_column(value, n: int) -> np.ndarray:
     return np.full(n, value, dtype=object) if isinstance(value, str) else np.full(n, float(value))
 
 
-def _stacked(draws: np.ndarray, names, others: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _stacked(draws: np.ndarray, names, others: dict[str, np.ndarray],
+             keep=None) -> dict[str, np.ndarray]:
     """m rows per record: draws (records, m, len(names)) flattened per name, then
-    each column of `others` whose name is not among them repeated m times."""
+    each column of `others` whose name is not among them repeated m times;
+    only the names in `keep`, when it is given."""
     m = draws.shape[1]
-    columns = {name: draws[:, :, j].reshape(-1) for j, name in enumerate(names)}
+    columns = {name: draws[:, :, j].reshape(-1) for j, name in enumerate(names)
+               if keep is None or name in keep}
     for name, col in others.items():
-        if name not in columns:
+        if name not in columns and (keep is None or name in keep):
             columns[name] = np.repeat(col, m)
     return columns
 

@@ -19,6 +19,7 @@ from scipy.special import expit, gammaln, log_expit, logit
 from . import rng
 from .counterfactual import (
     McmcConfig,
+    _ancestor_closure,
     _constant_column,
     _exogenous_names,
     _stacked,
@@ -153,16 +154,26 @@ def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                    branches, latent: tuple[str, ...], exo_draws: np.ndarray,
                    seed: int, salt: int) -> list[np.ndarray]:
     """(records, draws) predictor outputs under do(b) for each intervention b in
-    branches; every branch reads the same draws and shares noise by key."""
+    branches; every branch reads the same draws and shares noise by key.
+
+    Each branch evaluates only the ancestors of the predictor's inputs in the
+    intervened model. Noise is keyed by variable name, so leaving the other
+    variables out changes no draw of these.
+    """
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
     observed = {n: sub.column(n) for n in _exogenous_names(model) if n in sub.data}
+    input_order = predictor.manifest.input_order()
 
     def scores(intervention: dict) -> np.ndarray:
+        modified = intervene(model, intervention)
+        needed = _ancestor_closure(modified, input_order)
+        pruned = CausalModel([v for v in modified.variables if v.name in needed],
+                             [e for e in modified.equations if e.child in needed],
+                             [(n, p) for n, p in modified.priors if n in needed])
         # one branch's columns at a time: they are freed before the next pass
-        given = {k: v for k, v in _stacked(exo_draws, latent, observed).items()
-                 if k not in intervention}
-        values = forward_eval(intervene(model, intervention), given, n_rec * m, seed, salt=salt)
-        inputs = {name: values[name] for name in predictor.manifest.input_order()}
+        given = _stacked(exo_draws, latent, observed, needed - set(intervention))
+        values = forward_eval(pruned, given, n_rec * m, seed, salt=salt)
+        inputs = {name: values[name] for name in input_order}
         return predictor.score(inputs).reshape(n_rec, m)
 
     return [scores(b) for b in branches]

@@ -8,12 +8,15 @@ from scipy import stats
 from cfair import (
     CategoricalPrior,
     CausalModel,
+    Dataset,
     DeterministicTable,
     EmptyGroup,
     InvalidPath,
     LinearGaussian,
     McmcConfig,
+    NonFiniteDensity,
     NormalPrior,
+    PoissonLogLink,
     Role,
     StructuralEquation,
     UnattainableValue,
@@ -25,6 +28,7 @@ from cfair import (
     cf_fairness_test,
     fair_learning,
     fair_predict,
+    forward_eval,
     ftu_check,
     group_gaps,
     ks_2sample,
@@ -573,3 +577,41 @@ def test_audit_outputs_are_byte_identical(name):
     else:  # JSON floats are shortest round-trip reprs, so this is exact
         got = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
     assert got == AUDIT_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the audit's forward pass evaluates only what the predictor reads
+
+
+def _overflowing_child_model() -> CausalModel:
+    """X = A + U observed; Z, a Poisson child of X with rate exp(800 + X), overflows."""
+    return CausalModel(
+        variables=(Variable("A", Role.PROTECTED, (-1.0, 1.0)),
+                   Variable("U", Role.BACKGROUND),
+                   Variable("X", Role.OBSERVED),
+                   Variable("Z", Role.OBSERVED)),
+        equations=(StructuralEquation("X", ("A", "U"), LinearGaussian(0.0, (1.0, 1.0), 0.0)),
+                   StructuralEquation("Z", ("X",), PoissonLogLink(800.0, (1.0,)))),
+        priors={"A": CategoricalPrior((-1.0, 1.0), (0.5, 0.5)), "U": NormalPrior(0.0, 1.0)})
+
+
+@pytest.mark.parametrize("audit", ["cf", "strict", "path"])
+def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
+    # evaluating Z raises NonFiniteDensity; the predictor reads U only, so
+    # the forward pass leaves Z out and the audit answers
+    model = _overflowing_child_model()
+    gen = np.random.default_rng(0)
+    a, u = gen.choice([-1.0, 1.0], 20), gen.normal(size=20)
+    data = Dataset(("A", "X"), {"A": a, "X": a + u})
+    predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
+    with pytest.raises(NonFiniteDensity), np.errstate(over="ignore"):
+        forward_eval(model, {"A": a, "U": u}, 20, seed=0)
+    kwargs = {"config": McmcConfig(seed=0), "draws": 50, "max_records": 5}
+    if audit == "cf":
+        report = cf_fairness_test(model, predictor, data, A_HI, A_LO, **kwargs)
+    elif audit == "strict":
+        report = strict_cf_check(model, predictor, data, A_HI, A_LO, **kwargs)
+    else:
+        report = path_cf_test(model, predictor, data, [("A", "X")], A_HI, A_LO, **kwargs)
+    assert report.aggregate == 0.0
+    assert report.passed

@@ -9,6 +9,7 @@ from cfair import (
     BernoulliLogit,
     CategoricalPrior,
     CausalModel,
+    Dataset,
     InvalidPath,
     LinearGaussian,
     McmcConfig,
@@ -25,6 +26,7 @@ from cfair import (
     cf_fairness_test,
     descendants,
     exact_available,
+    forward_eval,
     intervene,
     ks_2sample,
     model_from_json,
@@ -34,6 +36,8 @@ from cfair import (
     posterior_draw_matrix,
     strict_cf_check,
 )
+from cfair import metrics
+from cfair.counterfactual import _stacked
 from helpers import linear_predictor, manifest_for, model_signature
 
 _WEIGHT = st.floats(min_value=-2.0, max_value=2.0,
@@ -202,6 +206,45 @@ def test_descendant_inputs_must_be_whitelisted(model):
     manifest = manifest_for(model, observables=("X0",))
     with pytest.raises(InvalidPath):
         manifest.validate(model)
+
+
+@settings(max_examples=50)
+@given(linear_models(), st.data())
+def test_audit_pass_reads_the_columns_of_a_full_pass(model, data):
+    # the audit branches evaluate only the ancestors of the predictor's
+    # inputs; each input column must equal, bit for bit, the one a pass over
+    # the whole intervened model gives, also with observables pinned as
+    # path_cf_test pins them
+    mids = [n for n in model.names() if n.startswith("X")]
+    inputs = data.draw(st.lists(st.sampled_from(["U", "Y"] + mids), min_size=1, unique=True))
+    pinned = data.draw(st.lists(st.sampled_from(mids), unique=True))
+    manifest = manifest_for(model, backgrounds=[n for n in inputs if n == "U"],
+                            observables=[n for n in inputs if n != "U"])
+    predictor = linear_predictor(model, manifest, {n: 1.0 for n in inputs})
+    sample = ancestral_sample(model, 4, seed=data.draw(st.integers(0, 100)))
+    held = {n: float(sample.column(n)[0]) for n in pinned}
+    branches = ({"A": 1.0, **held}, {"A": -1.0, **held})
+    sub = Dataset(("A",), {"A": sample.column("A")})
+    exo = np.random.default_rng(0).normal(size=(4, 3, 1))
+
+    passes = []
+
+    def recording(*args, **kwargs):
+        passes.append(forward_eval(*args, **kwargs))
+        return passes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "forward_eval", recording)
+        scores = metrics._branch_scores(predictor, model, sub, branches, ("U",), exo, 7, 33)
+    for branch, pruned, score in zip(branches, passes, scores):
+        given = {k: v for k, v in _stacked(exo, ("U",), {"A": sub.column("A")}).items()
+                 if k not in branch}
+        full = forward_eval(intervene(model, branch), given, 12, 7, salt=33)
+        for name in manifest.input_order():
+            assert pruned[name].dtype == full[name].dtype
+            assert pruned[name].tobytes() == full[name].tobytes()
+        expected = predictor.score({n: full[n] for n in manifest.input_order()})
+        assert score.tobytes() == expected.reshape(4, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
