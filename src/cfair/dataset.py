@@ -1,7 +1,7 @@
 """Column-oriented dataset with CSV round-trip.
 
-Columns are numpy arrays (float64, int64 or object for categorical string
-values). Optional per-column domain metadata travels with the dataset when it
+Columns are numpy arrays (float64, int64, bool, or object for categorical
+string values). Optional per-column domain metadata travels with the dataset when it
 was produced by a model (ancestral sampling, scenario generators); plain CSV
 loads carry values only.
 
@@ -32,10 +32,16 @@ from .errors import DimensionMismatch, UnknownVariable
 
 
 def _coerce_column(values) -> np.ndarray:
+    """float64 for floats; int64 for integers of any width and sign, or
+    float64 if one lies beyond int64, as from_csv reads it; bool as given;
+    object otherwise."""
     arr = np.asarray(values)
-    if arr.dtype.kind in ("f", "i", "b"):
-        return arr.astype(np.float64) if arr.dtype.kind == "f" else arr
-    return arr.astype(object)
+    kind = arr.dtype.kind
+    if kind == "f" or (kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max):
+        return arr.astype(np.float64)
+    if kind in ("i", "u"):
+        return arr.astype(np.int64, copy=False)
+    return arr if kind == "b" else arr.astype(object)
 
 
 @dataclass

@@ -72,6 +72,30 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert list(back.column("tag")) == ["a", "b", "b"]
 
 
+def test_integer_columns_of_any_width_and_sign_become_int64(tmp_path, monkeypatch):
+    # a uint64 above the int64 maximum becomes float64, as from_csv reads it
+    d = Dataset(("u8", "i32", "u64", "big"),
+                {"u8": np.array([0, 7, 255], dtype=np.uint8),
+                 "i32": np.array([-5, 0, 2 ** 31 - 1], dtype=np.int32),
+                 "u64": np.array([1, 2, 2 ** 63 - 1], dtype=np.uint64),
+                 "big": np.array([2 ** 64 - 1, 2 ** 63, 1], dtype=np.uint64)})
+    assert [d.column(c).dtype for c in d.columns] == [np.int64, np.int64, np.int64, np.float64]
+    assert d.column("u8").tolist() == [0, 7, 255]
+    assert d.column("u64").tolist() == [1, 2, 2 ** 63 - 1]
+    assert d.column("big").tolist() == [2.0 ** 64, 2.0 ** 63, 1.0]
+
+    oracle_path, path = tmp_path / "oracle.csv", tmp_path / "d.csv"
+    csv_oracle.write(d, oracle_path)
+    # every column is formatted whole, none cell by cell
+    monkeypatch.setattr(dataset, "_format_value", None)
+    d.to_csv(path)
+    assert path.read_bytes() == oracle_path.read_bytes()
+    back = Dataset.from_csv(path)
+    for c in d.columns:
+        assert back.column(c).dtype == d.column(c).dtype
+        assert back.column(c).tolist() == d.column(c).tolist()
+
+
 def test_csv_rejects_ragged_and_empty(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n3\n")
