@@ -80,10 +80,9 @@ _NUMBER = (int, float, np.integer, np.floating)
 # values per block of MH randomness: the (step, slot) keys of every state row
 # (chains x records) are folded and transformed this many at a time, so the
 # block's memory stays bounded at any record and chain count while the
-# per-step hashing cost is paid once per block. A block's uniforms and the
-# moves, proposals and log-uniforms made from them are most of the sampler's
-# memory on a small batch: one record through 2 chains of 10,500 steps with 3
-# slots each fills 4 blocks.
+# per-step hashing cost is paid once per block. On a small batch a block's
+# arrays are most of the sampler's memory, so the block stays small: one
+# record through 2 chains of 10,500 steps with 3 slots fills 4 blocks.
 _BLOCK_VALUES = 1 << 14
 
 
@@ -402,13 +401,12 @@ class _Target:
     categorical and Bernoulli state, evidence feeding a lookup table, and the
     tables themselves, compiled to dense arrays indexed by parent codes. The
     model's maps, linear predictors and prior pmfs are resolved once here, so
-    a step does array arithmetic only. With copies > 1 the state holds that
-    many stacked copies of the records (one per MH chain); the evidence is
-    tiled to match.
+    a step does array arithmetic only. The state holds `copies` stacked
+    copies of the records, one per MH chain, and the evidence is tiled to match.
     """
 
     def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray],
-                 n_records: int, order: tuple[str, ...], copies: int = 1):
+                 n_records: int, order: tuple[str, ...], copies: int):
         self.model = model
         self.n = n_records * copies
         self.evidence = {k: np.tile(np.asarray(v), copies) for k, v in evidence_cols.items()}
@@ -692,7 +690,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
     chains = config.chains
-    target = _Target(model, evidence_cols, n_records, order, copies=chains)
+    target = _Target(model, evidence_cols, n_records, order, chains)
 
     def per_record(col: np.ndarray) -> np.ndarray:
         """A (rows,) state column as (records, chains)."""

@@ -1,9 +1,9 @@
 """Column-oriented dataset with CSV round-trip.
 
 Columns are numpy arrays (float64, int64, bool, or object for categorical
-string values). Optional per-column domain metadata travels with the dataset when it
-was produced by a model (ancestral sampling, scenario generators); plain CSV
-loads carry values only.
+string values). Optional per-column domain metadata travels with the dataset
+when it was produced by a model (ancestral sampling, scenario generators);
+plain CSV loads carry values only.
 
 CSV files are read and written a whole column at a time where that is sure
 to give what the cell-by-cell csv module path gives. `to_csv` formats float
