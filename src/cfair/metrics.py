@@ -150,6 +150,19 @@ def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
     return indices[np.sort(pick)]
 
 
+def _ancestors_only(model: CausalModel, names) -> tuple[CausalModel, set]:
+    """model restricted to the ancestor closure of names, and that closure.
+
+    forward_eval keys noise by variable name, so the pruned model gives the
+    same draws of these names as the whole one, without evaluating the rest.
+    """
+    needed = _ancestor_closure(model, names)
+    pruned = CausalModel([v for v in model.variables if v.name in needed],
+                         [e for e in model.equations if e.child in needed],
+                         [(n, p) for n, p in model.priors if n in needed])
+    return pruned, needed
+
+
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                    branches, latent: tuple[str, ...], exo_draws: np.ndarray,
                    seed: int, salt: int) -> list[np.ndarray]:
@@ -157,19 +170,14 @@ def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
     branches; every branch reads the same draws and shares noise by key.
 
     Each branch evaluates only the ancestors of the predictor's inputs in the
-    intervened model. Noise is keyed by variable name, so leaving the other
-    variables out changes no draw of these.
+    intervened model (_ancestors_only).
     """
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
     observed = {n: sub.column(n) for n in _exogenous_names(model) if n in sub.data}
     input_order = predictor.manifest.input_order()
 
     def scores(intervention: dict) -> np.ndarray:
-        modified = intervene(model, intervention)
-        needed = _ancestor_closure(modified, input_order)
-        pruned = CausalModel([v for v in modified.variables if v.name in needed],
-                             [e for e in modified.equations if e.child in needed],
-                             [(n, p) for n, p in modified.priors if n in needed])
+        pruned, needed = _ancestors_only(intervene(model, intervention), input_order)
         # one branch's columns at a time: they are freed before the next pass
         given = _stacked(exo_draws, latent, observed, needed - set(intervention))
         values = forward_eval(pruned, given, n_rec * m, seed, salt=salt)
@@ -385,14 +393,16 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
                          x_evidence: dict, assignment: dict, n_draws: int,
                          config: McmcConfig) -> tuple[float, str, int]:
     iv_model = intervene(model, assignment)
+    input_order = predictor.manifest.input_order()
     if exact_available(iv_model, x_evidence):
         draws = exogenous_draws(iv_model, x_evidence, n_draws, config)
         given = dict(draws)
         for name, value in x_evidence.items():
             given[name] = _constant_column(value, n_draws)
-        values = forward_eval(iv_model, given, n_draws,
+        pruned, _ = _ancestors_only(iv_model, input_order)
+        values = forward_eval(pruned, given, n_draws,
                               rng.child_seed(config.seed, rng.TAG_ACE), salt=rng.TAG_ACE)
-        inputs = {n: values[n] for n in predictor.manifest.input_order()}
+        inputs = {n: values[n] for n in input_order}
         return float(predictor.score(inputs).mean()), "exact", n_draws
     sim = ancestral_sample(iv_model, n_draws,
                            rng.child_seed(config.seed, rng.TAG_ACE, 1))
@@ -407,7 +417,7 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
         raise NoAcceptedSamples(
             f"no simulated rows matched {x_evidence} within band {_ACE_BAND}")
     kept = sim.take(np.flatnonzero(accept))
-    inputs = {n: kept.column(n) for n in predictor.manifest.input_order()}
+    inputs = {n: kept.column(n) for n in input_order}
     return float(predictor.score(inputs).mean()), "rejection", int(accept.sum())
 
 

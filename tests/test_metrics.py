@@ -615,3 +615,12 @@ def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
         report = path_cf_test(model, predictor, data, [("A", "X")], A_HI, A_LO, **kwargs)
     assert report.aggregate == 0.0
     assert report.passed
+
+
+def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated():
+    # X = A + U without noise, so X = 0.5 pins U = 0.5 - a under do(A = a)
+    model = _overflowing_child_model()
+    predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
+    result = ace(model, predictor, {"X": 0.5}, A_HI, A_LO, n_draws=200)
+    assert result["method"] == "exact"
+    assert (result["mean_a"], result["mean_a_prime"], result["ace"]) == (-0.5, 1.5, -2.0)
