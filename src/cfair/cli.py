@@ -114,10 +114,12 @@ def _load_model_file(path: str) -> CausalModel:
         raise _Failure(f"config: cannot parse model file {path}: {exc}") from exc
 
 
-def _load_data_file(path: str) -> Dataset:
+def _load_data_file(path: str, model: CausalModel) -> Dataset:
+    """The data file without the model's background columns, left unparsed:
+    every command that reads one drops them (_observational)."""
     if not os.path.exists(path):
         raise _Failure(f"config: data file not found: {path}")
-    return Dataset.from_csv(path)
+    return Dataset.from_csv(path, drop=model.background)
 
 
 def _write_json(blob: dict, path: Path) -> None:
@@ -367,7 +369,7 @@ def cmd_scenario(args) -> int:
 
 def cmd_fit(args) -> int:
     model = _load_model_file(args.model)
-    data = _load_data_file(args.data)
+    data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
     outcome = _single_outcome(model, args.outcome)
     config = _mcmc_from_args(args, seed)
@@ -395,7 +397,7 @@ def cmd_audit(args) -> int:
         raise _Failure(f"config: predictor file not found: {predictor_path}")
     predictor = load_predictor(predictor_path)
     model = _load_model_file(args.model)
-    data = _load_data_file(args.data)
+    data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
     config = _mcmc_from_args(args, seed)
     obs = _observational(data, model)
@@ -446,7 +448,7 @@ def _resolve_experiment(cfg: dict, seed: int):
         model = _load_model_file(cfg["model"])
         if "data" not in cfg:
             raise _Failure("config: experiments with a model file need a 'data' path")
-        raw = _load_data_file(cfg["data"])
+        raw = _load_data_file(cfg["data"], model)
         return model, raw, {"model": cfg["model"], "data": cfg["data"]}
     raise _Failure("config: experiment needs either 'scenario' or 'model'")
 

@@ -6,16 +6,20 @@ when it was produced by a model (ancestral sampling, scenario generators);
 plain CSV loads carry values only.
 
 CSV files are read and written a whole column at a time where that is sure
-to give what the cell-by-cell csv module path gives. `to_csv` formats float
-and integer columns in chunks of rows and emits them through one csv writer.
-`from_csv` hands a file to numpy's C parser (`np.loadtxt`) only when its
-header is printable ASCII without quotes or '_', the rows below it hold only
-the bytes numbers are written with (digits, signs, '.', 'e', nan, inf,
-spaces, commas), every line ends alike with LF or CRLF, and there is no
-blank line and at least one data row. Every other file, and every file that
-parser rejects, goes through the csv module cell by cell. Either path gives
-the same columns, dtypes, values and errors, and the writer the same bytes
-as a cell-by-cell one.
+to give what the cell-by-cell csv module path gives. When every column is
+float64 or int64, `to_csv` writes each chunk of rows as one string, a row
+with one `%` format call; no such cell needs quoting. Other datasets go
+through the csv writer, formatted a column at a time. `from_csv` hands a file
+to numpy's C parser (`np.loadtxt`) only when its header is printable ASCII
+without quotes or '_', the rows below it hold only the bytes numbers are
+written with (digits, signs, '.', 'e', nan, inf, spaces, commas), and one
+pass over its commas and line ends shows every line ending alike with LF or
+CRLF, no blank line, at least one data row and every row of header width.
+Every other file, and every file that parser rejects, goes through the csv
+module cell by cell. `from_csv(path, drop=names)` gives what
+`from_csv(path).drop(names)` gives, but never parses the dropped columns.
+Either path gives the same columns, dtypes, values and errors, and the
+writer the same bytes as a cell-by-cell one.
 """
 
 from __future__ import annotations
@@ -54,9 +58,7 @@ class Dataset:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
-        dupes = [c for c, k in Counter(self.columns).items() if k > 1]
-        if dupes:
-            raise DimensionMismatch(f"duplicate column names {dupes}")
+        _require_unique(self.columns)
         self.data = {k: _coerce_column(v) for k, v in self.data.items()}
         if set(self.columns) != set(self.data):
             raise DimensionMismatch("column list and data keys disagree")
@@ -113,18 +115,25 @@ class Dataset:
 
         Float cells are written with repr, integer cells with str(int) and
         any other cell with str, so from_csv reads float64 and int64 columns
-        back exactly.
+        back exactly. A dataset of float64 and int64 columns only is written
+        a chunk of rows at a time as one string, "%r,...,%r\r\n" per row:
+        the same bytes, since no such cell needs quoting.
         """
         cols = [self.data[c] for c in self.columns]
+        numeric = all(col.dtype.kind in "fi" for col in cols)
+        row = ",".join(["%r"] * len(cols)) + "\r\n"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             for lo in range(0, self.n, _CSV_CHUNK_ROWS):
-                writer.writerows(zip(*(_format_column(col[lo:lo + _CSV_CHUNK_ROWS])
-                                       for col in cols)))
+                chunk = [col[lo:lo + _CSV_CHUNK_ROWS] for col in cols]
+                if numeric:
+                    fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in chunk)))))
+                else:
+                    writer.writerows(zip(*map(_format_column, chunk)))
 
     @classmethod
-    def from_csv(cls, path) -> "Dataset":
+    def from_csv(cls, path, drop=()) -> "Dataset":
         """Read a header row of names, then one row per record.
 
         A column is int64 if every cell is an integer, as int() reads it, that
@@ -132,9 +141,15 @@ class Dataset:
         reads it; else object, holding the cell strings. An empty file, a
         row of another length than the header, and a repeated name raise
         DimensionMismatch.
+
+        The columns named in `drop` are left out, unparsed: the result and
+        any error are those of `from_csv(path).drop(drop)`. Every row is
+        still checked against the full header, and so are repeated names.
         """
-        header, data = _read_numeric(path) or _read_cells(path)
-        return cls(tuple(header), data)
+        gone = frozenset(drop)
+        header, data = _read_numeric(path, gone) or _read_cells(path, gone)
+        _require_unique(header)
+        return cls(tuple(c for c in header if c not in gone), data)
 
 
 # Rows formatted at once by to_csv: bounds the strings held in memory.
@@ -149,7 +164,16 @@ _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"_')
 # A file with any other byte there goes to the csv path without a loadtxt try.
 _NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY ,\r\n"
 
+# Every byte but the comma and the line ends: deleting them leaves a file's shape.
+_NOT_SHAPE = bytes(b for b in range(256) if b not in b",\r\n")
+
 _LOADTXT = {"delimiter": ",", "skiprows": 1, "comments": None}
+
+
+def _require_unique(names) -> None:
+    dupes = [c for c, k in Counter(names).items() if k > 1]
+    if dupes:
+        raise DimensionMismatch(f"duplicate column names {dupes}")
 
 
 def _format_column(col: np.ndarray):
@@ -169,48 +193,63 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _read_numeric(path) -> tuple[list[str], dict] | None:
-    """Header and columns of an all-numeric CSV through numpy's C parser.
+def _numeric_header(path) -> list[str] | None:
+    """Header of a CSV that np.loadtxt reads as _read_cells does, or None.
 
-    None unless the result is sure to equal _read_cells'. np.loadtxt parses a
-    float with the same routine as float() and an integer as int() does, but
-    the two readers differ elsewhere, so the header must be printable ASCII
-    without quotes or '_', the rows below it written with _NUMBER_BYTES only,
-    every line ended alike with LF or CRLF, with no blank line (np.loadtxt
-    skips it) and no run of zeros long enough to pass int()'s digit limit,
-    and at least one data row of header width.
+    np.loadtxt parses a float with the same routine as float() and an integer
+    as int() does, but the two readers differ elsewhere. So the header must be
+    printable ASCII without quotes or '_', the rows below it written with
+    _NUMBER_BYTES only, with no run of zeros long enough to pass int()'s digit
+    limit. One pass keeps only the commas and line ends; that shape must be
+    the header's commas and line end repeated once per line (the last line end
+    may be missing). This proves there is a data row, every line ends alike
+    with LF or CRLF, there is no stray CR and no blank line (np.loadtxt skips
+    it), and every row has header width, which np.loadtxt's usecols would not
+    check. In a one-column file a blank line holds no comma, so it is searched
+    for apart.
     """
     with open(path, "rb") as fh:
         text = fh.read()
-    lf, crlf = text.count(b"\n"), text.count(b"\r\n")
-    eol = b"\r\n" if crlf else b"\n"
-    rows = lf - text.endswith(b"\n")
-    if rows < 1 or text.count(b"\r") != crlf or crlf not in (0, lf):
-        return None
-    head = text[:text.index(eol)]
+    end = text.find(b"\n")
+    eol = b"\r\n" if text[end - 1:end] == b"\r" else b"\n"
+    head = text[:end + 1 - len(eol)]
     # int() rejects more digits than this limit. A cell that fits int64 has at
     # most 19 significant digits, so one past the limit starts with limit - 18 zeros.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if (not head or head.translate(None, _PLAIN_BYTES) or eol + eol in text
+    if (end < 0 or not head or head.translate(None, _PLAIN_BYTES)
             or (len(text.translate(None, _NUMBER_BYTES))
                 != len(head.translate(None, _NUMBER_BYTES)))
             or (digit_limit and b"0" * (digit_limit - 18) in text)):
         return None
-    header = head.decode("ascii").split(",")
-    del text
-    try:
-        table = np.loadtxt(path, dtype=np.float64, ndmin=2, **_LOADTXT)
-    except ValueError:  # a cell that is not a number, or a ragged row
+    width = head.count(b",") + 1
+    if width == 1 and eol + eol in text:
         return None
-    if table.shape != (rows, len(header)):  # a short row or a line np.loadtxt skipped
+    shape = text.translate(None, _NOT_SHAPE) + (b"" if text.endswith(eol) else eol)
+    del text
+    row = b"," * (width - 1) + eol
+    lines, rest = divmod(len(shape), len(row))
+    if rest or lines < 2 or shape != row * lines:
+        return None
+    return head.decode("ascii").split(",")
+
+
+def _read_numeric(path, gone: frozenset) -> tuple[list[str], dict] | None:
+    """Header and the columns not in `gone` of an all-numeric CSV through
+    numpy's C parser; None unless the result is sure to equal _read_cells'."""
+    header = _numeric_header(path)
+    if header is None:
+        return None
+    keep = [j for j, name in enumerate(header) if name not in gone]
+    try:
+        table = np.loadtxt(path, dtype=np.float64, ndmin=2, usecols=keep, **_LOADTXT)
+    except ValueError:  # a cell that is not a number
         return None
     data = {}
-    for j, name in enumerate(header):
-        col = table[:, j]
+    for j, col in zip(keep, table.T):
         if np.isfinite(col).all() and (np.trunc(col) == col).all():
             ints = _read_int64(path, j)
             col = col if ints is None else ints
-        data[name] = col
+        data[header[j]] = col
     return header, data
 
 
@@ -225,8 +264,9 @@ def _read_int64(path, j: int) -> np.ndarray | None:
             return None
 
 
-def _read_cells(path) -> tuple[list[str], dict]:
-    """Header and columns of any CSV, one cell at a time through the csv module."""
+def _read_cells(path, gone: frozenset) -> tuple[list[str], dict]:
+    """Header and the columns not in `gone` of any CSV, one cell at a time
+    through the csv module."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -239,7 +279,7 @@ def _read_cells(path) -> tuple[list[str], dict]:
                 raise DimensionMismatch(f"{path}: ragged row {row!r}")
             for c, v in zip(header, row):
                 raw[c].append(v)
-    return header, {c: _parse_column(vals) for c, vals in raw.items()}
+    return header, {c: _parse_column(vals) for c, vals in raw.items() if c not in gone}
 
 
 def _parse_column(values: list[str]) -> np.ndarray:

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfair import Dataset, load_model, load_predictor, save_model
+import csv_oracle
+from cfair import (SCENARIO_KINDS, Dataset, ScenarioParams, ancestral_sample, generate,
+                   load_model, load_predictor, save_model)
 from cfair.cli import main
 from helpers import chain_model, red_car, split_outcome_model
 
@@ -78,6 +80,19 @@ def test_simulate_writes_seeded_rows(tmp_path, capsys):
                  "--out", str(out2)]) == 0
     assert _read(out1) == _read(out2)
     assert Dataset.from_csv(out1).n == 50
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_scenario_and_simulate_files_match_the_cell_by_cell_writer(tmp_path, kind):
+    model_path, data_path = _scenario_files(tmp_path, kind=kind, n=300, seed=12)
+    _, data = generate(ScenarioParams(kind, {}, n=300, seed=12))
+    csv_oracle.write(data, tmp_path / "oracle.csv")
+    assert _read(data_path) == _read(tmp_path / "oracle.csv")
+    sim_path = tmp_path / "sim.csv"
+    assert main(["simulate", str(model_path), "--n", "300", "--seed", "13",
+                 "--out", str(sim_path)]) == 0
+    csv_oracle.write(ancestral_sample(load_model(model_path), 300, 13), tmp_path / "oracle.csv")
+    assert _read(sim_path) == _read(tmp_path / "oracle.csv")
 
 
 def test_seed_env_var_matches_flag(tmp_path, monkeypatch):
@@ -217,6 +232,39 @@ def test_audit_ftu_and_ace_summaries(tmp_path, capsys):
     # the evidence pins X, the unaware head's only input, so no effect of the
     # flip can reach the prediction in either regime
     assert blob["aggregate"] == 0.0
+
+
+def test_fit_and_audit_read_past_the_background_columns(tmp_path, capsys):
+    # the CLI never parses U, so a data file without it gives the same bytes
+    model, data = _scenario_files(tmp_path)
+    observed = tmp_path / "observed.csv"
+    Dataset.from_csv(data).drop(("U",)).to_csv(observed)
+    outputs = []
+    for label, path in (("with_u", data), ("without_u", observed)):
+        pred = tmp_path / f"{label}.json"
+        assert main(["fit", str(model), str(path), "--recipe", "unaware",
+                     "--out", str(pred)]) == 0
+        assert main(["audit", str(pred), str(model), str(path),
+                     "--criterion", "cf", "--a", "A=1", "--a-prime", "A=-1",
+                     "--draws", "50", "--max-records", "20",
+                     "--out", str(tmp_path / f"audit_{label}")]) == 0
+        audit_dir = tmp_path / f"audit_{label}"
+        outputs.append([_read(pred), _read(audit_dir / "report.json"),
+                        _read(audit_dir / "cf_density.csv")])
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+def test_data_of_background_columns_only_is_a_config_error(tmp_path, capsys):
+    model, data = _scenario_files(tmp_path)
+    only_u = tmp_path / "only_u.csv"
+    Dataset.from_csv(data).take(np.arange(5)).drop(("A", "X", "Y")).to_csv(only_u)
+    assert _read(only_u).startswith(b"U\r\n")
+    capsys.readouterr()
+    code = main(["fit", str(model), str(only_u), "--recipe", "unaware",
+                 "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "config: the data holds only background columns\n"
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_csv_read_matches_the_oracle(text):
         _same_read(path)
 
 
-@pytest.mark.parametrize("text", [
+_EDGE_FILES = [
     b"a,b\n1,2\n\n3,4\n",               # blank line
     b"a,b\n1,2\n\n",                    # blank last line
     b"\n1\n2\n",                        # blank header line
@@ -244,7 +244,10 @@ def test_csv_read_matches_the_oracle(text):
     b"a\n9223372036854775807\n-9223372036854775808\n",
     ("a\n" + "9" * 5000 + "\n").encode(),
     ("a\n" + "0" * 5000 + "1\n").encode(),
-])
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_FILES)
 def test_csv_read_edge_cases_match_the_oracle(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_bytes(text)
@@ -301,3 +304,128 @@ def test_csv_text_below_the_header_skips_the_numeric_parser(tmp_path, monkeypatc
     back = Dataset.from_csv(path)
     assert back.column("x").tolist() == [1.5, 2.5]
     assert back.column("t").tolist() == ["2", "red"]
+
+
+# -- the direct writer of float64 and int64 datasets -------------------------
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5e-17]
+_INT64_EXTREMES = [-2 ** 63, 2 ** 63 - 1, 0, -1, 1]
+
+
+@pytest.mark.parametrize("data", [
+    Dataset(("x",), {"x": np.array(_SPECIAL_FLOATS)}),
+    Dataset(("k",), {"k": np.array(_INT64_EXTREMES, dtype=np.int64)}),
+    Dataset(("x", "k"), {"x": np.array(_SPECIAL_FLOATS[:5]),
+                         "k": np.array(_INT64_EXTREMES, dtype=np.int64)}),
+    Dataset(("k", " x y", "z"), {"k": np.array(_INT64_EXTREMES, dtype=np.int64),
+                                 " x y": np.array(_SPECIAL_FLOATS[5:]),
+                                 "z": np.arange(5.0)}),
+    Dataset(("x", "k"), {"x": np.zeros(0), "k": np.zeros(0, dtype=np.int64)}),
+], ids=["floats", "ints", "mixed", "three", "empty"])
+def test_numeric_datasets_are_written_directly_as_the_oracle_writes(tmp_path, monkeypatch, data):
+    oracle_path, path = tmp_path / "oracle.csv", tmp_path / "d.csv"
+    csv_oracle.write(data, oracle_path)
+    monkeypatch.setattr(dataset, "_format_column", None)  # no column goes to the csv writer
+    data.to_csv(path)
+    assert path.read_bytes() == oracle_path.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [np.array([True, False, True]),
+                                   np.array(["a", "b,c", 'q"q'], dtype=object)],
+                         ids=["bool", "object"])
+def test_a_bool_or_object_column_keeps_the_csv_writer(tmp_path, extra):
+    data = Dataset(("x", "k", "e"), {"x": [0.1, np.nan, -0.0], "k": [1, 2, 3], "e": extra})
+    csv_oracle.write(data, tmp_path / "oracle.csv")
+    data.to_csv(tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# -- from_csv(path, drop=names) is from_csv(path).drop(names) ---------------
+
+def _same_read_dropping(path, drop):
+    expected = _outcome(lambda p: Dataset.from_csv(p).drop(drop), path)
+    assert expected == _outcome(lambda p: csv_oracle.read(p).drop(drop), path)
+    assert _outcome(lambda p: Dataset.from_csv(p, drop=drop), path) == expected
+
+
+def _header_names(text: bytes) -> list[str]:
+    lines = text.decode("utf-8", "replace").splitlines()
+    return lines[0].split(",") if lines else []
+
+
+@settings(max_examples=300)
+@given(csv_texts(), st.data())
+def test_csv_read_dropping_columns_matches_reading_then_dropping(text, data):
+    names = _header_names(text) + ["absent"]
+    drop = data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(text)
+        _same_read_dropping(path, drop)
+
+
+@pytest.mark.parametrize("text", _EDGE_FILES)
+def test_csv_edge_cases_dropping_columns_match_reading_then_dropping(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    names = _header_names(text)
+    for drop in [(), ("absent",), tuple(names), *((name, "absent") for name in names)]:
+        _same_read_dropping(path, drop)
+
+
+@pytest.mark.parametrize("text", [b"a,b,U\n1,2,3\n4,5\n", b"a,b,U\n1,2,3\n4,5,6,7\n",
+                                  b"U,a\n1,2\n3\n", b"U,a\n1,2\n3,4,5\n",
+                                  b"a,U\r\n1,2\r\n3,4,\r\n"])
+def test_a_ragged_row_in_a_dropped_column_still_raises(tmp_path, text):
+    # np.loadtxt with usecols reads such rows without complaint
+    path = tmp_path / "ragged.csv"
+    path.write_bytes(text)
+    with pytest.raises(DimensionMismatch, match="ragged row"):
+        Dataset.from_csv(path, drop=("U",))
+
+
+@pytest.mark.parametrize("text", [b"U,a,U\n1,2,3\n", b"U,a,U\nx,2,3\n"])
+def test_a_repeated_dropped_name_still_raises(tmp_path, text):
+    path = tmp_path / "dup.csv"
+    path.write_bytes(text)
+    with pytest.raises(DimensionMismatch, match="duplicate column names \\['U'\\]"):
+        Dataset.from_csv(path, drop=("U",))
+
+
+@pytest.mark.parametrize("text", [
+    b"a,U\r1,2\r3,4\r",                 # CR only
+    b"a,U\n1,2\r\n3,4\n",               # mixed LF and CRLF
+    b"a,U\r\n1,2\n3,4\r\n",
+    b"a,U\n1,2\n\n3,4\n",               # blank line
+    b"a,U\n1,2\n3,4\n\n",
+    b"a\n1\n\n2\n",                     # one column, blank line
+    b"a\r\n1\r\n\r\n2\r\n",
+    b"a\n1\n2\n\n",
+])
+def test_files_with_odd_line_structure_decline_the_numeric_parser(tmp_path, monkeypatch, text):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text)
+    expected = [_outcome(lambda p: csv_oracle.read(p).drop(drop), path)
+                for drop in ((), ("U",))]
+    monkeypatch.setattr(np, "loadtxt", None)
+    assert [_outcome(lambda p: Dataset.from_csv(p, drop=drop), path)
+            for drop in ((), ("U",))] == expected
+
+
+def test_dropped_columns_are_not_parsed(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    Dataset(("A", "U", "X", "K"), {"A": [1.0, -1.0], "U": [0.5, 2.0], "X": [1.5, 1.0],
+                                   "K": [3, 4]}).to_csv(path)
+    usecols = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        usecols.append(list(kwargs["usecols"]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    back = Dataset.from_csv(path, drop=("U", "absent"))
+    assert back.columns == ("A", "X", "K")
+    assert back.column("K").dtype == np.int64
+    assert usecols[0] == [0, 2, 3]
+    assert all(1 not in cols for cols in usecols)
