@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -465,3 +466,23 @@ EXACT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
 def test_exact_route_is_byte_identical(name):
     assert digest(_exact_outputs(name)) == EXACT_DIGESTS[name]
+
+
+def _dataset_digest(data) -> str:
+    """SHA-256 over the column order and each column's digest (dtype included)."""
+    parts = " ".join(f"{c}={digest(data.column(c))}" for c in data.columns)
+    return hashlib.sha256(parts.encode()).hexdigest()[:16]
+
+
+# recorded while counterfactual_sample ran its own abduct-act-predict pass;
+# the pass it shares with prob_sufficiency must reproduce it. The loan model's
+# categorical backgrounds take the MH route, and 50 draws cycle its 2 x 15.
+CF_SAMPLE_MCMC_DIGEST = "87a5236b4766efd3"
+
+
+def test_counterfactual_sample_mcmc_route_is_byte_identical():
+    model, _ = loan(n=10, seed=0)
+    config = McmcConfig(chains=2, burn_in=40, kept=15, thin=2, seed=6)
+    assert not exact_available(model, {"A": 1, "Employed": 0})
+    out = counterfactual_sample(model, {"A": 1, "Employed": 0}, {"A": 0}, 50, config)
+    assert _dataset_digest(out) == CF_SAMPLE_MCMC_DIGEST

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from cfair import (
     poisson_fit,
     rng,
 )
-from helpers import law_school, loan, red_car
+from helpers import digest, law_school, loan, red_car
 
 EM_CFG = McmcConfig(chains=2, burn_in=200, kept=40, thin=2, seed=0)
 
@@ -229,3 +232,26 @@ def test_latent_fit_rejects_multiple_backgrounds():
     model, data = loan(n=50)
     with pytest.raises(DimensionMismatch):
         fit_level2_latent(data, model, config=EM_CFG)
+
+
+def _latent_fit_outputs() -> dict:
+    model, data = law_school(n=300, seed=4)
+    config = McmcConfig(chains=2, burn_in=60, kept=10, thin=2, seed=5)
+    fit = fit_level2_latent(data.drop(model.background), model, config=config)
+    params = json.dumps(fit.params, sort_keys=True).encode()
+    return {"k_draws": digest(fit.k_draws),
+            "params": hashlib.sha256(params).hexdigest()[:16],
+            "latent_weight_trace": digest(np.array(fit.diagnostics["latent_weight_trace"]))}
+
+
+# digests recorded while the EM loop rebuilt its model from a dict of
+# parameters each iteration; fitting the equations in place must reproduce them
+LATENT_FIT_DIGESTS = {
+    "k_draws": "057b92078d065c3e",
+    "params": "aa59fdc7ae795347",
+    "latent_weight_trace": "4901d5fef847c073",
+}
+
+
+def test_latent_fit_is_byte_identical():
+    assert _latent_fit_outputs() == LATENT_FIT_DIGESTS

@@ -14,6 +14,7 @@ import cfair
 from cfair import (
     CategoricalPrior,
     CausalModel,
+    DeterministicTable,
     InterveneOnBackground,
     LinearGaussian,
     McmcConfig,
@@ -142,6 +143,64 @@ def test_single_row_sampling_is_deterministic():
     for c in one.columns:
         assert np.array_equal(one.column(c), two.column(c))
 
+
+
+def _typed_columns_model() -> CausalModel:
+    """Categorical priors and lookup tables whose values are all ints, all
+    numbers, strings, or numbers mixed with strings; three constant tables."""
+    background, observed = Role.BACKGROUND, Role.OBSERVED
+    table = StructuralEquation
+    return CausalModel(
+        variables=(Variable("PI", background, (0, 1, 2)),
+                   Variable("PF", background, (0.5, 1, 2.5)),
+                   Variable("PS", background, ("a", "b")),
+                   Variable("PM", background, (1, "z")),
+                   Variable("TI", observed, (10, 20, 30)),
+                   Variable("TF", observed, (0.25, 1, 2.5)),
+                   Variable("TS", observed, ("lo", "hi")),
+                   Variable("TM", observed, (0, "q")),
+                   Variable("CI", observed, (7,)),
+                   Variable("CF", observed, (2.5,)),
+                   Variable("CS", observed, ("k",)),
+                   Variable("X", observed)),
+        equations=(table("TI", ("PI",), DeterministicTable({(0,): 10, (1,): 20, (2,): 30})),
+                   table("TF", ("PI",), DeterministicTable({(0,): 0.25, (1,): 1, (2,): 2.5})),
+                   table("TS", ("PS", "PI"), DeterministicTable(
+                       {(c, i): "hi" if c == "b" or i == 2 else "lo"
+                        for c in ("a", "b") for i in (0, 1, 2)})),
+                   table("TM", ("PS",), DeterministicTable({("a",): 0, ("b",): "q"})),
+                   table("CI", (), DeterministicTable({(): 7})),
+                   table("CF", (), DeterministicTable({(): 2.5})),
+                   table("CS", (), DeterministicTable({(): "k"})),
+                   table("X", ("PI", "PF"), LinearGaussian(0.1, (1.0, -0.5), 1.0))),
+        priors={"PI": CategoricalPrior((0, 1, 2), (0.2, 0.5, 0.3)),
+                "PF": CategoricalPrior((0.5, 1, 2.5), (0.3, 0.3, 0.4)),
+                "PS": CategoricalPrior(("a", "b"), (0.6, 0.4)),
+                "PM": CategoricalPrior((1, "z"), (0.5, 0.5))})
+
+
+# (dtype, digest) per column, recorded while priors and tables each spelled
+# the int64 / float64 / object rule; the one shared rule must reproduce them
+TYPED_COLUMN_DIGESTS = {
+    "PI": ("int64", "7aaa302e19ec7952"),
+    "PF": ("float64", "dbb54d7839162900"),
+    "PS": ("object", "fcef84144310472a"),
+    "PM": ("object", "c70068c34fb52cf6"),
+    "TI": ("int64", "1bb04b7428c8bf55"),
+    "TF": ("float64", "52d56a2ae02f0475"),
+    "TS": ("object", "a87cd69147fc64cb"),
+    "TM": ("object", "46d42793a43946cc"),
+    "CI": ("int64", "174ebbb2a8dd5229"),
+    "CF": ("float64", "f2eff9fa86c8b34b"),
+    "CS": ("object", "2e66b74c8ee42e1a"),
+    "X": ("float64", "f059bb65c8d620f4"),
+}
+
+
+def test_prior_and_table_columns_are_byte_identical():
+    data = ancestral_sample(_typed_columns_model(), 40, seed=9)
+    got = {c: (str(data.column(c).dtype), digest(data.column(c))) for c in data.columns}
+    assert got == TYPED_COLUMN_DIGESTS
 
 def test_parentless_poisson_mean():
     m = CausalModel(
