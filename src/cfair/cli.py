@@ -75,14 +75,19 @@ def _assignment(text: str) -> tuple[str, object]:
     return name, _typed(value)
 
 
+def _config_number(value, kind: type, what: str):
+    """kind(value) for int or float; a config error when value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise _Failure(f"config: {what} must be {noun}, got {value!r}") from None
+
+
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return int(flag_value)
-    raw = os.environ.get("CFAIR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise _Failure(f"config: CFAIR_SEED must be an integer, got {raw!r}") from None
+    return _config_number(os.environ.get("CFAIR_SEED", "0"), int, "CFAIR_SEED")
 
 
 def _plain(value):
@@ -115,11 +120,14 @@ def _load_model_file(path: str) -> CausalModel:
 
 
 def _load_data_file(path: str, model: CausalModel) -> Dataset:
-    """The data file without the model's background columns, left unparsed:
-    every command that reads one drops them (_observational)."""
+    """The data file without the model's background (latent truth) columns,
+    left unparsed, so recipes and audits see observed data only."""
     if not os.path.exists(path):
         raise _Failure(f"config: data file not found: {path}")
-    return Dataset.from_csv(path, drop=model.background)
+    data = Dataset.from_csv(path, drop=model.background)
+    if not data.columns:
+        raise _Failure("config: the data holds only background columns")
+    return data
 
 
 def _write_json(blob: dict, path: Path) -> None:
@@ -137,15 +145,6 @@ def _write_density_csv(report, path: Path) -> None:
 
 
 # -- shared model/data logic ---------------------------------------------
-
-def _observational(data: Dataset, model: CausalModel) -> Dataset:
-    """Drop background (latent truth) columns so recipes see observed data only."""
-    hidden = set(model.background)
-    keep = [c for c in data.columns if c not in hidden]
-    if not keep:
-        raise _Failure("config: the data holds only background columns")
-    return Dataset(tuple(keep), {c: data.column(c) for c in keep}, dict(data.domains))
-
 
 def _single_outcome(model: CausalModel, flag: str | None = None) -> str:
     if flag:
@@ -172,7 +171,7 @@ def _mcmc_from_blob(blob: dict | None, seed: int) -> McmcConfig:
     unknown = sorted(set(blob) - allowed)
     if unknown:
         raise _Failure(f"config: unknown mcmc keys {unknown}")
-    kwargs = {k: (float(v) if k == "proposal_std" else int(v))
+    kwargs = {k: _config_number(v, float if k == "proposal_std" else int, f"mcmc {k}")
               for k, v in blob.items()}
     return replace(base, **kwargs)
 
@@ -286,7 +285,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
     elif crit == "dp":
         gaps = group_gaps(predictor, data, outcome, a, ap, model=model,
                           config=config)
-        thr = float(_get(spec, "threshold", 0.05))
+        thr = _config_number(_get(spec, "threshold", 0.05), float, "threshold")
         return {"criterion": "dp", "passed": bool(gaps["dp_gap"] <= thr),
                 "aggregate": float(gaps["dp_gap"]), "threshold": thr,
                 "detail": _plain(gaps)}, None
@@ -297,24 +296,25 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
     elif crit == "ace":
         given = dict(spec.get("given") or {})
         result = ace(model, predictor, given, a, ap,
-                     n_draws=int(_get(spec, "draws", 20000)), config=config)
+                     n_draws=_config_number(_get(spec, "draws", 20000), int, "draws"),
+                     config=config)
         return {"criterion": "ace", "passed": None,
                 "aggregate": float(result["ace"]), "threshold": None,
                 "detail": _plain(result)}, None
     else:  # ps
-        idx = int(_get(spec, "record", 0))
+        idx = _config_number(_get(spec, "record", 0), int, "record")
         if not 0 <= idx < data.n:
             raise _Failure(f"config: record index {idx} out of range")
         record = data.record(idx)
         record.pop(outcome, None)
         if spec.get("y") is not None:
-            y = float(spec["y"])
+            y = _config_number(spec["y"], float, "y")
         else:
             row = data.take(np.array([idx]))
             y = float(fair_predict(predictor, model, row, config=config)[0])
         result = prob_sufficiency(model, predictor, record, y, ap, config=config,
                                   **_picked(spec, "tol"))
-        thr = float(_get(spec, "threshold", 0.05))
+        thr = _config_number(_get(spec, "threshold", 0.05), float, "threshold")
         prob = float(result["probability"])
         return {"criterion": "ps", "passed": bool(prob <= thr),
                 "aggregate": prob, "threshold": thr,
@@ -373,21 +373,20 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args.seed)
     outcome = _single_outcome(model, args.outcome)
     config = _mcmc_from_args(args, seed)
-    obs = _observational(data, model)
     manifest = None
     if args.manifest:
         if not os.path.exists(args.manifest):
             raise _Failure(f"config: manifest file not found: {args.manifest}")
         with open(args.manifest) as fh:
             manifest = InputManifest.from_json(json.load(fh))
-    predictor, predict_model = _fit_recipe(args.recipe, obs, model, outcome,
+    predictor, predict_model = _fit_recipe(args.recipe, data, model, outcome,
                                            args.head, config, manifest)
     save_predictor(predictor, args.out)
     if args.fitted_model_out:
         save_model(predict_model, args.fitted_model_out,
                    fit_meta={"recipe": args.recipe, "seed": seed})
     print(f"{args.recipe} ({args.head}): fit {len(predictor.labels)} weights "
-          f"on {obs.n} rows -> {args.out}")
+          f"on {data.n} rows -> {args.out}")
     return 0
 
 
@@ -400,7 +399,6 @@ def cmd_audit(args) -> int:
     data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
     config = _mcmc_from_args(args, seed)
-    obs = _observational(data, model)
     outcome = _single_outcome(model, args.outcome) if args.criterion == "dp" \
         else (args.outcome or "")
     spec = {"criterion": args.criterion,
@@ -411,7 +409,7 @@ def cmd_audit(args) -> int:
             "draws": args.draws, "threshold": args.threshold,
             "max_records": args.max_records, "tie_frac": args.tie_frac,
             "tol": args.tol}
-    summary, report = _run_audit(spec, predictor, model, obs, outcome, config)
+    summary, report = _run_audit(spec, predictor, model, data, outcome, config)
     print(f"{summary['criterion']}: {_verdict(summary)} "
           f"aggregate={_fmt(summary['aggregate'])} "
           f"threshold={_fmt(summary['threshold'])}")
@@ -428,28 +426,30 @@ def cmd_audit(args) -> int:
 
 
 def _resolve_experiment(cfg: dict, seed: int):
-    """Load or generate the model and raw dataset; returns source description."""
+    """Load or generate the model and its data without background columns;
+    returns (model, data, source description)."""
     if "scenario" in cfg:
         sc = dict(cfg["scenario"])
         try:
             kind = sc.pop("kind")
         except KeyError:
             raise _Failure("config: scenario needs a 'kind'") from None
-        n = int(sc.pop("n", 1000))
-        sc_seed = int(sc.pop("seed", rng.child_seed(seed, rng.TAG_SCENARIO)))
+        n = _config_number(sc.pop("n", 1000), int, "scenario n")
+        sc_seed = _config_number(sc.pop("seed", rng.child_seed(seed, rng.TAG_SCENARIO)), int,
+                                 "scenario seed")
         params = ScenarioParams(kind, dict(sc.pop("params", {})), n=n, seed=sc_seed)
         if sc:
             raise _Failure(f"config: unknown scenario keys {sorted(sc)}")
         model, raw = generate(params)
         source = {"scenario": {"kind": kind, "n": n, "seed": sc_seed,
                                "params": dict(params.params)}}
-        return model, raw, source
+        return model, raw.drop(model.background), source
     if "model" in cfg:
         model = _load_model_file(cfg["model"])
         if "data" not in cfg:
             raise _Failure("config: experiments with a model file need a 'data' path")
-        raw = _load_data_file(cfg["data"], model)
-        return model, raw, {"model": cfg["model"], "data": cfg["data"]}
+        data = _load_data_file(cfg["data"], model)
+        return model, data, {"model": cfg["model"], "data": cfg["data"]}
     raise _Failure("config: experiment needs either 'scenario' or 'model'")
 
 
@@ -474,7 +474,7 @@ def _normalize_recipes(cfg: dict) -> list[dict]:
 
 def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
     """Split, fit every recipe, audit, and write report files; exit code."""
-    model, raw, source = _resolve_experiment(cfg, seed)
+    model, obs, source = _resolve_experiment(cfg, seed)
     outcome = _single_outcome(model, cfg.get("outcome"))
     head = cfg.get("head", "linear")
     mcmc = _mcmc_from_blob(cfg.get("mcmc"), seed)
@@ -485,7 +485,6 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
         raise _Failure(f"config: audit_subset must be train, test, or all, "
                        f"got {subset_name!r}")
 
-    obs = _observational(raw, model)
     if outcome not in obs.data:
         raise _Failure(f"config: outcome column {outcome!r} missing from the data")
     train_idx, test_idx, stratified = _split_indices(obs.column(outcome),
@@ -575,7 +574,7 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         seed = int(args.seed)
     elif "seed" in cfg:
-        seed = int(cfg["seed"])
+        seed = _config_number(cfg["seed"], int, "seed")
     else:
         seed = _resolve_seed(None)
     out = args.out or cfg.get("out")

@@ -50,6 +50,7 @@ from scipy.special import gammaln, log_expit, ndtri
 from . import rng
 from .dataset import Dataset
 from .errors import (
+    DimensionMismatch,
     EvidenceOnBackground,
     NonFiniteDensity,
     NotLinearGaussian,
@@ -66,6 +67,7 @@ from .scm import (
     NormalPrior,
     PoissonLogLink,
     Role,
+    _NUMBER,
     _linear_predictor,
     _prior_column,
     forward_eval,
@@ -75,7 +77,6 @@ from .scm import (
 
 _SVD_CUTOFF = 1e-10
 _CONSISTENCY_TOL = 1e-8
-_NUMBER = (int, float, np.integer, np.floating)
 
 # values per block of MH randomness: the (step, slot) keys of every state row
 # (chains x records) are folded and transformed this many at a time, so the
@@ -94,6 +95,19 @@ class McmcConfig:
     thin: int = 5
     proposal_std: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        # with thin = 0 the sampler keeps no draw and returns zeros as if they
+        # were a posterior
+        for name in ("chains", "kept", "thin"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise DimensionMismatch(f"mcmc {name} must be at least 1, got {value!r}")
+        if not self.burn_in >= 0:
+            raise DimensionMismatch(f"mcmc burn_in must be at least 0, got {self.burn_in!r}")
+        if not (math.isfinite(self.proposal_std) and self.proposal_std > 0.0):
+            raise DimensionMismatch(
+                f"mcmc proposal_std must be finite and positive, got {self.proposal_std!r}")
 
     @property
     def draws(self) -> int:
@@ -177,6 +191,19 @@ def _ancestor_closure(model: CausalModel, names) -> set:
         if eq:
             frontier.extend(eq.parents)
     return seen
+
+
+def _ancestors_only(model: CausalModel, names) -> tuple[CausalModel, set]:
+    """model restricted to the ancestor closure of names, and that closure.
+
+    forward_eval keys noise by variable name, so the pruned model gives the
+    same draws of these names as the whole one, without evaluating the rest.
+    """
+    needed = _ancestor_closure(model, names)
+    pruned = CausalModel([v for v in model.variables if v.name in needed],
+                         [e for e in model.equations if e.child in needed],
+                         [(n, p) for n, p in model.priors if n in needed])
+    return pruned, needed
 
 
 def _exogenous_names(model: CausalModel) -> tuple[str, ...]:
@@ -303,11 +330,11 @@ class GaussianPosterior:
     def point_mass(self, tol: float = 1e-9) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None)) <= tol
 
-    def sample(self, n: int, seed: int, salt: int = 0) -> np.ndarray:
+    def sample(self, n: int, seed: int) -> np.ndarray:
         """(n, len(names)) draws, counter-keyed and deterministic."""
         rows = np.arange(n, dtype=np.uint64)
         return _gaussian_draws(self.mean, self.cov, (n,),
-                               lambda k: rng.normals(seed, rng.TAG_EXACT, salt, k, rows))
+                               lambda k: rng.normals(seed, rng.TAG_EXACT, 0, k, rows))
 
 
 def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
@@ -667,8 +694,7 @@ def _domain_of(model: CausalModel, name: str) -> tuple:
 def _numeric(model: CausalModel, name: str) -> bool:
     """Whether every value the variable can take is a number."""
     domain = model.variable(name).domain
-    return domain is None or all(isinstance(v, (int, float, np.integer, np.floating))
-                                 for v in domain)
+    return domain is None or all(isinstance(v, _NUMBER) for v in domain)
 
 
 def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
@@ -851,14 +877,27 @@ def counterfactual_sample(model: CausalModel, evidence: dict, intervention: dict
     differing only in `intervention` share noise variable-by-variable.
     """
     require_valid(model)
+    values = _abduct_act_predict(model, evidence, intervention, n_draws, config,
+                                 rng.TAG_PREDICT)
+    domains = {v.name: v.domain for v in model.variables if v.domain is not None}
+    return Dataset(tuple(values), values, domains)
+
+
+def _abduct_act_predict(model: CausalModel, evidence: dict, intervention: dict,
+                        n_draws: int, config: McmcConfig, tag: int,
+                        reads=None) -> dict[str, np.ndarray]:
+    """n_draws forward passes of the intervened model from exogenous state
+    abducted from the evidence, in topological order.
+
+    Noise is keyed by (child_seed(config.seed, tag), tag). With `reads`, only
+    their ancestors in the intervened model are evaluated (_ancestors_only).
+    """
     modified = intervene(model, intervention)  # validates the intervention up front
     exo_draws = exogenous_draws(model, evidence, n_draws, config)
     given = {name: col for name, col in exo_draws.items() if name not in intervention}
-    values = forward_eval(modified, given, n_draws,
-                          rng.child_seed(config.seed, rng.TAG_PREDICT), salt=rng.TAG_PREDICT)
-    order = require_valid(modified)
-    domains = {v.name: v.domain for v in modified.variables if v.domain is not None}
-    return Dataset(tuple(order), {k: values[k] for k in order}, domains)
+    if reads is not None:
+        modified, _ = _ancestors_only(modified, reads)
+    return forward_eval(modified, given, n_draws, rng.child_seed(config.seed, tag), salt=tag)
 
 
 def exogenous_draws(model: CausalModel, evidence: dict, n_draws: int,

@@ -66,9 +66,10 @@ def categories_of(col: np.ndarray, domain: tuple | None = None) -> tuple[str, ..
     return tuple(sorted(str(v) for v in values))
 
 
-def design_matrix(data: Dataset, columns, intercept: bool = True,
+def design_matrix(data: Dataset, columns,
                   encoders: dict[str, tuple[str, ...]] | None = None) -> tuple[DesignMatrix, dict]:
-    """Build (design, encoders). encoders maps column -> category labels used.
+    """Build (design, encoders): an intercept, then the columns. encoders maps
+    column -> category labels used.
 
     Passing a previous call's encoders reproduces the same coding on new data.
     """
@@ -76,10 +77,7 @@ def design_matrix(data: Dataset, columns, intercept: bool = True,
     if not columns:
         raise EmptyInputs("no design columns selected")
     used: dict[str, tuple[str, ...]] = {}
-    blocks, labels = [], []
-    if intercept:
-        blocks.append(np.ones((data.n, 1)))
-        labels.append("intercept")
+    blocks, labels = [np.ones((data.n, 1))], ["intercept"]
     for name in columns:
         col = data.column(name)
         known = (encoders or {}).get(name)
@@ -117,18 +115,14 @@ def _solve_ridge(xtx: np.ndarray, xty: np.ndarray) -> np.ndarray:
     return np.linalg.solve(xtx + _JITTER * np.eye(xtx.shape[0]), xty)
 
 
-def ols_fit(design: DesignMatrix, y: np.ndarray, sample_weight: np.ndarray | None = None) -> LinearFit:
+def ols_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
     x = design.matrix
     y = np.asarray(y, dtype=np.float64)
     if len(y) != x.shape[0]:
         raise DimensionMismatch(f"{len(y)} targets for {x.shape[0]} rows")
     if len(y) == 0:
         raise EmptyInputs("no rows to fit")
-    if sample_weight is None:
-        w = _solve_ridge(x.T @ x, x.T @ y)
-    else:
-        sw = np.asarray(sample_weight, dtype=np.float64)
-        w = _solve_ridge(x.T @ (x * sw[:, None]), x.T @ (y * sw))
+    w = _solve_ridge(x.T @ x, x.T @ y)
     resid = y - x @ w
     return LinearFit(design.labels, w, float(np.sqrt(np.mean(resid ** 2))))
 
@@ -221,20 +215,18 @@ class LatentModelFit:
         return self.k_draws.mean(axis=1)
 
 
-def _rebuild_model(template: CausalModel, params: dict[str, dict]) -> CausalModel:
-    equations = []
-    for eq in template.equations:
-        p = params.get(eq.child)
-        if p is None:
-            equations.append(eq)
-            continue
-        weights = tuple(p["weights"][parent] for parent in eq.parents)
-        if isinstance(eq.family, LinearGaussian):
-            fam = LinearGaussian(p["intercept"], weights, p["noise_std"])
-        else:
-            fam = PoissonLogLink(p["intercept"], weights)
-        equations.append(StructuralEquation(eq.child, eq.parents, fam))
-    return CausalModel(template.variables, equations, template.priors)
+def _negated(eq: StructuralEquation, parent: str) -> StructuralEquation:
+    """eq with the weight on `parent` negated."""
+    weights = tuple(-w if p == parent else w for p, w in zip(eq.parents, eq.family.weights))
+    return StructuralEquation(eq.child, eq.parents, replace(eq.family, weights=weights))
+
+
+def _equation_params(eq: StructuralEquation) -> dict:
+    fam = eq.family
+    entry = {"intercept": fam.intercept, "weights": dict(zip(eq.parents, fam.weights))}
+    if isinstance(fam, LinearGaussian):
+        entry["noise_std"] = fam.noise_std
+    return entry
 
 
 def fit_level2_latent(data: Dataset, template: CausalModel,
@@ -249,50 +241,48 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
     records. Raises DegenerateScale if a fitted noise scale falls below 1e-6.
     Deterministic given (data, config.seed).
     """
-    require_valid(template)
+    order = require_valid(template)
     if len(template.background) != 1:
         raise DimensionMismatch("latent fitting expects exactly one background variable")
     latent = template.background[0]
     prior = template.prior_map[latent]
     if not isinstance(prior, NormalPrior) or (prior.mean, prior.std) != (0.0, 1.0):
         raise DimensionMismatch(f"{latent} must carry a N(0, 1) prior")
-    children = [eq.child for eq in template.equations if latent in eq.parents]
+    children = [eq for eq in template.equations if latent in eq.parents]
     if not children:
         raise EmptyInputs("no child equation uses the latent")
-    for eq in template.equations:
-        if not isinstance(eq.family, (LinearGaussian, PoissonLogLink)) and latent in eq.parents:
+    for eq in children:
+        if not isinstance(eq.family, (LinearGaussian, PoissonLogLink)):
             raise DimensionMismatch(f"{eq.child}: latent children must be linear or Poisson")
 
-    evidence_cols = {}
-    for name in require_valid(template):
-        if name == latent or name in template.prior_map and name not in data.data:
-            continue
-        if name in data.data:
-            evidence_cols[name] = data.column(name)
-    n = data.n
-    if n == 0:
+    evidence_cols = {name: data.column(name) for name in order
+                     if name != latent and name in data.data}
+    if data.n == 0:
         raise EmptyInputs("empty dataset")
 
-    # start from the template's own parameters
-    params = {}
-    for eq in template.equations:
-        if latent not in eq.parents:
-            continue
-        fam = eq.family
-        entry = {"intercept": float(fam.intercept),
-                 "weights": {p: float(w) for p, w in zip(eq.parents, fam.weights)}}
-        if isinstance(fam, LinearGaussian):
-            entry["noise_std"] = float(fam.noise_std) if fam.noise_std > 0 else 1.0
-        params[eq.child] = entry
+    # start from the template's own parameters, a unit noise scale where it has none
+    fitted = {}
+    for eq in children:
+        if isinstance(eq.family, LinearGaussian) and not eq.family.noise_std > 0:
+            eq = StructuralEquation(eq.child, eq.parents, replace(eq.family, noise_std=1.0))
+        fitted[eq.child] = eq
+
+    def fitted_model() -> CausalModel:
+        return CausalModel(template.variables,
+                           [fitted.get(eq.child, eq) for eq in template.equations],
+                           template.priors)
+
+    def latent_weight(child: str) -> float:
+        eq = fitted[child]
+        return eq.family.weights[eq.parents.index(latent)]
 
     em_cfg = replace(config, chains=1,
                      burn_in=max(20, config.burn_in // 10),
                      kept=max(5, config.kept // 10),
                      thin=min(config.thin, 2))
-    first_linear = next(eq.child for eq in template.equations
-                        if latent in eq.parents and isinstance(eq.family, LinearGaussian))
+    first_linear = next(eq.child for eq in children if isinstance(eq.family, LinearGaussian))
 
-    model = _rebuild_model(template, params)
+    model = fitted_model()
     trace = []
     for it in range(_EM_ITERATIONS):
         e_cfg = replace(em_cfg, seed=rng.child_seed(config.seed, rng.TAG_EM, it))
@@ -300,9 +290,7 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
         aug = _stacked(post.draws, (latent,), evidence_cols)
         aug_data = Dataset(tuple(aug), aug, dict(data.domains))
 
-        for eq in template.equations:
-            if eq.child not in params:
-                continue
+        for eq in children:
             design, _ = design_matrix(aug_data, list(eq.parents))
             y = aug_data.numeric(eq.child)
             if isinstance(eq.family, LinearGaussian):
@@ -310,22 +298,22 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
                 sigma = float(fit.residual_std)
                 if sigma < _SCALE_FLOOR:
                     raise DegenerateScale(f"{eq.child}: fitted noise scale {sigma:.2e}")
-                params[eq.child] = {"intercept": fit.coefficient("intercept"),
-                                    "weights": {p: fit.coefficient(p) for p in eq.parents},
-                                    "noise_std": sigma}
+                family = replace(eq.family, noise_std=sigma)
             else:
                 fit = poisson_fit(design, y)
-                params[eq.child] = {"intercept": fit.coefficient("intercept"),
-                                    "weights": {p: fit.coefficient(p) for p in eq.parents}}
+                family = eq.family
+            family = replace(family, intercept=fit.coefficient("intercept"),
+                             weights=tuple(fit.coefficient(p) for p in eq.parents))
+            fitted[eq.child] = StructuralEquation(eq.child, eq.parents, family)
 
-        if params[first_linear]["weights"][latent] < 0.0:
-            for entry in params.values():
-                entry["weights"][latent] = -entry["weights"][latent]
-        model = _rebuild_model(template, params)
-        trace.append(params[first_linear]["weights"][latent])
+        if latent_weight(first_linear) < 0.0:
+            fitted = {child: _negated(eq, latent) for child, eq in fitted.items()}
+        model = fitted_model()
+        trace.append(latent_weight(first_linear))
 
     final = abduct_records(model, evidence_cols, config, names=(latent,))
-    return LatentModelFit(model=model, latent=latent, params=params,
+    return LatentModelFit(model=model, latent=latent,
+                          params={child: _equation_params(eq) for child, eq in fitted.items()},
                           k_draws=final.draws[:, :, 0].astype(np.float64),
                           acceptance=final.acceptance,
                           diagnostics={"latent_weight_trace": trace,

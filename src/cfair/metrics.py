@@ -19,7 +19,8 @@ from scipy.special import expit, gammaln, log_expit, logit
 from . import rng
 from .counterfactual import (
     McmcConfig,
-    _ancestor_closure,
+    _abduct_act_predict,
+    _ancestors_only,
     _constant_column,
     _exogenous_names,
     _stacked,
@@ -148,19 +149,6 @@ def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
     gen = rng.generator(seed, rng.TAG_SUBSAMPLE)
     pick = gen.choice(len(indices), size=max_records, replace=False)
     return indices[np.sort(pick)]
-
-
-def _ancestors_only(model: CausalModel, names) -> tuple[CausalModel, set]:
-    """model restricted to the ancestor closure of names, and that closure.
-
-    forward_eval keys noise by variable name, so the pruned model gives the
-    same draws of these names as the whole one, without evaluating the rest.
-    """
-    needed = _ancestor_closure(model, names)
-    pruned = CausalModel([v for v in model.variables if v.name in needed],
-                         [e for e in model.equations if e.child in needed],
-                         [(n, p) for n, p in model.priors if n in needed])
-    return pruned, needed
 
 
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
@@ -558,15 +546,6 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
             "conditioned_mass": float(mass / w.sum())}
 
 
-def _regenerated(model: CausalModel, evidence: dict, a_prime: dict,
-                 config: McmcConfig) -> dict[str, np.ndarray]:
-    """config.draws exogenous states abducted from the evidence, run forward under do(a')."""
-    draws = exogenous_draws(model, evidence, config.draws, config)
-    given = {k: v for k, v in draws.items() if k not in a_prime}
-    return forward_eval(intervene(model, a_prime), given, config.draws,
-                        rng.child_seed(config.seed, rng.TAG_SUFF), salt=rng.TAG_SUFF)
-
-
 def _pinned_sufficiency(model: CausalModel, predictor: FairPredictor,
                         evidence: dict, y: float, a_prime: dict,
                         config: McmcConfig, tol: float) -> dict:
@@ -580,9 +559,10 @@ def _pinned_sufficiency(model: CausalModel, predictor: FairPredictor,
     if abs(s_f - y) > tol:
         raise UnattainableValue(
             f"factual prediction {s_f} does not equal {y} within {tol}")
-    values = _regenerated(model, evidence, a_prime, config)
-    score_cf = predictor.score(
-        {n: values[n] for n in predictor.manifest.input_order()})
+    input_order = predictor.manifest.input_order()
+    values = _abduct_act_predict(model, evidence, a_prime, config.draws, config,
+                                 rng.TAG_SUFF, reads=input_order)
+    score_cf = predictor.score({n: values[n] for n in input_order})
     return {"probability": float(np.mean(np.abs(score_cf - y) > tol)),
             "method": "abduction", "draws": config.draws}
 
@@ -630,7 +610,8 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
                       model.equations + (score_eq,), model.priors)
     require_valid(aug)
     try:
-        values = _regenerated(aug, {**evidence, "_score_": rhs}, a_prime, config)
+        values = _abduct_act_predict(aug, {**evidence, "_score_": rhs}, a_prime,
+                                     config.draws, config, rng.TAG_SUFF, reads=("_score_",))
     except (SingularConditioning, ZeroPosteriorMass) as exc:
         raise UnattainableValue(
             f"prediction {y} is not attainable for this record") from exc

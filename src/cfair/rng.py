@@ -1,12 +1,18 @@
 """Counter-based random number generation.
 
-Every stochastic draw in the toolkit is addressed by an explicit key
-(master seed, stream tag, record/row index, variable key, ...) and computed
-by hashing the key with the SplitMix64 finisher, so results are bit-identical
-for a given seed and independent of iteration or thread order. Variables are
-keyed by a stable 64-bit hash of their name, which survives equation surgery:
-the factual and counterfactual branches of an audit share noise draws
-variable-by-variable.
+Every stochastic draw in the toolkit but one kind is addressed by an explicit
+key (master seed, stream tag, record/row index, variable key, ...) and
+computed by hashing the key with the SplitMix64 finisher, so results are
+bit-identical for a given seed and independent of iteration or thread order.
+Variables are keyed by a stable 64-bit hash of their name, which survives
+equation surgery: the factual and counterfactual branches of an audit share
+noise draws variable-by-variable.
+
+The exception is generator(): a PCG64 stream seeded through numpy's
+SeedSequence, which draws the audit subsample (metrics._subsample) and the
+CLI's train/test split (cli._split_indices). It is seeded too, but a value
+is not a function of its key alone. ROADMAP.md, direction 1, replaces it
+with keyed uniforms.
 
 All transforms consume exactly one uniform per value (inverse CDF), keeping
 the key -> value map one-to-one.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Union
@@ -39,6 +39,7 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 class Role(str, Enum):
@@ -209,10 +210,6 @@ class CausalModel:
     def outcome(self) -> tuple[str, ...]:
         return self.names(Role.OUTCOME)
 
-    def parents_of(self, name: str) -> tuple[str, ...]:
-        eq = self.equation_map.get(name)
-        return eq.parents if eq else ()
-
     def children_map(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {v.name: [] for v in self.variables}
         for eq in self.equations:
@@ -224,7 +221,7 @@ class CausalModel:
     def value_in_domain(self, name: str, value) -> bool:
         var = self.variable(name)
         if var.domain is None:
-            return isinstance(value, (int, float, np.integer, np.floating)) and math.isfinite(float(value))
+            return isinstance(value, _NUMBER) and math.isfinite(float(value))
         return any(value == d for d in var.domain)
 
 
@@ -244,7 +241,7 @@ def _check_family(model: CausalModel, eq: StructuralEquation, issues: list):
         for p in eq.parents:
             pv = var_map.get(p)
             if pv is not None and pv.domain is not None:
-                if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in pv.domain):
+                if not all(isinstance(v, _NUMBER) for v in pv.domain):
                     issues.append(ValidationIssue(
                         "NonNumericParent",
                         f"{eq.child}: parent {p} has non-numeric finite domain"))
@@ -422,6 +419,16 @@ def require_valid(model: CausalModel) -> tuple[str, ...]:
 # sampling
 
 
+def _values_dtype(values) -> type:
+    """The column dtype for values drawn from `values`: int64 when every one
+    is an int, float64 when every one is a number, otherwise object."""
+    if all(isinstance(v, (int, np.integer)) for v in values):
+        return np.int64
+    if all(isinstance(v, _NUMBER) for v in values):
+        return np.float64
+    return object
+
+
 def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
     if isinstance(prior, NormalPrior):
         if prior.std == 0.0:
@@ -430,13 +437,8 @@ def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(prior.probs)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, u, side="right")
-    values = np.array(prior.values, dtype=object)
-    col = values[idx]
-    if all(isinstance(v, (int, np.integer)) for v in prior.values):
-        return col.astype(np.int64)
-    if all(isinstance(v, (int, float, np.integer, np.floating)) for v in prior.values):
-        return col.astype(np.float64)
-    return col
+    col = np.array(prior.values, dtype=object)[idx]
+    return col.astype(_values_dtype(prior.values), copy=False)
 
 
 def _linear_predictor(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
@@ -449,21 +451,11 @@ def _linear_predictor(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
 
 def _table_column(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
     mapping = eq.family.mapping
+    dtype = _values_dtype(mapping.values())
     if not eq.parents:
-        v = mapping[()]
-        if isinstance(v, (int, np.integer)):
-            return np.full(n, v, dtype=np.int64)
-        if isinstance(v, (float, np.floating)):
-            return np.full(n, v, dtype=np.float64)
-        return np.full(n, v, dtype=object)
-    cols = [values[p] for p in eq.parents]
-    out = [mapping[key] for key in zip(*(c.tolist() for c in cols))]
-    arr = np.array(out, dtype=object)
-    if all(isinstance(v, (int, np.integer)) for v in mapping.values()):
-        return arr.astype(np.int64)
-    if all(isinstance(v, (int, float, np.integer, np.floating)) for v in mapping.values()):
-        return arr.astype(np.float64)
-    return arr
+        return np.full(n, mapping[()], dtype=dtype)
+    keys = zip(*(values[p].tolist() for p in eq.parents))
+    return np.array([mapping[key] for key in keys], dtype=object).astype(dtype, copy=False)
 
 
 # rates up to this bound start a stepwise search from a Cornish-Fisher guess;

@@ -46,7 +46,7 @@ from cfair import (
     save_model,
     strict_cf_check,
 )
-from cfair.cli import _fit_recipe, _observational, _split_indices, _test_metric, main
+from cfair.cli import _fit_recipe, _split_indices, _test_metric, main
 from helpers import (
     batch_se,
     chain_model,
@@ -297,7 +297,7 @@ def test_criterion_06_training_pipeline_ordering_and_audit_pattern():
     for rep in range(reps):
         seed = 1000 + rep
         model, data = generate(ScenarioParams(kind="law_school", n=5000, seed=seed))
-        obs = _observational(data, model)
+        obs = data.drop(model.background)
         y = obs.column("FYA").astype(np.float64)
         train_idx, test_idx, _ = _split_indices(y, 0.8, seed)
         train, test = obs.take(train_idx), obs.take(test_idx)

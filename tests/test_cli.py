@@ -142,6 +142,14 @@ def test_fit_latent_recipe_saves_fitted_model(tmp_path):
     assert blob["fit_meta"] == {"recipe": "fair_k", "seed": 2}
 
 
+def test_fit_rejects_an_mcmc_setting_that_keeps_no_draw(tmp_path, capsys):
+    model_path, data_path = _scenario_files(tmp_path, kind="law_school", n=20, label="ls")
+    code = main(["fit", str(model_path), str(data_path), "--recipe", "fair_k",
+                 "--thin", "0", "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "DimensionMismatch: mcmc thin must be at least 1, got 0\n"
+    assert not (tmp_path / "p.json").exists()
+
 def test_fit_rejects_missing_manifest_file(tmp_path, capsys):
     model_path, data_path = _scenario_files(tmp_path)
     code = main(["fit", str(model_path), str(data_path), "--recipe",
@@ -320,3 +328,16 @@ def test_experiment_config_errors(tmp_path, capsys):
     worse.write_text("not json")
     assert main(["experiment", str(worse), "--out", str(tmp_path / "o2")]) == 1
     assert "config:" in capsys.readouterr().err
+    # malformed numbers are config errors, not tracebacks
+    base = {"scenario": {"kind": "red_car", "n": 50}, "recipes": ["full"]}
+    for change, message in (({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+                            ({"scenario": {"kind": "red_car", "n": "many"}},
+                             "scenario n must be an integer, got 'many'"),
+                            ({"mcmc": {"chains": "two"}},
+                             "mcmc chains must be an integer, got 'two'"),
+                            ({"audits": [{"criterion": "ps", "a_prime": {"A": -1},
+                                          "record": "first"}]},
+                             "record must be an integer, got 'first'")):
+        bad.write_text(json.dumps({**base, **change}))
+        assert main(["experiment", str(bad), "--out", str(tmp_path / "o3")]) == 1
+        assert capsys.readouterr().err == f"config: {message}\n"

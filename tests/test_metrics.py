@@ -595,10 +595,10 @@ def _overflowing_child_model() -> CausalModel:
         priors={"A": CategoricalPrior((-1.0, 1.0), (0.5, 0.5)), "U": NormalPrior(0.0, 1.0)})
 
 
-@pytest.mark.parametrize("audit", ["cf", "strict", "path"])
+@pytest.mark.parametrize("audit", ["cf", "strict", "path", "ps_pinned", "ps_abduction"])
 def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
-    # evaluating Z raises NonFiniteDensity; the predictor reads U only, so
-    # the forward pass leaves Z out and the audit answers
+    # evaluating Z raises NonFiniteDensity; the predictor reads U (or X) only,
+    # so the forward pass leaves Z out and the audit answers
     model = _overflowing_child_model()
     gen = np.random.default_rng(0)
     a, u = gen.choice([-1.0, 1.0], 20), gen.normal(size=20)
@@ -606,6 +606,16 @@ def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
     predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
     with pytest.raises(NonFiniteDensity), np.errstate(over="ignore"):
         forward_eval(model, {"A": a, "U": u}, 20, seed=0)
+    if audit.startswith("ps"):
+        # the record pins U = 0.3; under do(A = -1), X moves to -0.7 and U stays
+        if audit == "ps_pinned":
+            predictor, y, moved = _reader(model, {"X": 1.0}), 1.3, 1.0
+        else:
+            predictor, y, moved = _reader(model, {"U": 1.0}, ("U",)), 0.3, 0.0
+        result = prob_sufficiency(model, predictor, {"A": 1.0, "X": 1.3}, y, A_LO,
+                                  McmcConfig(chains=1, kept=50, seed=0))
+        assert (result["method"], result["probability"]) == ("abduction", moved)
+        return
     kwargs = {"config": McmcConfig(seed=0), "draws": 50, "max_records": 5}
     if audit == "cf":
         report = cf_fairness_test(model, predictor, data, A_HI, A_LO, **kwargs)
