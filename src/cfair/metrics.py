@@ -577,7 +577,8 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     the condition "prediction = y" is appended to the evidence: trivially for
     predictors whose inputs the record pins, and as a zero-noise score
     equation over the inputs for predictors with latent inputs. The
-    counterfactual prediction is then regenerated under do(a_prime). A
+    counterfactual prediction is then regenerated under do(a_prime), running
+    forward only the ancestors of what the predictor reads. A
     strictly invariant predictor gives probability 0; raises UnattainableValue
     when no exogenous state attains prediction y for this record.
     """

@@ -150,6 +150,7 @@ def test_fit_rejects_an_mcmc_setting_that_keeps_no_draw(tmp_path, capsys):
     assert capsys.readouterr().err == "DimensionMismatch: mcmc thin must be at least 1, got 0\n"
     assert not (tmp_path / "p.json").exists()
 
+
 def test_fit_rejects_missing_manifest_file(tmp_path, capsys):
     model_path, data_path = _scenario_files(tmp_path)
     code = main(["fit", str(model_path), str(data_path), "--recipe",

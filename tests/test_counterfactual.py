@@ -367,7 +367,6 @@ def test_chains_are_prefixes_of_longer_runs(name):
         np.testing.assert_array_equal(runs[short].acceptance, runs[long].acceptance[:, :short])
 
 
-
 @pytest.mark.parametrize("field, value", [("chains", 0), ("kept", 0), ("thin", 0),
                                           ("burn_in", -1), ("proposal_std", 0.0),
                                           ("proposal_std", float("nan")),
@@ -378,6 +377,7 @@ def test_mcmc_config_rejects_settings_that_keep_no_posterior(field, value):
         McmcConfig(**{field: value})
     with pytest.raises(DimensionMismatch):
         replace(FAST, **{field: value})
+
 
 def test_feasible_init_skips_more_than_4096_combinations():
     # 2**64 combinations wrap to 0 in an int64 product, which once passed the

@@ -144,12 +144,11 @@ def test_single_row_sampling_is_deterministic():
         assert np.array_equal(one.column(c), two.column(c))
 
 
-
 def _typed_columns_model() -> CausalModel:
     """Categorical priors and lookup tables whose values are all ints, all
     numbers, strings, or numbers mixed with strings; three constant tables."""
     background, observed = Role.BACKGROUND, Role.OBSERVED
-    table = StructuralEquation
+    eq = StructuralEquation
     return CausalModel(
         variables=(Variable("PI", background, (0, 1, 2)),
                    Variable("PF", background, (0.5, 1, 2.5)),
@@ -163,16 +162,16 @@ def _typed_columns_model() -> CausalModel:
                    Variable("CF", observed, (2.5,)),
                    Variable("CS", observed, ("k",)),
                    Variable("X", observed)),
-        equations=(table("TI", ("PI",), DeterministicTable({(0,): 10, (1,): 20, (2,): 30})),
-                   table("TF", ("PI",), DeterministicTable({(0,): 0.25, (1,): 1, (2,): 2.5})),
-                   table("TS", ("PS", "PI"), DeterministicTable(
+        equations=(eq("TI", ("PI",), DeterministicTable({(0,): 10, (1,): 20, (2,): 30})),
+                   eq("TF", ("PI",), DeterministicTable({(0,): 0.25, (1,): 1, (2,): 2.5})),
+                   eq("TS", ("PS", "PI"), DeterministicTable(
                        {(c, i): "hi" if c == "b" or i == 2 else "lo"
                         for c in ("a", "b") for i in (0, 1, 2)})),
-                   table("TM", ("PS",), DeterministicTable({("a",): 0, ("b",): "q"})),
-                   table("CI", (), DeterministicTable({(): 7})),
-                   table("CF", (), DeterministicTable({(): 2.5})),
-                   table("CS", (), DeterministicTable({(): "k"})),
-                   table("X", ("PI", "PF"), LinearGaussian(0.1, (1.0, -0.5), 1.0))),
+                   eq("TM", ("PS",), DeterministicTable({("a",): 0, ("b",): "q"})),
+                   eq("CI", (), DeterministicTable({(): 7})),
+                   eq("CF", (), DeterministicTable({(): 2.5})),
+                   eq("CS", (), DeterministicTable({(): "k"})),
+                   eq("X", ("PI", "PF"), LinearGaussian(0.1, (1.0, -0.5), 1.0))),
         priors={"PI": CategoricalPrior((0, 1, 2), (0.2, 0.5, 0.3)),
                 "PF": CategoricalPrior((0.5, 1, 2.5), (0.3, 0.3, 0.4)),
                 "PS": CategoricalPrior(("a", "b"), (0.6, 0.4)),
@@ -201,6 +200,7 @@ def test_prior_and_table_columns_are_byte_identical():
     data = ancestral_sample(_typed_columns_model(), 40, seed=9)
     got = {c: (str(data.column(c).dtype), digest(data.column(c))) for c in data.columns}
     assert got == TYPED_COLUMN_DIGESTS
+
 
 def test_parentless_poisson_mean():
     m = CausalModel(
