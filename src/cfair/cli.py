@@ -244,8 +244,15 @@ def _test_metric(head: str, y: np.ndarray, preds: np.ndarray) -> tuple[str, floa
 
 # -- audits ---------------------------------------------------------------
 
+# audit fields converted like other config numbers; threshold and tol pass
+# through as given, since the report records them as they came
+_AUDIT_NUMBERS = {"draws": int, "max_records": int, "tie_frac": float}
+
+
 def _picked(spec: dict, *names) -> dict:
-    return {k: spec[k] for k in names if spec.get(k) is not None}
+    """The given fields of an audit spec, those in _AUDIT_NUMBERS converted."""
+    return {k: _config_number(spec[k], _AUDIT_NUMBERS[k], k) if k in _AUDIT_NUMBERS else spec[k]
+            for k in names if spec.get(k) is not None}
 
 
 def _get(spec: dict, key: str, default):

@@ -2,9 +2,10 @@
 
 Abduction recovers the posterior over exogenous state (background variables
 plus any unobserved prior-backed roots) given evidence on endogenous
-variables. One function, _exact_route, validates the evidence and picks the
-route for every caller (exogenous_draws, posterior_draw_matrix,
-exact_available, abduct_exact):
+variables. One site, _abduct, picks the route and draws for every caller
+(exogenous_draws, posterior_draw_matrix); _exact_route validates the
+evidence and, for it and for abduct_exact and exact_available, decides
+whether the exact route applies:
 
 * exact: joint-normal conditioning when every equation on a path relevant to
   the evidence is LinearGaussian (or a numeric constant) and every unobserved
@@ -304,15 +305,10 @@ def _solve(rows: list, rhs: list, dim: int, n_records: int, full_matrices: bool,
     return x.T, vt, rank
 
 
-def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, shape: tuple, normals) -> np.ndarray:
-    """mean + z @ root.T, root the eigh square root of cov; z[..., k] = normals(k) of `shape`."""
-    d = cov.shape[0]
-    if not d:
-        return mean + np.zeros(shape + (0,))
+def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mean + z @ root.T: standard normals z (..., d) through the eigh square root of cov."""
     w, v = np.linalg.eigh(cov)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
-    z = np.stack([normals(k) for k in range(d)], axis=-1)
-    return mean + z @ root.T
+    return mean + z @ (v * np.sqrt(np.clip(w, 0.0, None))).T
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +322,6 @@ class GaussianPosterior:
     names: tuple[str, ...]
     mean: np.ndarray
     cov: np.ndarray
-
-    def point_mass(self, tol: float = 1e-9) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None)) <= tol
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """(n, len(names)) draws, counter-keyed and deterministic."""
-        rows = np.arange(n, dtype=np.uint64)
-        return _gaussian_draws(self.mean, self.cov, (n,),
-                               lambda k: rng.normals(seed, rng.TAG_EXACT, 0, k, rows))
 
 
 def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
@@ -406,16 +393,14 @@ def exact_available(model: CausalModel, evidence) -> bool:
 class PosteriorDraws:
     """Per-record posterior draws over exogenous variables.
 
-    draws has shape (records, chains * kept, len(names)); acceptance holds the
-    post-burn-in acceptance rate per (record, chain).
+    draws has shape (records, m, len(names)); acceptance holds the MH
+    sampler's post-burn-in acceptance rate per (record, chain), or None for
+    draws from the exact route (_abduct).
     """
 
     names: tuple[str, ...]
     draws: np.ndarray
-    acceptance: np.ndarray
-
-    def matrix(self, record: int = 0) -> np.ndarray:
-        return self.draws[record]
+    acceptance: np.ndarray | None
 
     def column(self, name: str, record: int = 0) -> np.ndarray:
         return self.draws[record, :, self.names.index(name)]
@@ -708,7 +693,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     results are bit-identical for the same batch and seed, and a chain's
     draws do not depend on how many chains run beside it, but a record's
     draws change when it sits at another position (see ROADMAP.md, direction
-    1, for keying by a stable record id). The keys of a block of steps are
+    3, for keying by a stable record id). The keys of a block of steps are
     folded onto every row's (seed, record, chain) state at once,
     _BLOCK_VALUES values at a time. Draws are float64 when every requested
     variable's domain is numeric, otherwise object. Returned names default
@@ -900,18 +885,32 @@ def _abduct_act_predict(model: CausalModel, evidence: dict, intervention: dict,
     return forward_eval(modified, given, n_draws, rng.child_seed(config.seed, tag), salt=tag)
 
 
+def _abduct(model: CausalModel, evidence_cols: dict[str, np.ndarray], config: McmcConfig,
+            names: tuple[str, ...], exact_normals) -> PosteriorDraws:
+    """Posterior draws of `names` per record, from the one site that picks the route.
+
+    Where _exact_route gives the joint-normal posterior, the draws' standard
+    normals are exact_normals(k, rows), (records, m, d) for k = arange(d) and
+    rows = arange(records)[:, None, None]; otherwise abduct_records draws.
+    """
+    exact = _exact_route(model, evidence_cols, names)
+    if exact is None:
+        return abduct_records(model, evidence_cols, config, names=names)
+    means, cov = exact
+    z = exact_normals(np.arange(len(cov), dtype=np.uint64),
+                      np.arange(len(means), dtype=np.uint64)[:, None, None])
+    return PosteriorDraws(tuple(names), _gaussian_draws(means[:, None, :], cov, z), None)
+
+
 def exogenous_draws(model: CausalModel, evidence: dict, n_draws: int,
                     config: McmcConfig) -> dict[str, np.ndarray]:
     """Draws of every exogenous variable given evidence, plus pinned observed roots."""
     exo = _exogenous_names(model)
     latent = tuple(n for n in exo if n not in evidence)
-    cols = _record_cols(evidence)
-    exact = _exact_route(model, cols, latent)
-    if exact is None:
-        draws = abduct_records(model, cols, config, names=latent).draws[0]
-        draws = draws[np.arange(n_draws) % len(draws)]
-    else:
-        draws = GaussianPosterior(latent, exact[0][0], exact[1]).sample(n_draws, config.seed)
+    draw_ids = np.arange(n_draws, dtype=np.uint64)[None, :, None]
+    draws = _abduct(model, _record_cols(evidence), config, latent, lambda k, rows: rng.normals(
+        config.seed, rng.TAG_EXACT, 0, k, draw_ids)).draws[0]
+    draws = draws[np.arange(n_draws) % len(draws)]
     out = {name: draws[:, j] for j, name in enumerate(latent)}
     for name in exo:
         if name in evidence:
@@ -923,21 +922,16 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
                           config: McmcConfig, names: tuple[str, ...]) -> np.ndarray:
     """(records, chains * kept, len(names)) posterior draws for every record.
 
-    The evidence is validated and the route chosen once, by _exact_route: the
-    exact joint-normal posterior when every path relevant to the evidence is
-    linear-Gaussian, otherwise the record-vectorised MH sampler
-    (abduct_records). Both key a record's draws by its position in this
-    batch: (seed, position, draw) on the exact route, (seed, position, chain,
-    step, slot) on the MH route. Reruns of the same batch are bit-identical,
-    but the same record draws differently at another position (ROADMAP.md,
-    direction 1, keys by a stable record id instead). Draws are float64 unless
-    a requested variable's domain holds a non-number.
+    The route is chosen once, by _abduct: the exact joint-normal posterior
+    when every path relevant to the evidence is linear-Gaussian, otherwise
+    the record-vectorised MH sampler (abduct_records). Both key a record's
+    draws by its position in this batch: (seed, position, draw) on the exact
+    route, (seed, position, chain, step, slot) on the MH route. Reruns of the
+    same batch are bit-identical, but the same record draws differently at
+    another position (ROADMAP.md, direction 3, keys by a stable record id
+    instead). Draws are float64 unless a requested variable's domain holds a
+    non-number.
     """
-    exact = _exact_route(model, evidence_cols, names)
-    if exact is None:
-        return abduct_records(model, evidence_cols, config, names=names).draws
-    means, cov = exact
-    rows = np.arange(len(means), dtype=np.uint64)[:, None]
-    draw_ids = np.arange(config.draws, dtype=np.uint64)[None, :]
-    return _gaussian_draws(means[:, None, :], cov, (len(means), config.draws),
-                           lambda k: rng.normals(config.seed, rng.TAG_EXACT, 1, k, rows, draw_ids))
+    draw_ids = np.arange(config.draws, dtype=np.uint64)[None, :, None]
+    return _abduct(model, evidence_cols, config, names, lambda k, rows: rng.normals(
+        config.seed, rng.TAG_EXACT, 1, k, rows, draw_ids)).draws

@@ -235,10 +235,10 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
 
     The template fixes the structure: exactly one background latent with a
     N(0, 1) prior, and LinearGaussian or PoissonLogLink children whose parents
-    are the latent and observed columns of `data`. 50 outer iterations; the
-    E-step draws per-record latent chains (short warm chains derived from
-    `config`), the M-step refits each child equation on the draw-augmented
-    records. Raises DegenerateScale if a fitted noise scale falls below 1e-6.
+    are the latent and observed columns of `data`; the first LinearGaussian
+    child fixes the latent's sign. 50 outer iterations; the E-step draws
+    per-record latent chains (short warm chains derived from `config`), the
+    M-step refits each child equation on the draw-augmented records. Raises DegenerateScale if a fitted noise scale falls below 1e-6.
     Deterministic given (data, config.seed).
     """
     order = require_valid(template)
@@ -254,6 +254,10 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
     for eq in children:
         if not isinstance(eq.family, (LinearGaussian, PoissonLogLink)):
             raise DimensionMismatch(f"{eq.child}: latent children must be linear or Poisson")
+    first_linear = next((eq.child for eq in children if isinstance(eq.family, LinearGaussian)),
+                        None)
+    if first_linear is None:
+        raise DimensionMismatch(f"{latent} needs a LinearGaussian child to fix its sign")
 
     evidence_cols = {name: data.column(name) for name in order
                      if name != latent and name in data.data}
@@ -280,7 +284,6 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
                      burn_in=max(20, config.burn_in // 10),
                      kept=max(5, config.kept // 10),
                      thin=min(config.thin, 2))
-    first_linear = next(eq.child for eq in children if isinstance(eq.family, LinearGaussian))
 
     model = fitted_model()
     trace = []

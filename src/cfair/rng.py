@@ -11,7 +11,7 @@ noise draws variable-by-variable.
 The exception is generator(): a PCG64 stream seeded through numpy's
 SeedSequence, which draws the audit subsample (metrics._subsample) and the
 CLI's train/test split (cli._split_indices). It is seeded too, but a value
-is not a function of its key alone. ROADMAP.md, direction 1, replaces it
+is not a function of its key alone. ROADMAP.md, direction 3, replaces it
 with keyed uniforms.
 
 All transforms consume exactly one uniform per value (inverse CDF), keeping

@@ -338,7 +338,13 @@ def test_experiment_config_errors(tmp_path, capsys):
                              "mcmc chains must be an integer, got 'two'"),
                             ({"audits": [{"criterion": "ps", "a_prime": {"A": -1},
                                           "record": "first"}]},
-                             "record must be an integer, got 'first'")):
+                             "record must be an integer, got 'first'"),
+                            ({"audits": [{"criterion": "cf", "a": {"A": 1},
+                                          "a_prime": {"A": -1}, "draws": "many"}]},
+                             "draws must be an integer, got 'many'"),
+                            ({"audits": [{"criterion": "strict", "a": {"A": 1},
+                                          "a_prime": {"A": -1}, "max_records": "all"}]},
+                             "max_records must be an integer, got 'all'")):
         bad.write_text(json.dumps({**base, **change}))
         assert main(["experiment", str(bad), "--out", str(tmp_path / "o3")]) == 1
         assert capsys.readouterr().err == f"config: {message}\n"

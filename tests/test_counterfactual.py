@@ -48,7 +48,7 @@ def test_noise_free_evidence_pins_the_latent():
     model, _ = red_car(n=1)
     post = abduct_exact(model, {"A": 1.0, "X": 2.5})
     i = post.names.index("U")
-    assert post.point_mass()[i]
+    assert np.sqrt(post.cov[i, i]) <= 1e-9
     assert post.mean[i] == pytest.approx(2.5 - 1.0, abs=1e-9)
 
 
@@ -499,3 +499,19 @@ def test_counterfactual_sample_mcmc_route_is_byte_identical():
     assert not exact_available(model, {"A": 1, "Employed": 0})
     out = counterfactual_sample(model, {"A": 1, "Employed": 0}, {"A": 0}, 50, config)
     assert _dataset_digest(out) == CF_SAMPLE_MCMC_DIGEST
+
+
+def test_exogenous_draws_cycle_the_posterior_draw_matrix():
+    # both views abduct through one site: on the loan model's MH route, 50
+    # draws of one record cycle the 2 x 15 draws of its posterior matrix
+    model, _ = loan(n=10, seed=0)
+    config = McmcConfig(chains=2, burn_in=40, kept=15, thin=2, seed=6)
+    evidence = {"A": 1, "Employed": 0}
+    latent = ("P", "Q")
+    draws = counterfactual.exogenous_draws(model, evidence, 50, config)
+    matrix = counterfactual.posterior_draw_matrix(
+        model, {k: np.array([v]) for k, v in evidence.items()}, config, latent)
+    assert not exact_available(model, evidence)
+    for j, name in enumerate(latent):
+        np.testing.assert_array_equal(draws[name], matrix[0, np.arange(50) % config.draws, j])
+    np.testing.assert_array_equal(draws["A"], np.ones(50))

@@ -8,6 +8,12 @@ from cfair import (
     CausalModel,
     Dataset,
     DimensionMismatch,
+    NormalPrior,
+    PoissonLogLink,
+    Role,
+    StructuralEquation,
+    Variable,
+    ancestral_sample,
     design_matrix,
     fit_level2_latent,
     level3_residuals,
@@ -232,6 +238,17 @@ def test_latent_fit_rejects_multiple_backgrounds():
     model, data = loan(n=50)
     with pytest.raises(DimensionMismatch):
         fit_level2_latent(data, model, config=EM_CFG)
+
+
+def test_latent_fit_rejects_a_latent_without_a_linear_child():
+    # the first LinearGaussian child fixes the latent's sign; Poisson ones cannot
+    model = CausalModel(
+        variables=(Variable("K", Role.BACKGROUND), Variable("C", Role.OBSERVED)),
+        equations=(StructuralEquation("C", ("K",), PoissonLogLink(0.5, (0.8,))),),
+        priors={"K": NormalPrior(0.0, 1.0)})
+    data = ancestral_sample(model, 50, seed=0).drop(("K",))
+    with pytest.raises(DimensionMismatch, match="LinearGaussian"):
+        fit_level2_latent(data, model, config=McmcConfig(chains=1, burn_in=20, kept=5, thin=1))
 
 
 def _latent_fit_outputs() -> dict:

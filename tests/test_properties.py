@@ -38,7 +38,7 @@ from cfair import (
 )
 from cfair import metrics
 from cfair.counterfactual import _stacked
-from helpers import linear_predictor, manifest_for, model_signature
+from helpers import batch_se, linear_predictor, manifest_for, model_signature
 
 _WEIGHT = st.floats(min_value=-2.0, max_value=2.0,
                     allow_nan=False, allow_infinity=False)
@@ -321,6 +321,21 @@ def test_abduction_satisfies_zero_noise_evidence(dag):
                       for r in range(3)])
     assert _zero_noise_gaps(model, evidence,
                             {u: means[:, j] for j, u in enumerate(names)}) <= 1e-9
+
+
+@given(abduction_dags())
+def test_mcmc_means_match_exact_conditioning(dag):
+    # criterion 4's bound on random DAGs: every MH posterior mean lies within
+    # 5 batch standard errors of the joint-normal one (1e-6 for a point mass)
+    model, evidence = dag
+    post = abduct_records(model, evidence,
+                          McmcConfig(chains=2, burn_in=300, kept=400, thin=3, seed=5))
+    for r in range(3):
+        exact = abduct_exact(model, {k: v[r] for k, v in evidence.items()})
+        for j, name in enumerate(post.names):
+            u = post.draws[r, :, j]
+            mu = exact.mean[exact.names.index(name)]
+            assert abs(u.mean() - mu) <= max(5 * batch_se(u), 1e-6), (r, name, u.mean(), mu)
 
 
 @settings(max_examples=30)
