@@ -244,20 +244,10 @@ def _test_metric(head: str, y: np.ndarray, preds: np.ndarray) -> tuple[str, floa
 
 # -- audits ---------------------------------------------------------------
 
-# audit fields converted like other config numbers; threshold and tol pass
-# through as given, since the report records them as they came
-_AUDIT_NUMBERS = {"draws": int, "max_records": int, "tie_frac": float}
-
-
-def _picked(spec: dict, *names) -> dict:
-    """The given fields of an audit spec, those in _AUDIT_NUMBERS converted."""
-    return {k: _config_number(spec[k], _AUDIT_NUMBERS[k], k) if k in _AUDIT_NUMBERS else spec[k]
-            for k in names if spec.get(k) is not None}
-
-
-def _get(spec: dict, key: str, default):
-    value = spec.get(key)
-    return default if value is None else value
+# the numeric fields of an audit spec, converted like other config numbers
+# for every criterion; a field left out or null takes the audit's default
+_AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
+                 "threshold": float, "tie_frac": float, "tol": float, "y": float}
 
 
 def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
@@ -273,26 +263,29 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         raise _Failure(f"config: criterion {crit} needs --a and --a-prime")
     if crit == "ps" and not ap:
         raise _Failure("config: criterion ps needs --a-prime")
+    num = {k: _config_number(spec[k], kind, k) for k, kind in _AUDIT_FIELDS.items()
+           if spec.get(k) is not None}
+
+    def picked(*names) -> dict:
+        return {k: num[k] for k in names if k in num}
 
     if crit == "cf":
         report = cf_fairness_test(model, predictor, data, a, ap, config=config,
-                                  **_picked(spec, "draws", "threshold",
-                                            "max_records", "tie_frac"))
+                                  **picked("draws", "threshold", "max_records", "tie_frac"))
     elif crit == "strict":
         report = strict_cf_check(model, predictor, data, a, ap, config=config,
-                                 **_picked(spec, "draws", "tol", "max_records"))
+                                 **picked("draws", "tol", "max_records"))
     elif crit == "path":
         raw_paths = spec.get("paths") or ()
         paths = [tuple(p) for p in raw_paths]
         if not paths:
             raise _Failure("config: criterion path needs at least one --path")
         report = path_cf_test(model, predictor, data, paths, a, ap, config=config,
-                              **_picked(spec, "draws", "threshold",
-                                        "max_records", "tie_frac"))
+                              **picked("draws", "threshold", "max_records", "tie_frac"))
     elif crit == "dp":
         gaps = group_gaps(predictor, data, outcome, a, ap, model=model,
                           config=config)
-        thr = _config_number(_get(spec, "threshold", 0.05), float, "threshold")
+        thr = num.get("threshold", 0.05)
         return {"criterion": "dp", "passed": bool(gaps["dp_gap"] <= thr),
                 "aggregate": float(gaps["dp_gap"]), "threshold": thr,
                 "detail": _plain(gaps)}, None
@@ -303,25 +296,25 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
     elif crit == "ace":
         given = dict(spec.get("given") or {})
         result = ace(model, predictor, given, a, ap,
-                     n_draws=_config_number(_get(spec, "draws", 20000), int, "draws"),
+                     n_draws=num.get("draws", 20000),
                      config=config)
         return {"criterion": "ace", "passed": None,
                 "aggregate": float(result["ace"]), "threshold": None,
                 "detail": _plain(result)}, None
     else:  # ps
-        idx = _config_number(_get(spec, "record", 0), int, "record")
+        idx = num.get("record", 0)
         if not 0 <= idx < data.n:
             raise _Failure(f"config: record index {idx} out of range")
         record = data.record(idx)
         record.pop(outcome, None)
-        if spec.get("y") is not None:
-            y = _config_number(spec["y"], float, "y")
+        if "y" in num:
+            y = num["y"]
         else:
             row = data.take(np.array([idx]))
             y = float(fair_predict(predictor, model, row, config=config)[0])
         result = prob_sufficiency(model, predictor, record, y, ap, config=config,
-                                  **_picked(spec, "tol"))
-        thr = _config_number(_get(spec, "threshold", 0.05), float, "threshold")
+                                  **picked("tol"))
+        thr = num.get("threshold", 0.05)
         prob = float(result["probability"])
         return {"criterion": "ps", "passed": bool(prob <= thr),
                 "aggregate": prob, "threshold": thr,

@@ -19,18 +19,22 @@ whether the exact route applies:
   and chains.
   Continuous components move by Gaussian steps of size proposal_std;
   finite-domain components are re-proposed uniformly over their domain
-  (symmetric, so no Hastings correction). Evidence on zero-noise
-  LinearGaussian children whose dependence reaches only continuous normal
-  priors is eliminated exactly before sampling, reducing the sampled
-  dimension; jointly impossible evidence raises ZeroPosteriorMass. Evidence
-  on deterministic tables becomes a hard indicator. Unobserved stochastic
-  ancestors of the evidence join the state as auxiliary dimensions (their
-  conditional densities multiply the target); unobserved Poisson ancestors
-  are not supported.
+  (symmetric, so no Hastings correction). The state is one continuous block,
+  the values of the normal priors and of the latent noisy LinearGaussian
+  ancestors of the evidence, plus one discrete block, the categorical priors
+  and latent Bernoulli ancestors; the latent nodes' conditional densities
+  multiply the target. Evidence on zero-noise LinearGaussian children that
+  is affine in the continuous block is eliminated exactly before sampling,
+  reducing the sampled dimension; jointly impossible evidence raises
+  ZeroPosteriorMass. Evidence on deterministic tables becomes a hard
+  indicator. Zero-noise evidence that mixes the continuous block with a
+  table or a Bernoulli node, and unobserved Poisson ancestors, are not
+  supported (NonFiniteDensity). A record with a chain still in an
+  impossible state at the first kept draw raises ZeroPosteriorMass.
 
 Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
-normals plus equation noises, the sampler's are the normal priors' values.
+normals plus equation noises, the sampler's are the continuous block's values.
 
 Prediction (counterfactual_sample) replaces equations per the intervention
 and evaluates forward once per posterior draw. Equation noise is redrawn,
@@ -470,20 +474,23 @@ class _Target:
             else:
                 self.determined.append(name)
 
-        # linear elimination system over cont_prior coordinates
+        # linear elimination system over the continuous block
         self._build_elimination(prior_map, eq_map, n_records, copies)
         self._compile()
 
     def _build_elimination(self, prior_map, eq_map, n_records: int, copies: int):
-        """Solve zero-noise linear evidence for the cont_prior values exactly.
+        """Solve zero-noise linear evidence for the continuous block exactly.
 
+        The block `cont` is the cont_prior values, then the aux_cont values.
         Evidence that resolves through discrete state only, or not at all
-        through cont_prior, becomes an indicator instead. The solve runs over
-        the first copy of the records, so an impossible record is named by
-        its own position, and its solution is tiled over the copies.
+        through the block, becomes an indicator instead. The solution nearest
+        (prior means, zeros) is the particular one. The solve runs over the
+        first copy of the records, so an impossible record is named by its
+        own position, and its solution is tiled over the copies.
         """
-        d = len(self.cont_prior)
-        coords = {name: (np.zeros(self.n), np.eye(d)[j]) for j, name in enumerate(self.cont_prior)}
+        self.cont = self.cont_prior + self.aux_cont
+        d = len(self.cont)
+        coords = {name: (np.zeros(self.n), np.eye(d)[j]) for j, name in enumerate(self.cont)}
         affine = _Affine(eq_map, self.n, d, coords, self.evidence, {})
         rows, rhs = [], []
         for name in list(self.eliminate_nodes):
@@ -491,7 +498,7 @@ class _Target:
             rep = affine.equation(eq_map[name])
             if rep is None:
                 anc = _ancestor_closure(self.model, [name]) - {name}
-                if anc & (set(self.cont_prior) | set(self.aux_cont)):
+                if anc & set(self.cont):
                     raise NonFiniteDensity(
                         f"{name}: zero-noise evidence child mixes continuous latents "
                         "and non-linear structure")
@@ -507,8 +514,8 @@ class _Target:
 
         self.prior_mean = np.array([prior_map[n].mean for n in self.cont_prior])
         self.prior_std = np.array([max(prior_map[n].std, 0.0) for n in self.cont_prior])
-        solution, vt, rank = _solve(rows, rhs, d, n_records, True, ZeroPosteriorMass,
-                                    self.prior_mean)
+        mean0 = np.concatenate([self.prior_mean, np.zeros(len(self.aux_cont))])
+        solution, vt, rank = _solve(rows, rhs, d, n_records, True, ZeroPosteriorMass, mean0)
         self.part_solution = np.tile(solution, (copies, 1))
         self.null_basis = vt[rank:].T  # (d, f)
         self.free_dim = self.null_basis.shape[1]
@@ -589,26 +596,38 @@ class _Target:
     # -- state handling --------------------------------------------------
 
     def cont_values(self, t: np.ndarray) -> np.ndarray:
-        """Reconstruct cont_prior values (R, d) from free coordinates t (R, f)."""
-        if not self.cont_prior:
+        """Reconstruct the continuous block's values (R, d) from free coordinates t (R, f)."""
+        if not self.cont:
             return self.part_solution
         return self.part_solution + t @ self.null_basis.T
 
-    def resolve(self, cont: np.ndarray, codes: np.ndarray, aux_c: np.ndarray):
+    def initial_t(self) -> np.ndarray:
+        """Free coordinates of the start: the particular solution, with each
+        aux_cont node at its conditional mean given the values before it and
+        the first value of every discrete variable, projected onto the evidence.
+        Without aux_cont nodes these are zeros."""
+        t = np.zeros((self.n, self.free_dim))
+        if not self.aux_cont:
+            return t
+        start = self.cont_values(t)
+        num, _ = self.resolve(start, np.zeros((self.n, len(self.disc_names)), dtype=np.intp))
+        for j, name in enumerate(self.aux_cont, len(self.cont_prior)):
+            start[:, j] = num[name] = self._eta(name, num)
+        return (start - self.part_solution) @ self.null_basis
+
+    def resolve(self, cont: np.ndarray, codes: np.ndarray):
         """(float values, int codes) of every variable the density reads.
 
         codes holds one column per disc_names entry.
         """
         num = dict(self.base_num)
         cod = dict(self.base_codes)
-        for j, name in enumerate(self.cont_prior):
+        for j, name in enumerate(self.cont):
             num[name] = cont[:, j]
         for k, name in enumerate(self.disc_names):
             cod[name] = codes[:, k]
             if name in self.numeric:
                 num[name] = self.numeric[name][codes[:, k]]
-        for j, name in enumerate(self.aux_cont):
-            num[name] = aux_c[:, j]
         for name in self.determined:
             dense = self.tables.get(name)
             if dense is None:
@@ -623,10 +642,10 @@ class _Target:
                 num[name] = self.numeric[name][cod[name]]
         return num, cod
 
-    def log_density(self, t, codes, aux_c) -> np.ndarray:
+    def log_density(self, t, codes) -> np.ndarray:
         """Per-record log-density; call under np.errstate(divide/invalid="ignore")."""
         cont = self.cont_values(t)
-        num, cod = self.resolve(cont, codes, aux_c)
+        num, cod = self.resolve(cont, codes)
         logp = np.zeros(self.n)
         for j, name in enumerate(self.cont_prior):
             std = self.prior_std[j]
@@ -725,7 +744,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     if unknown:
         raise UnknownVariable(f"{unknown} are neither exogenous nor sampler state")
 
-    n_cont = target.free_dim + len(target.aux_cont)
+    n_cont = target.free_dim
     n_disc = len(target.disc_names)
     sizes = np.array([len(target.values_of[n]) for n in target.disc_names], dtype=np.intp)
     # per-step slots: continuous moves, discrete re-proposals, the accept test
@@ -733,15 +752,14 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     block = max(1, _BLOCK_VALUES // max(1, target.n * len(slots)))
     total_steps = config.burn_in + config.kept * config.thin
 
-    # impossible states score -inf (log 0, inf - inf) and are rejected
+    # impossible states score -inf (log 0, inf - inf) and are rejected, so a
+    # finite log density is never replaced by -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.zeros((target.n, target.free_dim))
-        aux_c = _init_aux(target)
+        t = target.initial_t()
         codes = _init_disc(target)
-        logp = target.log_density(t, codes, aux_c)
+        logp = target.log_density(t, codes)
         if not np.all(np.isfinite(logp)):
-            codes, logp = _feasible_init(target, t, aux_c, codes, logp)
-        ever_finite = np.isfinite(logp)
+            codes, logp = _feasible_init(target, t, codes, logp)
 
         head = rng.key_bits(config.seed, rng.TAG_MH, np.tile(rows, chains),
                             np.repeat(chain_ids, n_records))[None, :, None]
@@ -754,23 +772,23 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
             proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
             log_u = np.log(u[:, :, -1])
             for i, step in enumerate(range(start, start + len(steps))):
-                t_new = t + moves[i, :, :target.free_dim] if target.free_dim else t
-                aux_new = aux_c + moves[i, :, target.free_dim:] if target.aux_cont else aux_c
-                logp_new = target.log_density(t_new, proposals[i], aux_new)
+                t_new = t + moves[i] if n_cont else t
+                logp_new = target.log_density(t_new, proposals[i])
                 take = log_u[i] < (logp_new - logp)
                 take |= np.isfinite(logp_new) & ~np.isfinite(logp)
                 if n_cont or n_disc:
-                    if target.free_dim:
+                    if n_cont:
                         t = np.where(take[:, None], t_new, t)
-                    if target.aux_cont:
-                        aux_c = np.where(take[:, None], aux_new, aux_c)
                     if n_disc:
                         codes = np.where(take[:, None], proposals[i], codes)
                     logp = np.where(take, logp_new, logp)
-                ever_finite |= np.isfinite(logp)
                 if step >= config.burn_in:
                     accepted += take.astype(float)
                     if (step - config.burn_in + 1) % config.thin == 0:
+                        if kept_i == 0 and not np.all(np.isfinite(logp)):
+                            stuck = np.flatnonzero(~per_record(np.isfinite(logp)).all(axis=1))
+                            raise ZeroPosteriorMass(
+                                f"no feasible background state for record(s) {stuck[:5].tolist()}")
                         cont = target.cont_values(t)
                         for j, c in cont_cols:
                             kept_out[:, :, kept_i, j] = per_record(cont[:, c])
@@ -780,27 +798,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     acceptance = per_record(accepted / max(1, config.kept * config.thin)).copy()
     if independent:
         _draw_independent(kept_out, target.prior_map, independent, config, rows, chain_ids)
-
-    ever_finite = per_record(ever_finite).any(axis=1)
-    if not ever_finite.all():
-        raise ZeroPosteriorMass(
-            f"no feasible background state for record(s) {np.flatnonzero(~ever_finite)[:5].tolist()}")
     return PosteriorDraws(tuple(names), out, acceptance)
-
-
-def _init_aux(target: _Target) -> np.ndarray:
-    """Start auxiliary continuous nodes at their conditional means."""
-    if not target.aux_cont:
-        return np.zeros((target.n, 0))
-    cont = target.cont_values(np.zeros((target.n, target.free_dim)))
-    codes = np.zeros((target.n, len(target.disc_names)), dtype=np.intp)
-    num, _ = target.resolve(cont, codes, np.zeros((target.n, len(target.aux_cont))))
-    cols = []
-    for name in target.aux_cont:
-        eta = target._eta(name, num)
-        num[name] = eta
-        cols.append(eta)
-    return np.column_stack(cols)
 
 
 def _init_disc(target: _Target) -> np.ndarray:
@@ -814,7 +812,7 @@ def _init_disc(target: _Target) -> np.ndarray:
     return codes
 
 
-def _feasible_init(target, t, aux_c, codes, logp):
+def _feasible_init(target, t, codes, logp):
     """Scan small discrete supports for a per-record feasible assignment."""
     sizes = [len(target.values_of[n]) for n in target.disc_names]
     if not sizes or math.prod(sizes) > 4096:
@@ -823,7 +821,7 @@ def _feasible_init(target, t, aux_c, codes, logp):
     best_logp = logp.copy()
     for combo in product(*(range(s) for s in sizes)):
         trial = np.broadcast_to(np.array(combo, dtype=np.intp), codes.shape)
-        lp = target.log_density(t, trial, aux_c)
+        lp = target.log_density(t, trial)
         upgrade = np.isfinite(lp) & ~np.isfinite(best_logp)
         if upgrade.any():
             best = np.where(upgrade[:, None], trial, best)

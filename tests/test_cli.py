@@ -344,7 +344,13 @@ def test_experiment_config_errors(tmp_path, capsys):
                              "draws must be an integer, got 'many'"),
                             ({"audits": [{"criterion": "strict", "a": {"A": 1},
                                           "a_prime": {"A": -1}, "max_records": "all"}]},
-                             "max_records must be an integer, got 'all'")):
+                             "max_records must be an integer, got 'all'"),
+                            ({"audits": [{"criterion": "cf", "a": {"A": 1},
+                                          "a_prime": {"A": -1}, "threshold": "high"}]},
+                             "threshold must be a number, got 'high'"),
+                            ({"audits": [{"criterion": "strict", "a": {"A": 1},
+                                          "a_prime": {"A": -1}, "tol": "tiny"}]},
+                             "tol must be a number, got 'tiny'")):
         bad.write_text(json.dumps({**base, **change}))
         assert main(["experiment", str(bad), "--out", str(tmp_path / "o3")]) == 1
         assert capsys.readouterr().err == f"config: {message}\n"

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
+from scipy.special import expit
 
 from cfair import (
     BernoulliLogit,
@@ -343,6 +344,7 @@ ABDUCTION_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("block_values", [1, 70, None])
 @pytest.mark.parametrize("name", sorted(ABDUCTION_DIGESTS))
 def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values, monkeypatch):
@@ -389,7 +391,44 @@ def test_feasible_init_skips_more_than_4096_combinations():
     target = SimpleNamespace(disc_names=names, values_of={n: (0, 1) for n in names},
                              log_density=unreachable)
     codes, logp = np.zeros((1, 64), dtype=np.intp), np.array([-np.inf])
-    assert counterfactual._feasible_init(target, None, None, codes, logp) == (codes, logp)
+    assert counterfactual._feasible_init(target, None, codes, logp) == (codes, logp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_chain_still_in_an_impossible_state_raises(seed):
+    # P has 5,000 values, above _feasible_init's scan cap, so both records'
+    # chains start at P = 0, where E = 1 is impossible; the second record's
+    # chain once kept every draw before its first move to P = 4999
+    values = tuple(range(5000))
+    model = CausalModel(
+        variables=(Variable("P", Role.BACKGROUND, domain=values),
+                   Variable("E", Role.OBSERVED, domain=(0, 1))),
+        equations=(StructuralEquation("E", ("P",), DeterministicTable(
+            {(p,): int(p == 4999) for p in values})),),
+        priors={"P": CategoricalPrior(values, (1 / 5000,) * 5000)})
+    config = McmcConfig(chains=1, burn_in=0, kept=20000, thin=1, seed=seed)
+    with pytest.raises(ZeroPosteriorMass, match=r"record\(s\) \[1\]"):
+        abduct_records(model, {"E": np.array([0, 1])}, config)
+
+
+def test_mh_solves_zero_noise_evidence_on_a_latent_noisy_node():
+    # U -> H (noise 0.5) -> X (no noise), B ~ BernoulliLogit(U): the Bernoulli
+    # child leaves the exact route, and X = 0.3 pins H, a latent node of the
+    # sampler's continuous block; the U mean must match 1-D quadrature
+    model = CausalModel(
+        variables=(Variable("U", Role.BACKGROUND), Variable("H", Role.OBSERVED),
+                   Variable("X", Role.OBSERVED), Variable("B", Role.OBSERVED, domain=(0, 1))),
+        equations=(StructuralEquation("H", ("U",), LinearGaussian(0.0, (1.0,), 0.5)),
+                   StructuralEquation("X", ("H",), LinearGaussian(0.0, (1.0,), 0.0)),
+                   StructuralEquation("B", ("U",), BernoulliLogit(0.0, (1.0,)))),
+        priors={"U": NormalPrior(0.0, 1.0)})
+    assert not exact_available(model, {"X": 0.3, "B": 1})
+    post = abduct_records(model, {"X": np.array([0.3]), "B": np.array([1])},
+                          McmcConfig(chains=2, burn_in=500, kept=2000, thin=5, seed=0))
+    u = post.column("U")
+    weight = lambda v: stats.norm.pdf(v) * stats.norm.pdf(0.3, v, 0.5) * expit(v)
+    mean = integrate.quad(lambda v: v * weight(v), -10, 10)[0] / integrate.quad(weight, -10, 10)[0]
+    assert abs(u.mean() - mean) <= 5 * batch_se(u), (u.mean(), mean, batch_se(u))
 
 
 def test_numeric_domains_give_float_draws():
@@ -476,6 +515,7 @@ EXACT_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
 def test_exact_route_is_byte_identical(name):
     assert digest(_exact_outputs(name)) == EXACT_DIGESTS[name]
@@ -493,6 +533,7 @@ def _dataset_digest(data) -> str:
 CF_SAMPLE_MCMC_DIGEST = "87a5236b4766efd3"
 
 
+@pytest.mark.digest
 def test_counterfactual_sample_mcmc_route_is_byte_identical():
     model, _ = loan(n=10, seed=0)
     config = McmcConfig(chains=2, burn_in=40, kept=15, thin=2, seed=6)

@@ -270,5 +270,6 @@ LATENT_FIT_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 def test_latent_fit_is_byte_identical():
     assert _latent_fit_outputs() == LATENT_FIT_DIGESTS

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from scipy.special import expit
+
 from cfair import (
+    BernoulliLogit,
     CategoricalPrior,
     CausalModel,
     Dataset,
@@ -381,6 +384,69 @@ def test_sufficiency_counts_joint_states_without_wrapping():
     assert out["probability"] == 1.0  # P0 = 0, so X = 0 under do(A = 0)
 
 
+def _likelihood_model(q_values=None) -> CausalModel:
+    """A and background P (and Q, with q_values as its prior) feed a table D;
+    P (and Q) feed a Bernoulli E, a normal G and a Poisson C, observed as
+    _LIKELIHOOD_RECORD. Without Q, D = A xor P; with it, D = A * P + [Q == 2]."""
+    variables = [Variable("A", Role.PROTECTED, domain=(0, 1)),
+                 Variable("P", Role.BACKGROUND, domain=(0, 1)),
+                 Variable("D", Role.OBSERVED, domain=(0, 1, 2)),
+                 Variable("E", Role.OBSERVED, domain=(0, 1)),
+                 Variable("G", Role.OBSERVED), Variable("C", Role.OBSERVED)]
+    priors = {"A": CategoricalPrior((0, 1), (0.5, 0.5)), "P": CategoricalPrior((0, 1), (0.6, 0.4))}
+    if q_values is None:
+        parents, q_w = ("P",), ()
+        table = {(a, p): a ^ p for a in (0, 1) for p in (0, 1)}
+    else:
+        variables.append(Variable("Q", Role.BACKGROUND, domain=(0, 1, 2)))
+        priors["Q"] = CategoricalPrior((0, 1, 2), q_values)
+        parents, q_w = ("P", "Q"), (-0.4,)
+        table = {(a, p, q): a * p + (q == 2) for a in (0, 1) for p in (0, 1) for q in (0, 1, 2)}
+    return CausalModel(
+        variables=tuple(variables),
+        equations=(StructuralEquation("D", ("A",) + parents, DeterministicTable(table)),
+                   StructuralEquation("E", parents, BernoulliLogit(-0.3, (1.5,) + q_w)),
+                   StructuralEquation("G", parents, LinearGaussian(0.2, (1.0,) + q_w, 0.5)),
+                   StructuralEquation("C", parents, PoissonLogLink(0.2, (0.5,) + q_w))),
+        priors=priors)
+
+
+_LIKELIHOOD_RECORD = {"A": 1, "E": 1, "G": 0.7, "C": 2}
+
+
+def _likelihood_weight(p: int, q: int = 0) -> float:
+    """Unnormalised posterior weight of the state (P, Q) = (p, q) given
+    _LIKELIHOOD_RECORD, where Q enters every likelihood with weight -0.4."""
+    return (expit(-0.3 + 1.5 * p - 0.4 * q) * stats.norm.pdf(0.7, 0.2 + p - 0.4 * q, 0.5)
+            * stats.poisson.pmf(2, np.exp(0.2 + 0.5 * p - 0.4 * q)))
+
+
+def test_sufficiency_enumeration_weighs_bernoulli_normal_and_poisson_evidence():
+    # the enumeration multiplies each state's prior by the likelihood of every
+    # observed stochastic child; D = 1 only where P = 0
+    model = _likelihood_model()
+    out = prob_sufficiency(model, _reader(model, {"D": 1.0}), _LIKELIHOOD_RECORD, 1.0, {"A": 0})
+    w = [0.6 * _likelihood_weight(0), 0.4 * _likelihood_weight(1)]
+    assert out["method"] == "enumeration"
+    assert abs(out["conditioned_mass"] - w[0] / sum(w)) <= 1e-12
+    assert out["probability"] == 1.0  # do(A = 0) turns D = 1 into D = 0
+
+
+def test_sufficiency_enumeration_over_two_latents():
+    # D = 1 at (P, Q) = (1, 0), (1, 1) and (0, 2); under do(A = 0) only the
+    # last keeps D = 1
+    q_prior = (0.2, 0.5, 0.3)
+    model = _likelihood_model(q_prior)
+    out = prob_sufficiency(model, _reader(model, {"D": 1.0}), _LIKELIHOOD_RECORD, 1.0, {"A": 0})
+    w = {(p, q): (0.6, 0.4)[p] * q_prior[q] * _likelihood_weight(p, q)
+         for p in (0, 1) for q in (0, 1, 2)}
+    kept = w[1, 0] + w[1, 1] + w[0, 2]
+    assert out["method"] == "enumeration" and out["states"] == 6
+    assert abs(out["conditioned_mass"] - kept / sum(w.values())) <= 1e-12
+    assert abs(out["probability"] - (w[1, 0] + w[1, 1]) / kept) <= 1e-12
+    assert 0.0 < out["probability"] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # pinned outputs
 
@@ -569,6 +635,7 @@ AUDIT_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("name", sorted(AUDIT_DIGESTS))
 def test_audit_outputs_are_byte_identical(name):
     out = _audit_outputs(name)

@@ -196,6 +196,7 @@ TYPED_COLUMN_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 def test_prior_and_table_columns_are_byte_identical():
     data = ancestral_sample(_typed_columns_model(), 40, seed=9)
     got = {c: (str(data.column(c).dtype), digest(data.column(c))) for c in data.columns}
@@ -241,6 +242,7 @@ POISSON_DIGESTS = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("name", sorted(POISSON_DIGESTS))
 def test_poisson_draws_are_byte_identical(name):
     assert digest(_poisson_outputs(name)) == POISSON_DIGESTS[name]
