@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .counterfactual import McmcConfig
+from .counterfactual import McmcConfig, _reuse_posteriors
 from .dataset import Dataset, _format_value
 from .errors import CfairError
 from .estimators import fit_level2_latent
@@ -76,12 +77,18 @@ def _assignment(text: str) -> tuple[str, object]:
 
 
 def _config_number(value, kind: type, what: str):
-    """kind(value) for int or float; a config error when value does not convert."""
+    """kind(value) for int or float; a config error when value does not convert,
+    is a bool, is a fractional number for an int or is not finite for a float."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
         noun = "an integer" if kind is int else "a number"
-        raise _Failure(f"config: {what} must be {noun}, got {value!r}") from None
+        raise _Failure(f"config: {what} must be {noun}, got {value!r}")
+    if kind is float and not math.isfinite(number):
+        raise _Failure(f"config: {what} must be a finite number, got {value!r}")
+    return number
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -250,9 +257,9 @@ _AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
                  "threshold": float, "tie_frac": float, "tol": float, "y": float}
 
 
-def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
-               outcome: str, config: McmcConfig):
-    """Run one audit spec; returns (summary dict, FairnessReport or None)."""
+def _audit_args(spec: dict):
+    """(criterion, a, a_prime, numeric fields) of an audit spec; config errors
+    for an unknown criterion, a missing assignment or a malformed number."""
     crit = spec.get("criterion")
     if crit not in CRITERIA:
         raise _Failure(f"config: unknown audit criterion {crit!r}; "
@@ -265,6 +272,13 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         raise _Failure("config: criterion ps needs --a-prime")
     num = {k: _config_number(spec[k], kind, k) for k, kind in _AUDIT_FIELDS.items()
            if spec.get(k) is not None}
+    return crit, a, ap, num
+
+
+def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
+               outcome: str, config: McmcConfig):
+    """Run one audit spec; returns (summary dict, FairnessReport or None)."""
+    crit, a, ap, num = _audit_args(spec)
 
     def picked(*names) -> dict:
         return {k: num[k] for k in names if k in num}
@@ -473,13 +487,17 @@ def _normalize_recipes(cfg: dict) -> list[dict]:
 
 
 def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
-    """Split, fit every recipe, audit, and write report files; exit code."""
+    """Split, fit every recipe, then run each audit spec across the recipes,
+    and write report files; exit code. Stdout holds each recipe's metric line
+    and its audit lines, recipe by recipe."""
     model, obs, source = _resolve_experiment(cfg, seed)
     outcome = _single_outcome(model, cfg.get("outcome"))
     head = cfg.get("head", "linear")
     mcmc = _mcmc_from_blob(cfg.get("mcmc"), seed)
     recipes = _normalize_recipes(cfg)
     audits_cfg = cfg.get("audits", [])
+    for audit_spec in audits_cfg:  # a malformed spec fails before any fit
+        _audit_args(dict(audit_spec))
     subset_name = cfg.get("audit_subset", "test")
     if subset_name not in ("train", "test", "all"):
         raise _Failure(f"config: audit_subset must be train, test, or all, "
@@ -515,8 +533,8 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
                         "stratified": stratified},
               "recipes": {}}
 
-    metric_rows = []
-    failures = 0
+    # fit phase: every recipe is fitted, saved, and scored on the test rows
+    predictors = {}
     for rc in recipes:
         name = rc["recipe"]
         head_r = rc.get("head", head)
@@ -529,32 +547,38 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
                        fit_meta={"recipe": name, "seed": seed})
         preds = fair_predict(predictor, predict_model, test, config=mcmc)
         metric_name, value = _test_metric(head_r, test.numeric(outcome), preds)
-        metric_rows.append((name, head_r, metric_name, value, train.n, test.n))
-        print(f"{name}: {metric_name}={value:.6g} "
-              f"(n_train={train.n}, n_test={test.n})")
+        report["recipes"][name] = {"head": head_r, "metric": metric_name,
+                                   "value": value, "audits": []}
+        predictors[name] = predictor
 
-        entry = {"head": head_r, "metric": metric_name, "value": value,
-                 "audits": []}
-        for i, audit_spec in enumerate(audits_cfg):
-            summary, rep = _run_audit(dict(audit_spec), predictor, model,
-                                      audit_data, outcome, mcmc)
-            entry["audits"].append(summary)
-            if summary["passed"] is False:
-                failures += 1
-            if rep is not None and rep.densities:
-                _write_density_csv(
-                    rep, densities_dir / f"{name}_{i}_{summary['criterion']}.csv")
+    # audit phase: each spec runs across the recipes, which audit the same
+    # model on the same records, so one MH posterior serves them all
+    failures = 0
+    for i, audit_spec in enumerate(audits_cfg):
+        with _reuse_posteriors():
+            for name, predictor in predictors.items():
+                summary, rep = _run_audit(dict(audit_spec), predictor, model,
+                                          audit_data, outcome, mcmc)
+                report["recipes"][name]["audits"].append(summary)
+                if summary["passed"] is False:
+                    failures += 1
+                if rep is not None and rep.densities:
+                    _write_density_csv(
+                        rep, densities_dir / f"{name}_{i}_{summary['criterion']}.csv")
+    for name, entry in report["recipes"].items():
+        print(f"{name}: {entry['metric']}={entry['value']:.6g} "
+              f"(n_train={train.n}, n_test={test.n})")
+        for summary in entry["audits"]:
             print(f"  audit {summary['criterion']}: {_verdict(summary)} "
                   f"aggregate={_fmt(summary['aggregate'])}")
-        report["recipes"][name] = entry
 
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("recipe", "head", "metric", "value",
                          "n_train", "n_test"))
-        for row in metric_rows:
-            writer.writerow((row[0], row[1], row[2], _format_value(row[3]),
-                             row[4], row[5]))
+        for name, entry in report["recipes"].items():
+            writer.writerow((name, entry["head"], entry["metric"],
+                             _format_value(entry["value"]), train.n, test.n))
     _write_json(report, out_dir / "report.json")
     print(f"wrote {out_dir / 'report.json'}")
     return 2 if strict and failures else 0

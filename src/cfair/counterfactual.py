@@ -36,6 +36,10 @@ Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
 normals plus equation noises, the sampler's are the continuous block's values.
 
+Inside a _reuse_posteriors scope, abduct_records hands back its last result,
+read-only, when it is called again with the same model, evidence, config and
+names; outside one it keeps nothing.
+
 Prediction (counterfactual_sample) replaces equations per the intervention
 and evaluates forward once per posterior draw. Equation noise is redrawn,
 keyed by (seed, draw, variable name), so runs that differ only in the
@@ -45,6 +49,10 @@ intervened set reproduce bit-identically across such runs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -77,6 +85,7 @@ from .scm import (
     _prior_column,
     forward_eval,
     intervene,
+    model_to_json,
     require_valid,
 )
 
@@ -90,6 +99,10 @@ _CONSISTENCY_TOL = 1e-8
 # arrays are most of the sampler's memory, so the block stays small: one
 # record through 2 chains of 10,500 steps with 3 slots fills 4 blocks.
 _BLOCK_VALUES = 1 << 14
+
+# the innermost _reuse_posteriors scope's one-result store: None outside every
+# scope, else a list that is empty or holds one (key, PosteriorDraws)
+_REUSE: contextvars.ContextVar = contextvars.ContextVar("cfair_reuse", default=None)
 
 
 @dataclass(frozen=True)
@@ -717,8 +730,14 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     _BLOCK_VALUES values at a time. Draws are float64 when every requested
     variable's domain is numeric, otherwise object. Returned names default
     to all exogenous variables not in the evidence (backgrounds first).
+    Inside a _reuse_posteriors scope a repeated call returns the kept result.
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
+    reuse = _REUSE.get()
+    if reuse is not None:
+        key = _reuse_key(model, evidence_cols, config, names)
+        if reuse and reuse[0] == key:
+            return reuse[1]
     chains = config.chains
     target = _Target(model, evidence_cols, n_records, order, chains)
 
@@ -798,7 +817,40 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     acceptance = per_record(accepted / max(1, config.kept * config.thin)).copy()
     if independent:
         _draw_independent(kept_out, target.prior_map, independent, config, rows, chain_ids)
-    return PosteriorDraws(tuple(names), out, acceptance)
+    posterior = PosteriorDraws(tuple(names), out, acceptance)
+    if reuse is not None:
+        out.flags.writeable = acceptance.flags.writeable = False
+        reuse[:] = (key, posterior)
+    return posterior
+
+
+@contextlib.contextmanager
+def _reuse_posteriors():
+    """A scope in which abduct_records keeps its last result and returns it,
+    instead of sampling again, to a call with the same key (_reuse_key). The
+    kept draws and acceptance are read-only; each new key replaces the last."""
+    token = _REUSE.set([])
+    try:
+        yield
+    finally:
+        _REUSE.reset(token)
+
+
+def _reuse_key(model: CausalModel, evidence_cols: dict[str, np.ndarray],
+               config: McmcConfig, names: tuple[str, ...]) -> bytes:
+    """SHA-256 over all that an abduct_records result depends on: the model's
+    JSON, each evidence column's name, dtype and values, the config and names."""
+    parts = [json.dumps(model_to_json(model), sort_keys=True).encode(),
+             repr(config).encode(), repr(tuple(names)).encode()]
+    for name, col in evidence_cols.items():
+        col = np.asarray(col)
+        parts += [name.encode(), col.dtype.str.encode(),
+                  repr(col.tolist()).encode() if col.dtype == object else col.tobytes()]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.digest()
 
 
 def _init_disc(target: _Target) -> np.ndarray:

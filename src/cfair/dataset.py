@@ -244,22 +244,30 @@ def _read_numeric(path, gone: frozenset) -> tuple[list[str], dict] | None:
         table = np.loadtxt(path, dtype=np.float64, ndmin=2, usecols=keep, **_LOADTXT)
     except ValueError:  # a cell that is not a number
         return None
-    data = {}
-    for j, col in zip(keep, table.T):
-        if np.isfinite(col).all() and (np.trunc(col) == col).all():
-            ints = _read_int64(path, j)
-            col = col if ints is None else ints
-        data[header[j]] = col
+    data = {header[j]: col for j, col in zip(keep, table.T)}
+    # columns of integral floats may be int64 columns: one strict int pass reads
+    # them all, and only when some cell fails is each column retried alone
+    integral = [j for j, col in zip(keep, table.T)
+                if np.isfinite(col).all() and (np.trunc(col) == col).all()]
+    ints = _read_int64(path, integral) if integral else None
+    if ints is not None:
+        data.update((header[j], col) for j, col in zip(integral, ints.T))
+    elif len(integral) > 1:
+        for j in integral:
+            col = _read_int64(path, [j])
+            if col is not None:
+                data[header[j]] = col[:, 0]
     return header, data
 
 
-def _read_int64(path, j: int) -> np.ndarray | None:
-    """Column j as int64 if every cell is an integer literal that fits, else None."""
+def _read_int64(path, usecols: list[int]) -> np.ndarray | None:
+    """The columns in usecols as int64, (rows, columns), if every cell is an
+    integer literal that fits, else None."""
     with warnings.catch_warnings():
         # numpy < 2 reads "1.0" as an integer with a DeprecationWarning
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            return np.loadtxt(path, dtype=np.int64, usecols=[j], ndmin=1, **_LOADTXT)
+            return np.loadtxt(path, dtype=np.int64, usecols=usecols, ndmin=2, **_LOADTXT)
         except (ValueError, DeprecationWarning):
             return None
 

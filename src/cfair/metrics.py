@@ -63,6 +63,9 @@ _ACE_BAND = 0.05
 _STRICT_TOL = 1e-9
 _MATCH_TOL = 1e-6
 _MAX_ENUM = 1_000_000
+# scores per block of _ks_records' rows: the block's sort and count arrays stay
+# near a megabyte each at any record and draw count
+_KS_BLOCK_VALUES = 1 << 15
 
 
 def ks_2sample(x: np.ndarray, y: np.ndarray) -> float:
@@ -77,19 +80,27 @@ def ks_2sample(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def _resolution_ks(x: np.ndarray, y: np.ndarray, tie_tol: float) -> float:
-    """KS at a finite resolution: equal-size samples whose sorted values differ
-    by at most tie_tol everywhere count as identical.
+def _sorted_ks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ks_2sample of each row pair of x and y, (rows, m) each and sorted along
+    rows, bit for bit.
 
-    Zero-noise models give degenerate per-record posteriors, so a fitted
-    predictor that is fair in population terms still shows an O(estimation
-    error) atom shift; plain KS would read any such shift as 1.0. tie_tol sets
-    the smallest shift the audit can resolve.
+    One stable sort merges each row pair. At the end of each tie group the
+    counts cx and cy of x and y values so far are what searchsorted(...,
+    side="right") gives for that value, so cx/m - cy/m is ks_2sample's
+    difference there. NaNs sort last and tie with each other, as there.
     """
-    if tie_tol > 0.0 and len(x) == len(y):
-        if np.max(np.abs(np.sort(x) - np.sort(y))) <= tie_tol:
-            return 0.0
-    return ks_2sample(x, y)
+    m = x.shape[1]
+    if m == 0:
+        raise EmptyInputs("KS statistic needs non-empty samples")
+    merged = np.concatenate([x, y], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    values = np.take_along_axis(merged, order, axis=1)
+    cx = np.cumsum(order < m, axis=1)
+    cy = np.arange(1, 2 * m + 1) - cx
+    ends = np.ones(values.shape, dtype=bool)
+    ends[:, :-1] = (values[:, 1:] != values[:, :-1]) & ~(
+        np.isnan(values[:, 1:]) & np.isnan(values[:, :-1]))
+    return np.where(ends, np.abs(cx / m - cy / m), 0.0).max(axis=1)
 
 
 def _py(v):
@@ -207,11 +218,27 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
 def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray,
                 tie_frac: float):
     """({"record", "ks"} per record, worst KS, tie tolerance) of paired (records,
-    draws) scores; the tolerance is tie_frac times their pooled spread."""
+    draws) scores; the tolerance is tie_frac times their pooled spread.
+
+    A record's KS is taken at that finite resolution: when its two sorted
+    samples differ by at most the tolerance everywhere it is 0, else
+    ks_2sample of the two. Zero-noise models give degenerate per-record
+    posteriors, so a fitted predictor that is fair in population terms still
+    shows an O(estimation error) atom shift; plain KS would read any such
+    shift as 1.0. The tolerance sets the smallest shift the audit can resolve.
+    """
     tie_tol = tie_frac * float(np.std(np.concatenate([scores_f.ravel(),
                                                       scores_cf.ravel()])))
-    ks = [_resolution_ks(f, cf, tie_tol) for f, cf in zip(scores_f, scores_cf)]
-    per_record = [{"record": int(ridx), "ks": float(v)} for ridx, v in zip(indices, ks)]
+    ks = np.zeros(len(scores_f))
+    rows = max(1, _KS_BLOCK_VALUES // max(1, scores_f.shape[1]))
+    for lo in range(0, len(ks), rows):
+        f = np.sort(np.asarray(scores_f[lo:lo + rows], dtype=np.float64), axis=1)
+        cf = np.sort(np.asarray(scores_cf[lo:lo + rows], dtype=np.float64), axis=1)
+        resolved = np.ones(len(f), dtype=bool)
+        if tie_tol > 0.0:
+            resolved = ~(np.abs(f - cf).max(axis=1) <= tie_tol)
+        ks[lo:lo + rows][resolved] = _sorted_ks(f[resolved], cf[resolved])
+    per_record = [{"record": int(ridx), "ks": v} for ridx, v in zip(indices, ks.tolist())]
     return per_record, float(np.max(ks)), tie_tol
 
 

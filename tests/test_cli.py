@@ -1,4 +1,6 @@
+import contextlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import csv_oracle
 from cfair import (SCENARIO_KINDS, Dataset, ScenarioParams, ancestral_sample, generate,
                    load_model, load_predictor, save_model)
+from cfair import cli, counterfactual
 from cfair.cli import main
 from helpers import chain_model, red_car, split_outcome_model
 
@@ -320,6 +323,54 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert density.read_text().splitlines()[0] == "value,branch"
 
 
+def _experiment_files(out_dir) -> dict:
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_experiment_without_the_reuse_scope_gives_the_same_bytes(tmp_path, capsys,
+                                                                 monkeypatch):
+    # every recipe's race audit reads one MH posterior, and so does every sex
+    # audit; without the scope each recipe abducts its own
+    cfg = {
+        "scenario": {"kind": "law_school", "n": 300, "seed": 4},
+        "outcome": "FYA",
+        "recipes": ["full", "unaware", "fair_add"],
+        "mcmc": {"chains": 2, "burn_in": 20, "kept": 10, "thin": 1},
+        "audits": [{"criterion": "cf", "a": {"R": 1}, "a_prime": {"R": 0},
+                    "draws": 20, "max_records": 15},
+                   {"criterion": "cf", "a": {"S": 1}, "a_prime": {"S": 0},
+                    "draws": 20, "max_records": 15}],
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    targets = []
+    target = counterfactual._Target
+
+    def counted(*args, **kwargs):
+        targets.append(1)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(counterfactual, "_Target", counted)
+    runs = []
+    for scope in (cli._reuse_posteriors, contextlib.nullcontext):
+        monkeypatch.setattr(cli, "_reuse_posteriors", scope)
+        targets.clear()
+        out_dir = tmp_path / "run"
+        assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "2"]) == 0
+        runs.append((capsys.readouterr().out, _experiment_files(out_dir), len(targets)))
+        shutil.rmtree(out_dir)
+    (out, files, sampled), (out_no_scope, files_no_scope, sampled_no_scope) = runs
+    assert out == out_no_scope
+    assert files == files_no_scope
+    assert {"report.json", "metrics.csv", "densities/full_1_cf.csv"} <= set(files)
+    assert (sampled, sampled_no_scope) == (2, 6)
+    # each recipe's metric line, then its audit lines, recipe by recipe
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+        "full", "  audit cf", "  audit cf", "unaware", "  audit cf", "  audit cf",
+        "fair_add", "  audit cf", "  audit cf"]
+
+
 def test_experiment_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"kind": "red_car"}}))
@@ -354,3 +405,33 @@ def test_experiment_config_errors(tmp_path, capsys):
         bad.write_text(json.dumps({**base, **change}))
         assert main(["experiment", str(bad), "--out", str(tmp_path / "o3")]) == 1
         assert capsys.readouterr().err == f"config: {message}\n"
+
+
+@pytest.mark.parametrize("audit, message", [
+    # a fractional index used to audit the record below it
+    ({"criterion": "ps", "a_prime": {"A": -1}, "record": 1.9},
+     "record must be an integer, got 1.9"),
+    ({"criterion": "cf", "a": {"A": 1}, "a_prime": {"A": -1}, "draws": True},
+     "draws must be an integer, got True"),
+    # every <= test against a nan threshold is false
+    ({"criterion": "cf", "a": {"A": 1}, "a_prime": {"A": -1}, "threshold": "nan"},
+     "threshold must be a finite number, got 'nan'"),
+    ({"criterion": "strict", "a": {"A": 1}, "a_prime": {"A": -1}, "tol": float("inf")},
+     "tol must be a finite number, got inf"),
+], ids=["fractional-int", "bool-int", "nan-float", "inf-float"])
+def test_experiment_rejects_fractional_integers_bools_and_non_finite_numbers(
+        tmp_path, capsys, audit, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": 50},
+                               "recipes": ["full"], "audits": [audit]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config: {message}\n"
+    # audit specs are checked before any recipe is fitted
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_numbers_accept_integral_floats_and_numeric_strings():
+    assert cli._config_number(3.0, int, "draws") == 3
+    assert cli._config_number("7", int, "seed") == 7
+    assert cli._config_number("0.25", float, "threshold") == 0.25
+    assert cli._config_number(2, float, "tol") == 2.0

@@ -556,3 +556,78 @@ def test_exogenous_draws_cycle_the_posterior_draw_matrix():
     for j, name in enumerate(latent):
         np.testing.assert_array_equal(draws[name], matrix[0, np.arange(50) % config.draws, j])
     np.testing.assert_array_equal(draws["A"], np.ones(50))
+
+
+# ---------------------------------------------------------------------------
+# the reuse scope around abduct_records
+
+
+def _law_evidence(n=6, seed=2):
+    model, data = law_school(n=n, seed=seed)
+    return model, {name: data.column(name) for name in ("R", "S", "GPA", "LSAT")}
+
+
+_REUSE_CFG = McmcConfig(chains=2, burn_in=20, kept=5, thin=1, seed=3)
+
+
+def test_a_repeated_abduction_in_a_reuse_scope_returns_the_kept_read_only_draws():
+    model, evidence = _law_evidence()
+    fresh = abduct_records(model, evidence, _REUSE_CFG)
+    with counterfactual._reuse_posteriors():
+        first = abduct_records(model, evidence, _REUSE_CFG)
+        hit = abduct_records(model, dict(evidence), _REUSE_CFG)
+    assert hit is first
+    np.testing.assert_array_equal(hit.draws, fresh.draws)
+    np.testing.assert_array_equal(hit.acceptance, fresh.acceptance)
+    with pytest.raises(ValueError):
+        hit.draws[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        hit.acceptance[0, 0] = 0.0
+
+
+def _one_ulp(model, evidence, config):
+    gpa = evidence["GPA"].copy()
+    gpa[3] = np.nextafter(gpa[3], np.inf)
+    return model, {**evidence, "GPA": gpa}, config
+
+
+def _refit_in_place(model, evidence, config):
+    eq = model.equation_map["GPA"]
+    refit = StructuralEquation(eq.child, eq.parents,
+                               replace(eq.family, intercept=eq.family.intercept + 0.5))
+    object.__setattr__(model, "equations", tuple(refit if e.child == "GPA" else e
+                                                 for e in model.equations))
+    return model, evidence, config
+
+
+def _another_seed(model, evidence, config):
+    return model, evidence, replace(config, seed=config.seed + 1)
+
+
+def _object_column(model, evidence, config):
+    return model, {**evidence, "R": evidence["R"].astype(object)}, config
+
+
+@pytest.mark.parametrize("change", [_one_ulp, _refit_in_place, _another_seed, _object_column])
+def test_a_reuse_scope_misses_on_any_change_of_what_the_draws_depend_on(change):
+    model, evidence = _law_evidence()
+    with counterfactual._reuse_posteriors():
+        first = abduct_records(model, evidence, _REUSE_CFG)
+        model, evidence, config = change(model, evidence, _REUSE_CFG)
+        second = abduct_records(model, evidence, config)
+    assert second is not first
+    fresh = abduct_records(model, evidence, config)
+    np.testing.assert_array_equal(second.draws, fresh.draws)
+    np.testing.assert_array_equal(second.acceptance, fresh.acceptance)
+
+
+def test_nothing_is_kept_outside_a_reuse_scope():
+    model, evidence = _law_evidence()
+    with counterfactual._reuse_posteriors():
+        abduct_records(model, evidence, _REUSE_CFG)
+    assert counterfactual._REUSE.get() is None
+    first = abduct_records(model, evidence, _REUSE_CFG)
+    second = abduct_records(model, evidence, _REUSE_CFG)
+    assert second is not first
+    assert first.draws.flags.writeable and first.acceptance.flags.writeable
+    np.testing.assert_array_equal(first.draws, second.draws)

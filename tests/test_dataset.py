@@ -240,6 +240,8 @@ _EDGE_FILES = [
     b"a,b\n1,2#c\n",
     b"a,b\n1,\n",                       # empty fields
     b"a,b,\n1,2,\n",
+    b"i,j,f\n1,-2,1.0\n3,4,2.0\n",      # two int columns and an integral-float one
+    b"i,f,j\n1,1.0,7\n3,2,8\n",
     b"a\n9007199254740993\n1\n",        # exact beyond 2**53
     b"a\n9223372036854775807\n-9223372036854775808\n",
     ("a\n" + "9" * 5000 + "\n").encode(),
@@ -429,3 +431,30 @@ def test_dropped_columns_are_not_parsed(tmp_path, monkeypatch):
     assert back.column("K").dtype == np.int64
     assert usecols[0] == [0, 2, 3]
     assert all(1 not in cols for cols in usecols)
+
+
+def test_integral_columns_share_one_int_pass_and_retry_alone_only_when_it_fails(
+        tmp_path, monkeypatch):
+    ints = tmp_path / "ints.csv"
+    ints.write_bytes(b"i,x,j,k\n1,0.5,-2,9\n3,1.5,4,8\n")
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(b"i,x,j,f\n1,0.5,-2,1.0\n3,1.5,4,2.0\n")
+    expected = [_outcome(csv_oracle.read, path) for path in (ints, mixed)]
+    int_passes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        if kwargs["dtype"] is np.int64:
+            int_passes.append(list(kwargs["usecols"]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert _outcome(Dataset.from_csv, ints) == expected[0]
+    assert int_passes == [[0, 2, 3]]
+    int_passes.clear()
+    assert _outcome(Dataset.from_csv, mixed) == expected[1]
+    assert int_passes == [[0, 2, 3], [0], [2], [3]]
+    int_passes.clear()
+    # one integral column: its failed pass is not run again
+    assert Dataset.from_csv(mixed, drop=("i", "j")).column("f").dtype == np.float64
+    assert int_passes == [[3]]

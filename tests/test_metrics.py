@@ -39,6 +39,7 @@ from cfair import (
     prob_sufficiency,
     strict_cf_check,
 )
+from cfair import metrics
 from helpers import (chain_model, digest, high_crime, law_school, linear_predictor,
                      loan, manifest_for, observed_only, red_car)
 
@@ -73,6 +74,42 @@ def test_ks_extremes():
     assert ks_2sample(np.zeros(10), np.ones(7)) == 1.0
     x = np.linspace(0, 1, 20)
     assert ks_2sample(x, x.copy()) == 0.0
+
+
+_KS_POOL = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("block_values", [1, 60, None])
+@pytest.mark.parametrize("values", ["continuous", "ties"])
+def test_per_record_ks_equals_ks_2sample_row_by_row_bit_for_bit(values, block_values,
+                                                                monkeypatch):
+    # the batched KS reads the two CDFs at the end of each tie group of a merged
+    # sort; ties, signed zeros, infinities and NaNs must count as searchsorted does
+    if block_values is not None:
+        monkeypatch.setattr(metrics, "_KS_BLOCK_VALUES", block_values)
+    gen = np.random.default_rng(8)
+    shape = (60, 25)
+    if values == "continuous":
+        f, cf = gen.normal(size=shape), gen.normal(0.4, 1.0, size=shape)
+    else:
+        f, cf = gen.choice(_KS_POOL, shape), gen.choice(_KS_POOL, shape)
+    with np.errstate(invalid="ignore"):  # the pooled spread of infinities
+        per_record, worst, _ = metrics._ks_records(np.arange(60), f, cf, 0.0)
+    want = [ks_2sample(x, y) for x, y in zip(f, cf)]
+    assert [r["ks"] for r in per_record] == want
+    assert worst == max(want)
+
+
+def test_per_record_ks_is_zero_where_sorted_samples_lie_within_the_tie_tolerance():
+    gen = np.random.default_rng(9)
+    f = gen.normal(size=(4, 30))
+    cf = f + 1e-4
+    cf[1] += 1.0
+    cf[3, 0] += 1.0
+    per_record, worst, tie_tol = metrics._ks_records(np.arange(4), f, cf, 0.08)
+    assert 1e-4 < tie_tol
+    assert [r["ks"] for r in per_record] == [0.0, ks_2sample(f[1], cf[1]), 0.0,
+                                            ks_2sample(f[3], cf[3])]
 
 
 # ---------------------------------------------------------------------------
