@@ -115,13 +115,19 @@ def _solve_ridge(xtx: np.ndarray, xty: np.ndarray) -> np.ndarray:
     return np.linalg.solve(xtx + _JITTER * np.eye(xtx.shape[0]), xty)
 
 
-def ols_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
-    x = design.matrix
+def _targets(x: np.ndarray, y) -> np.ndarray:
+    """y as float64, checked to hold one target per row of x and at least one."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) != x.shape[0]:
         raise DimensionMismatch(f"{len(y)} targets for {x.shape[0]} rows")
     if len(y) == 0:
         raise EmptyInputs("no rows to fit")
+    return y
+
+
+def ols_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
+    x = design.matrix
+    y = _targets(x, y)
     w = _solve_ridge(x.T @ x, x.T @ y)
     resid = y - x @ w
     return LinearFit(design.labels, w, float(np.sqrt(np.mean(resid ** 2))))
@@ -129,11 +135,7 @@ def ols_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
 
 def logistic_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
     x = design.matrix
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) != x.shape[0]:
-        raise DimensionMismatch(f"{len(y)} targets for {x.shape[0]} rows")
-    if len(y) == 0:
-        raise EmptyInputs("no rows to fit")
+    y = _targets(x, y)
     if not set(np.unique(y)).issubset({0.0, 1.0}):
         raise DimensionMismatch("logistic fit needs 0/1 targets")
     if np.all(y == y[0]):
@@ -159,9 +161,7 @@ def logistic_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
 def poisson_fit(design: DesignMatrix, y: np.ndarray) -> LinearFit:
     """Poisson regression with log link (used by the latent-model M-step)."""
     x = design.matrix
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) == 0:
-        raise EmptyInputs("no rows to fit")
+    y = _targets(x, y)
     w = np.zeros(x.shape[1])
     w[0] = np.log(max(np.mean(y), 1e-8)) if design.labels[0] == "intercept" else 0.0
     for _ in range(_IRLS_MAX_ITER):

@@ -25,7 +25,6 @@ from .counterfactual import (
     _exogenous_names,
     _stacked,
     exact_available,
-    exogenous_draws,
     posterior_draw_matrix,
 )
 from .dataset import Dataset
@@ -45,14 +44,14 @@ from .scm import (
     BernoulliLogit,
     CategoricalPrior,
     CausalModel,
-    DeterministicTable,
     LinearGaussian,
     PoissonLogLink,
     Role,
     StructuralEquation,
     Variable,
+    _decode,
     _linear_predictor,
-    ancestral_sample,
+    _noiseless,
     evaluate_equation,
     forward_eval,
     intervene,
@@ -410,29 +409,22 @@ def _interventional_mean(model: CausalModel, predictor: FairPredictor,
     iv_model = intervene(model, assignment)
     input_order = predictor.manifest.input_order()
     if exact_available(iv_model, x_evidence):
-        draws = exogenous_draws(iv_model, x_evidence, n_draws, config)
-        given = dict(draws)
-        for name, value in x_evidence.items():
-            given[name] = _constant_column(value, n_draws)
-        pruned, _ = _ancestors_only(iv_model, input_order)
-        values = forward_eval(pruned, given, n_draws,
-                              rng.child_seed(config.seed, rng.TAG_ACE), salt=rng.TAG_ACE)
+        values = _abduct_act_predict(iv_model, x_evidence, x_evidence, n_draws, config,
+                                     rng.TAG_ACE, reads=input_order)
         inputs = {n: values[n] for n in input_order}
         return float(predictor.score(inputs).mean()), "exact", n_draws
-    sim = ancestral_sample(iv_model, n_draws,
-                           rng.child_seed(config.seed, rng.TAG_ACE, 1))
+    pruned, _ = _ancestors_only(iv_model, tuple(input_order) + tuple(x_evidence))
+    sim = forward_eval(pruned, {}, n_draws, rng.child_seed(config.seed, rng.TAG_ACE, 1))
     accept = np.ones(n_draws, dtype=bool)
     for name, value in x_evidence.items():
-        col = sim.column(name)
         if model.variable(name).domain is None:
-            accept &= np.abs(col.astype(np.float64) - float(value)) <= _ACE_BAND
+            accept &= np.abs(sim[name].astype(np.float64) - float(value)) <= _ACE_BAND
         else:
-            accept &= _matches(col, value)
+            accept &= _matches(sim[name], value)
     if not accept.any():
         raise NoAcceptedSamples(
             f"no simulated rows matched {x_evidence} within band {_ACE_BAND}")
-    kept = sim.take(np.flatnonzero(accept))
-    inputs = {n: kept.column(n) for n in input_order}
+    inputs = {n: sim[n][accept] for n in input_order}
     return float(predictor.score(inputs).mean()), "rejection", int(accept.sum())
 
 
@@ -442,9 +434,10 @@ def ace(model: CausalModel, predictor: FairPredictor, x_evidence: dict,
     """Average causal effect of the protected flip on the prediction given X = x.
 
     E[score | do(a), x] - E[score | do(a'), x]. Linear-Gaussian models take the
-    exact conditioning route; otherwise rejection sampling with a +-0.05
-    acceptance band per continuous evidence coordinate (exact match on finite
-    domains).
+    exact conditioning route, with x pinned; otherwise rejection sampling with
+    a +-0.05 acceptance band per continuous evidence coordinate (exact match
+    on finite domains). Either route runs forward only the ancestors of the
+    predictor inputs (and, when rejecting, of the evidence).
     """
     require_valid(model)
     mean_a, method, n_a = _interventional_mean(
@@ -490,62 +483,59 @@ def _pmf_factor(eq: StructuralEquation, values: dict[str, np.ndarray],
     return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
 
 
-def _is_deterministic(eq: StructuralEquation | None) -> bool:
-    if eq is None:
-        return False
-    fam = eq.family
-    return isinstance(fam, DeterministicTable) or (
-        isinstance(fam, LinearGaussian) and fam.noise_std == 0.0)
-
-
 def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
-                             evidence: dict, latents: list[str], y: float,
-                             a_prime: dict, tol: float) -> dict:
-    """Exact sufficiency over the joint states of categorical latents (at least one)."""
+                             evidence: dict, y: float, a_prime: dict, tol: float) -> dict | None:
+    """Exact sufficiency over the joint states of the latents, or None unless
+    they are categorical, at most _MAX_ENUM states and fix what both passes read.
+
+    Each pass is forward_eval of _ancestors_only over the state grid: the
+    factual one pins the evidence and reads it and the predictor inputs; the
+    one under do(a_prime) pins the exogenous evidence outside it and reads the
+    inputs. Every other node they evaluate must be _noiseless.
+    """
     priors = model.prior_map
+    latents = [n for n in _exogenous_names(model) if n not in evidence]
+    if not latents or not all(isinstance(priors[n], CategoricalPrior) for n in latents):
+        return None
     sizes = [len(priors[n].values) for n in latents]
     total = math.prod(sizes)
+    if total > _MAX_ENUM:
+        return None
+    input_order = predictor.manifest.input_order()
+    cf_pins = {k: v for k, v in evidence.items() if k in priors and k not in a_prime}
+    passes = []
+    for m, pins, reads in ((model, evidence, input_order + tuple(evidence)),
+                           (intervene(model, a_prime), cf_pins, input_order)):
+        pruned, needed = _ancestors_only(m, reads)
+        eqs = pruned.equation_map
+        if not all(_noiseless(eqs.get(n)) for n in needed - set(latents) - set(pins)):
+            return None
+        passes.append((pruned, pins))
+
     grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
     state_cols = {}
     weight = np.ones(total)
     for name, grid in zip(latents, grids):
         idx = grid.reshape(-1)
-        state_cols[name] = np.array(priors[name].values, dtype=object)[idx]
+        state_cols[name] = _decode(priors[name].values, idx)
         weight = weight * np.array(priors[name].probs, dtype=np.float64)[idx]
 
-    def resolve(m: CausalModel, pins: dict) -> dict[str, np.ndarray]:
-        """Columns over the state grid; stochastic unobserved nodes become NaN."""
-        eq_map = m.equation_map
-        values = dict(state_cols)
-        for name in require_valid(m):
-            if name in values:
-                continue
-            if name in pins:
-                values[name] = _constant_column(pins[name], total)
-            elif _is_deterministic(eq_map.get(name)):
-                values[name] = evaluate_equation(eq_map[name], values, None, total)
-            else:
-                values[name] = np.full(total, np.nan)
-        return values
+    def forward(pruned: CausalModel, pins: dict) -> dict[str, np.ndarray]:
+        given = {**state_cols, **{k: _constant_column(v, total) for k, v in pins.items()}}
+        return forward_eval(pruned, given, total, seed=0)  # noiseless: no draws
 
     def scores(values: dict[str, np.ndarray]) -> np.ndarray:
-        inputs = {n: values[n] for n in predictor.manifest.input_order()}
-        for name, col in inputs.items():
-            if col.dtype.kind == "f" and np.isnan(col).any():
-                raise ConstraintNotInvertible(
-                    f"predictor input {name} is not determined by the joint state")
-        return predictor.score(inputs)
+        return predictor.score({n: values[n] for n in input_order})
 
-    # factual pass: children consume pinned evidence; each evidence node with
-    # an equation contributes an indicator or pmf factor against its parents
-    factual = resolve(model, evidence)
+    # each evidence node with an equation contributes an indicator or pmf factor
+    factual = forward(*passes[0])
     w = weight.copy()
     eq_map = model.equation_map
     for name, obs in evidence.items():
         eq = eq_map.get(name)
         if eq is None:
             continue  # observed exogenous root: constant factor, cancels
-        if _is_deterministic(eq):
+        if _noiseless(eq):
             implied = evaluate_equation(eq, factual, None, total)
             if isinstance(obs, str):
                 w = w * _matches(implied, obs)
@@ -556,18 +546,12 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
     if not np.any(w > 0.0):
         raise ZeroPosteriorMass("evidence has no support under the prior")
 
-    score_f = scores(factual)
-    keep = w * (np.abs(score_f - y) <= tol)
+    keep = w * (np.abs(scores(factual) - y) <= tol)
     mass = keep.sum()
     if mass <= 0.0:
         raise UnattainableValue(f"no posterior state yields prediction {y}")
 
-    # counterfactual pass: only exogenous roots outside the intervention stay
-    # pinned; everything downstream regenerates from the shared state
-    cf_model = intervene(model, a_prime)
-    cf_pins = {k: v for k, v in evidence.items()
-               if k in priors and k not in a_prime}
-    score_cf = scores(resolve(cf_model, cf_pins))
+    score_cf = scores(forward(*passes[1]))
     prob = float((keep * (np.abs(score_cf - y) > tol)).sum() / mass)
     return {"probability": prob, "method": "enumeration", "states": total,
             "conditioned_mass": float(mass / w.sum())}
@@ -600,14 +584,15 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     """P(counterfactual prediction differs from y | evidence and prediction = y).
 
     Requires the factual prediction to equal y within tol. Finite discrete
-    backgrounds are enumerated exactly (up to 10^6 joint states). Otherwise
-    the condition "prediction = y" is appended to the evidence: trivially for
-    predictors whose inputs the record pins, and as a zero-noise score
-    equation over the inputs for predictors with latent inputs. The
-    counterfactual prediction is then regenerated under do(a_prime), running
-    forward only the ancestors of what the predictor reads. A
-    strictly invariant predictor gives probability 0; raises UnattainableValue
-    when no exogenous state attains prediction y for this record.
+    backgrounds are enumerated exactly (up to 10^6 joint states) where their
+    joint state fixes what both passes read. Otherwise the condition
+    "prediction = y" is appended to the evidence: trivially for predictors
+    whose inputs the record pins, and as a zero-noise score equation over the
+    inputs for predictors with latent inputs. The counterfactual prediction is
+    then regenerated under do(a_prime). Every route runs forward only the
+    ancestors of what it reads. A strictly invariant predictor gives
+    probability 0; raises UnattainableValue when no exogenous state attains
+    prediction y for this record.
     """
     require_valid(model)
     usable = set(model.protected) | set(model.names(Role.OBSERVED))
@@ -615,12 +600,9 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
     if not evidence:
         raise EmptyInputs("record carries no usable evidence")
 
-    latents = [n for n in _exogenous_names(model) if n not in evidence]
-    priors = model.prior_map
-    if latents and all(isinstance(priors[n], CategoricalPrior) for n in latents):
-        if math.prod(len(priors[n].values) for n in latents) <= _MAX_ENUM:
-            return _enumeration_sufficiency(model, predictor, evidence, latents,
-                                            y, a_prime, tol)
+    out = _enumeration_sufficiency(model, predictor, evidence, y, a_prime, tol)
+    if out is not None:
+        return out
 
     if not predictor.manifest.background_inputs:
         return _pinned_sufficiency(model, predictor, evidence, y, a_prime,

@@ -429,6 +429,11 @@ def _values_dtype(values) -> type:
     return object
 
 
+def _decode(values, codes: np.ndarray) -> np.ndarray:
+    """values[codes] as a column of the dtype _values_dtype gives `values`."""
+    return np.array(values, dtype=object)[codes].astype(_values_dtype(values), copy=False)
+
+
 def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
     if isinstance(prior, NormalPrior):
         if prior.std == 0.0:
@@ -436,9 +441,7 @@ def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
         return prior.mean + prior.std * ndtri(u)
     cum = np.cumsum(prior.probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, u, side="right")
-    col = np.array(prior.values, dtype=object)[idx]
-    return col.astype(_values_dtype(prior.values), copy=False)
+    return _decode(prior.values, np.searchsorted(cum, u, side="right"))
 
 
 def _linear_predictor(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
@@ -526,6 +529,13 @@ def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return k
 
 
+def _noiseless(eq: StructuralEquation | None) -> bool:
+    """True for a lookup table or a zero-noise LinearGaussian (no uniforms read)."""
+    fam = None if eq is None else eq.family
+    return isinstance(fam, DeterministicTable) or (
+        isinstance(fam, LinearGaussian) and fam.noise_std == 0.0)
+
+
 def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
                       u: np.ndarray | None, n: int) -> np.ndarray:
     """One column from one equation given parent columns and uniforms u."""
@@ -557,7 +567,8 @@ def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
     Noise is keyed by (seed, salt, variable name, row), so two calls with the
     same seed share draws variable-by-variable regardless of which equations
     were replaced in between. `given` must cover every prior-backed variable
-    that feeds an equation, or the prior is drawn here.
+    that feeds an equation, or the prior is drawn here. _noiseless equations
+    draw no uniforms.
     """
     order = require_valid(model)
     values: dict[str, np.ndarray] = {}
@@ -571,9 +582,10 @@ def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
                 col = np.broadcast_to(col, (n,)).copy()
             values[name] = col
             continue
-        u = rng.uniforms(seed, salt, rng.name_key(name), rows)
-        if name in eq_map:
-            values[name] = evaluate_equation(eq_map[name], values, u, n)
+        eq = eq_map.get(name)
+        u = None if _noiseless(eq) else rng.uniforms(seed, salt, rng.name_key(name), rows)
+        if eq is not None:
+            values[name] = evaluate_equation(eq, values, u, n)
         else:
             values[name] = _prior_column(prior_map[name], u)
     return values

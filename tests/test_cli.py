@@ -246,6 +246,25 @@ def test_audit_ftu_and_ace_summaries(tmp_path, capsys):
     assert blob["aggregate"] == 0.0
 
 
+def test_audit_ps_enumerates_the_states_a_fair_learning_predictor_reads(tmp_path, capsys):
+    # the loan predictor reads the backgrounds P and Q; (P, Q) = (0, 1) agrees
+    # with every employed record and stays put under do(A = 1)
+    model, data = _scenario_files(tmp_path, kind="loan", n=500, seed=3)
+    pred = tmp_path / "fair.json"
+    assert main(["fit", str(model), str(data), "--recipe", "fair_learning",
+                 "--out", str(pred)]) == 0
+    record = int(np.flatnonzero(Dataset.from_csv(data).column("Employed") == 1)[0])
+    y = float(load_predictor(pred).score({"P": np.array([0]), "Q": np.array([1])})[0])
+    out_dir = tmp_path / "ps"
+    assert main(["audit", str(pred), str(model), str(data), "--criterion", "ps",
+                 "--record", str(record), "--a-prime", "A=1", "--y", repr(y),
+                 "--out", str(out_dir)]) == 0
+    blob = json.loads(_read(out_dir / "report.json"))
+    assert blob["detail"]["method"] == "enumeration"
+    assert blob["aggregate"] == 0.0
+    capsys.readouterr()
+
+
 def test_fit_and_audit_read_past_the_background_columns(tmp_path, capsys):
     # the CLI never parses U, so a data file without it gives the same bytes
     model, data = _scenario_files(tmp_path)

@@ -81,9 +81,12 @@ def test_noiseless_interpolation():
     assert fit.residual_std <= 1e-6
 
 
-def test_ols_dimension_check():
+@pytest.mark.parametrize("targets", [5, 1])
+@pytest.mark.parametrize("fit", [ols_fit, logistic_fit, poisson_fit])
+def test_ols_dimension_check(fit, targets):
+    # a single target would broadcast over the 4 rows if it were let through
     with pytest.raises(DimensionMismatch):
-        ols_fit(_design({"x": np.arange(4.0)}), np.arange(5.0))
+        fit(_design({"x": np.arange(4.0)}), np.arange(targets) % 2.0)
 
 
 # ---------------------------------------------------------------------------

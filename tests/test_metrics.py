@@ -484,6 +484,53 @@ def test_sufficiency_enumeration_over_two_latents():
     assert 0.0 < out["probability"] < 1.0
 
 
+def _with_child(model, var, eq) -> CausalModel:
+    return CausalModel(model.variables + (var,), model.equations + (eq,), model.priors)
+
+
+def test_sufficiency_enumeration_skips_an_unread_table_child_of_a_stochastic_node():
+    # Z is a table over the Bernoulli outcome Y, which no joint state fixes;
+    # the Employed reader never reads Z, so the answer is the one without it
+    model, _ = loan(n=1, seed=0)
+    with_z = _with_child(model, Variable("Z", Role.OBSERVED, (0, 1)),
+                         StructuralEquation("Z", ("Y",), DeterministicTable({(0,): 1, (1,): 0})))
+    out = [prob_sufficiency(m, _reader(m, {"Employed": 1.0}), {"A": 1, "Employed": 0},
+                            0.0, {"A": 0}) for m in (model, with_z)]
+    assert out[1] == out[0]
+    assert (out[1]["method"], out[1]["probability"]) == ("enumeration", 1.0 / 3.0)
+
+
+def test_sufficiency_abducts_when_the_joint_state_leaves_a_mediator_open():
+    # the observed table E = M reads the unobserved M ~ Bernoulli(sigmoid(A + P)),
+    # which the state P does not fix, so the abduction route answers.
+    # E = 1 forces M = 1, which weighs P = p by sigmoid(1 + p); under
+    # do(A = 0) M is drawn again and is 0 with probability sigmoid(-p)
+    model = CausalModel(
+        variables=(Variable("A", Role.PROTECTED, (0, 1)), Variable("P", Role.BACKGROUND, (0, 1)),
+                   Variable("M", Role.OBSERVED, (0, 1)), Variable("E", Role.OBSERVED, (0, 1))),
+        equations=(StructuralEquation("M", ("A", "P"), BernoulliLogit(0.0, (1.0, 1.0))),
+                   StructuralEquation("E", ("M",), DeterministicTable({(0,): 0, (1,): 1}))),
+        priors={"A": CategoricalPrior((0, 1), (0.5, 0.5)),
+                "P": CategoricalPrior((0, 1), (0.5, 0.5))})
+    out = prob_sufficiency(model, _reader(model, {"E": 1.0}), {"A": 1, "E": 1}, 1.0, {"A": 0},
+                           McmcConfig(chains=2, burn_in=100, kept=1000, seed=1))
+    w = expit(np.array([1.0, 2.0]))
+    assert out["method"] == "abduction"
+    assert abs(out["probability"] - float(w @ expit(-np.arange(2.0)) / w.sum())) <= 0.05
+
+
+def test_sufficiency_enumeration_scores_the_numeric_states_fair_learning_reads():
+    # the predictor reads the backgrounds P and Q as numbers; (P, Q) = (0, 1)
+    # agrees with an employed record and stays put under do(A = 1)
+    model, data = loan(n=500, seed=3)
+    predictor = fair_learning(observed_only(model, data), model,
+                              manifest_for(model, backgrounds=("P", "Q")),
+                              config=McmcConfig(chains=1, burn_in=50, kept=20, seed=1))
+    y = float(predictor.score({"P": np.array([0]), "Q": np.array([1])})[0])
+    out = prob_sufficiency(model, predictor, {"A": 0, "Employed": 1}, y, {"A": 1})
+    assert (out["method"], out["states"], out["probability"]) == ("enumeration", 4, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # pinned outputs
 
@@ -731,10 +778,24 @@ def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
     assert report.passed
 
 
-def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated():
-    # X = A + U without noise, so X = 0.5 pins U = 0.5 - a under do(A = a)
-    model = _overflowing_child_model()
-    predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
-    result = ace(model, predictor, {"X": 0.5}, A_HI, A_LO, n_draws=200)
-    assert result["method"] == "exact"
-    assert (result["mean_a"], result["mean_a_prime"], result["ace"]) == (-0.5, 1.5, -2.0)
+@pytest.mark.parametrize("route", ["exact", "rejection"])
+def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated(route):
+    if route == "exact":
+        # X = A + U without noise, so X = 0.5 pins U = 0.5 - a under do(A = a)
+        model = _overflowing_child_model()
+        predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
+        result = ace(model, predictor, {"X": 0.5}, A_HI, A_LO, n_draws=200)
+        assert result["method"] == "exact"
+        assert (result["mean_a"], result["mean_a_prime"], result["ace"]) == (-0.5, 1.5, -2.0)
+        return
+    # LSAT is Poisson, so ace rejects simulated rows; Z overflows as in
+    # _overflowing_child_model and the GPA reader's answer is the one without it
+    model, _ = law_school(n=1, seed=0)
+    with_z = _with_child(model, Variable("Z", Role.OBSERVED),
+                         StructuralEquation("Z", ("GPA",), PoissonLogLink(800.0, (1.0,))))
+    with pytest.raises(NonFiniteDensity), np.errstate(over="ignore"):
+        ancestral_sample(with_z, 10, seed=0)
+    result = [ace(m, _reader(m, {"GPA": 1.0}), {"LSAT": 3.0}, {"R": 1}, {"R": 0},
+                  n_draws=4000, config=McmcConfig(seed=3)) for m in (model, with_z)]
+    assert result[0]["method"] == "rejection"
+    assert result[1] == result[0]
