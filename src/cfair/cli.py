@@ -41,6 +41,8 @@ CRITERIA = ("cf", "strict", "path", "dp", "ftu", "ace", "ps")
 
 _TRAIN_FRAC = 0.8
 _MCMC_DEFAULT = McmcConfig()
+# the mcmc config keys that fit and audit take as flags (--burn-in for burn_in)
+_MCMC_FLAGS = ("chains", "burn_in", "kept", "thin")
 
 
 class _Failure(Exception):
@@ -97,20 +99,6 @@ def _resolve_seed(flag_value: int | None) -> int:
     return _config_number(os.environ.get("CFAIR_SEED", "0"), int, "CFAIR_SEED")
 
 
-def _plain(value):
-    """JSON-friendly scalar."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (frozenset, set, tuple)):
-        return [_plain(v) for v in sorted(value)] if isinstance(value, (frozenset, set)) \
-            else [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _fmt(x) -> str:
     return "none" if x is None else f"{x:.6g}"
 
@@ -137,9 +125,18 @@ def _load_data_file(path: str, model: CausalModel) -> Dataset:
     return data
 
 
+def _json_default(value):
+    """What json.dump cannot encode itself: numpy scalars, and sets as sorted lists."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(blob: dict, path: Path) -> None:
     with open(path, "w") as fh:
-        json.dump(_plain(blob), fh, indent=2, sort_keys=True)
+        json.dump(blob, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -163,11 +160,6 @@ def _single_outcome(model: CausalModel, flag: str | None = None) -> str:
         raise _Failure("config: --outcome is required when the model does not "
                        "declare exactly one outcome")
     return outs[0]
-
-
-def _mcmc_from_args(args, seed: int) -> McmcConfig:
-    return McmcConfig(chains=args.chains, burn_in=args.burn_in,
-                      kept=args.kept, thin=args.thin, seed=seed)
 
 
 def _mcmc_from_blob(blob: dict | None, seed: int) -> McmcConfig:
@@ -272,6 +264,9 @@ def _audit_args(spec: dict):
         raise _Failure("config: criterion ps needs --a-prime")
     num = {k: _config_number(spec[k], kind, k) for k, kind in _AUDIT_FIELDS.items()
            if spec.get(k) is not None}
+    for count in ("draws", "max_records"):
+        if num.get(count, 1) < 1:
+            raise _Failure(f"config: {count} must be at least 1, got {num[count]!r}")
     return crit, a, ap, num
 
 
@@ -302,7 +297,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         thr = num.get("threshold", 0.05)
         return {"criterion": "dp", "passed": bool(gaps["dp_gap"] <= thr),
                 "aggregate": float(gaps["dp_gap"]), "threshold": thr,
-                "detail": _plain(gaps)}, None
+                "detail": gaps}, None
     elif crit == "ftu":
         ok = ftu_check(predictor)
         return {"criterion": "ftu", "passed": bool(ok), "aggregate": None,
@@ -314,7 +309,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
                      config=config)
         return {"criterion": "ace", "passed": None,
                 "aggregate": float(result["ace"]), "threshold": None,
-                "detail": _plain(result)}, None
+                "detail": result}, None
     else:  # ps
         idx = num.get("record", 0)
         if not 0 <= idx < data.n:
@@ -332,7 +327,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         prob = float(result["probability"])
         return {"criterion": "ps", "passed": bool(prob <= thr),
                 "aggregate": prob, "threshold": thr,
-                "detail": _plain({**result, "record": idx, "y": y})}, None
+                "detail": {**result, "record": idx, "y": y}}, None
 
     summary = {"criterion": crit, "passed": report.passed,
                "aggregate": float(report.aggregate),
@@ -386,7 +381,7 @@ def cmd_fit(args) -> int:
     data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
     outcome = _single_outcome(model, args.outcome)
-    config = _mcmc_from_args(args, seed)
+    config = _mcmc_from_blob({k: getattr(args, k) for k in _MCMC_FLAGS}, seed)
     manifest = None
     if args.manifest:
         if not os.path.exists(args.manifest):
@@ -412,7 +407,7 @@ def cmd_audit(args) -> int:
     model = _load_model_file(args.model)
     data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
-    config = _mcmc_from_args(args, seed)
+    config = _mcmc_from_blob({k: getattr(args, k) for k in _MCMC_FLAGS}, seed)
     outcome = _single_outcome(model, args.outcome) if args.criterion == "dp" \
         else (args.outcome or "")
     spec = {"criterion": args.criterion,
@@ -616,10 +611,9 @@ def _add_common(sp) -> None:
 
 
 def _add_mcmc(sp) -> None:
-    sp.add_argument("--chains", type=int, default=_MCMC_DEFAULT.chains)
-    sp.add_argument("--burn-in", type=int, default=_MCMC_DEFAULT.burn_in)
-    sp.add_argument("--kept", type=int, default=_MCMC_DEFAULT.kept)
-    sp.add_argument("--thin", type=int, default=_MCMC_DEFAULT.thin)
+    for key in _MCMC_FLAGS:
+        sp.add_argument("--" + key.replace("_", "-"), type=int,
+                        default=getattr(_MCMC_DEFAULT, key))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,6 +81,9 @@ from .scm import (
     PoissonLogLink,
     Role,
     _NUMBER,
+    _ancestor_closure,
+    _ancestors_only,
+    _exogenous_names,
     _linear_predictor,
     _prior_column,
     forward_eval,
@@ -194,42 +197,6 @@ def _record_cols(evidence: dict) -> dict[str, np.ndarray]:
     """One record's evidence as columns; a string keeps an object column."""
     return {k: np.array([v], dtype=object) if isinstance(v, str) else np.array([v])
             for k, v in evidence.items()}
-
-
-def _ancestor_closure(model: CausalModel, names) -> set:
-    eq_map = model.equation_map
-    seen = set()
-    frontier = list(names)
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        eq = eq_map.get(node)
-        if eq:
-            frontier.extend(eq.parents)
-    return seen
-
-
-def _ancestors_only(model: CausalModel, names) -> tuple[CausalModel, set]:
-    """model restricted to the ancestor closure of names, and that closure.
-
-    forward_eval keys noise by variable name, so the pruned model gives the
-    same draws of these names as the whole one, without evaluating the rest.
-    """
-    needed = _ancestor_closure(model, names)
-    pruned = CausalModel([v for v in model.variables if v.name in needed],
-                         [e for e in model.equations if e.child in needed],
-                         [(n, p) for n, p in model.priors if n in needed])
-    return pruned, needed
-
-
-def _exogenous_names(model: CausalModel) -> tuple[str, ...]:
-    """Backgrounds first, then prior-backed roots, in declaration order."""
-    prior_names = set(model.prior_map)
-    roots = [v.name for v in model.variables
-             if v.role != Role.BACKGROUND and v.name in prior_names]
-    return model.background + tuple(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +547,20 @@ class _Target:
                 pmf = {v: p for v, p in zip(prior.values, prior.probs)}
                 self.log_pmf[name] = np.log(np.array([pmf.get(v, 0.0) for v in self.values_of[name]]))
 
-        # evidence checks: a table's code must match the observed value (exact
-        # equality, per record and code); a zero-noise linear value must lie
-        # within 1e-9 of a numeric observation
-        self.rows = np.arange(self.n)
+        # evidence checks: a table's code must be the observed value's code
+        # (resolved codes are first-equal positions; -1 for a value outside
+        # the table); a zero-noise linear value must lie within 1e-9 of the
+        # observation
         self.table_checks = []
         self.linear_checks = []
         for name in self.indicator_nodes:
             want = self.evidence[name]
             if name in self.tables:
-                values = self.values_of[name]
-                match = np.array([[v == w for v in values] for w in want.tolist()],
-                                 dtype=bool).reshape(self.n, len(values))
-                self.table_checks.append((name, match))
+                index = _index_of(self.values_of[name])
+                self.table_checks.append(
+                    (name, np.array([index.get(w, -1) for w in want.tolist()], dtype=np.intp)))
             else:
-                self.linear_checks.append((name, want.astype(np.float64), want.dtype.kind in "fiub"))
+                self.linear_checks.append((name, want.astype(np.float64)))
 
     def _dense_table(self, name, var_map) -> np.ndarray:
         eq = self.eq_map[name]
@@ -678,12 +644,10 @@ class _Target:
                 logp = logp + y * log_expit(eta) + (1.0 - y) * log_expit(-eta)
             else:  # PoissonLogLink
                 logp = logp + y * eta - np.exp(eta) - self.poisson_const[name]
-        for name, match in self.table_checks:
-            logp = np.where(match[self.rows, cod[name]], logp, -np.inf)
-        for name, want, loose in self.linear_checks:
-            got = num[name]
-            ok = np.abs(got - want) <= 1e-9 if loose else got == want
-            logp = np.where(ok, logp, -np.inf)
+        for name, want in self.table_checks:
+            logp = np.where(cod[name] == want, logp, -np.inf)
+        for name, want in self.linear_checks:
+            logp = np.where(np.abs(num[name] - want) <= 1e-9, logp, -np.inf)
         return np.where(np.isnan(logp), -np.inf, logp)
 
     def _eta(self, name, num) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.special import expit
 from .counterfactual import McmcConfig, _stacked, posterior_draw_matrix
 from .dataset import Dataset
 from .errors import DimensionMismatch, EmptyInputs, InvalidPath, UnknownVariable
-from .estimators import LinearFit, _residual_fits, design_matrix, logistic_fit, ols_fit
+from .estimators import _residual_fits, design_matrix, logistic_fit, ols_fit
 from .scm import CausalModel, Role, non_descendants
 
 
@@ -171,12 +171,23 @@ def _manifest_rows(model: CausalModel, manifest: InputManifest, data: Dataset,
     return _stacked(draws, backgrounds, observed), draws.shape[1]
 
 
-def _fit_head(head: str, design, y) -> LinearFit:
+def _fit_predictor(manifest: InputManifest, head: str, inputs: Dataset, y: np.ndarray,
+                   n_records: int, training: dict) -> FairPredictor:
+    """Fit a head on the manifest's input columns of `inputs` and wrap it;
+    `training` holds the caller's own fields, the loss follows from the head."""
+    design, encoders = design_matrix(inputs, manifest.input_order())
     if head == "logistic":
-        return logistic_fit(design, y)
-    if head == "linear":
-        return ols_fit(design, y)
-    raise DimensionMismatch(f"unknown head {head!r}")
+        fit = logistic_fit(design, y)
+    elif head == "linear":
+        fit = ols_fit(design, y)
+    else:
+        raise DimensionMismatch(f"unknown head {head!r}")
+    return FairPredictor(
+        manifest=manifest, head=head, labels=fit.labels, weights=fit.weights,
+        encoders=encoders,
+        training={"loss": "log" if head == "logistic" else "squared", **training},
+        diagnostics={"residual_std": fit.residual_std, "warning": fit.warning,
+                     "n_records": n_records})
 
 
 def fair_learning(data: Dataset, model: CausalModel, manifest: InputManifest,
@@ -200,19 +211,11 @@ def fair_learning(data: Dataset, model: CausalModel, manifest: InputManifest,
         raise EmptyInputs("empty training data")
 
     columns, m = _manifest_rows(model, manifest, data, outcome, config)
-    order = manifest.input_order()
-    fit_data = Dataset(order, columns, dict(data.domains))
-    design, encoders = design_matrix(fit_data, order)
-    fit = _fit_head(head, design, np.repeat(y, m))
-    return FairPredictor(
-        manifest=manifest, head=head, labels=fit.labels, weights=fit.weights,
-        encoders=encoders,
-        training={"outcome": outcome, "loss": "log" if head == "logistic" else "squared",
-                  "draws_per_record": m, "seed": config.seed,
-                  "chains": config.chains, "burn_in": config.burn_in,
-                  "kept": config.kept, "thin": config.thin},
-        diagnostics={"residual_std": fit.residual_std, "warning": fit.warning,
-                     "n_records": data.n})
+    inputs = Dataset(manifest.input_order(), columns, dict(data.domains))
+    return _fit_predictor(manifest, head, inputs, np.repeat(y, m), data.n,
+                          {"outcome": outcome, "draws_per_record": m, "seed": config.seed,
+                           "chains": config.chains, "burn_in": config.burn_in,
+                           "kept": config.kept, "thin": config.thin})
 
 
 def fair_predict(predictor: FairPredictor, model: CausalModel, data: Dataset,
@@ -250,18 +253,8 @@ def baseline_fit(data: Dataset, kind: str, outcome: str, head: str = "linear",
         include_protected=(kind == "full"),
         protected=tuple(protected),
         whitelisted=frozenset(observables))
-    y = data.numeric(outcome)
-    order = manifest.input_order()
-    fit_data = Dataset(order, {c: data.column(c) for c in order}, dict(data.domains))
-    design, encoders = design_matrix(fit_data, order)
-    fit = _fit_head(head, design, y)
-    return FairPredictor(
-        manifest=manifest, head=head, labels=fit.labels, weights=fit.weights,
-        encoders=encoders,
-        training={"outcome": outcome, "loss": "log" if head == "logistic" else "squared",
-                  "kind": kind, "draws_per_record": 1, "seed": 0},
-        diagnostics={"residual_std": fit.residual_std, "warning": fit.warning,
-                     "n_records": data.n})
+    return _fit_predictor(manifest, head, data, data.numeric(outcome), data.n,
+                          {"outcome": outcome, "kind": kind, "draws_per_record": 1, "seed": 0})
 
 
 def additive_fair_fit(data: Dataset, model: CausalModel, outcome: str) -> FairPredictor:

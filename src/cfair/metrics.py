@@ -20,9 +20,7 @@ from . import rng
 from .counterfactual import (
     McmcConfig,
     _abduct_act_predict,
-    _ancestors_only,
     _constant_column,
-    _exogenous_names,
     _stacked,
     exact_available,
     posterior_draw_matrix,
@@ -49,7 +47,9 @@ from .scm import (
     Role,
     StructuralEquation,
     Variable,
+    _ancestors_only,
     _decode,
+    _exogenous_names,
     _linear_predictor,
     _noiseless,
     evaluate_equation,
@@ -185,10 +185,17 @@ def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
     return [scores(b) for b in branches]
 
 
-def _abducted_group(model: CausalModel, data: Dataset, a: dict, config: McmcConfig,
-                    draws: int, max_records: int):
-    """Subsample the a-group and abduct its latent exogenous state: (record
-    indices, their rows, latent names, (records, draws, latent) draws)."""
+def _abducted_group(model: CausalModel, data: Dataset, a: dict, a_prime: dict,
+                    config: McmcConfig, draws: int, max_records: int):
+    """The front half of every paired audit: check its arguments, subsample the
+    a-group and abduct its latent exogenous state: (record indices, their rows,
+    latent names, (records, draws, latent) draws)."""
+    require_valid(model)
+    if set(a) != set(a_prime):
+        raise DimensionMismatch("a and a_prime must assign the same variables")
+    for name, value in (("draws", draws), ("max_records", max_records)):
+        if not value >= 1:
+            raise DimensionMismatch(f"{name} must be at least 1, got {value!r}")
     indices = np.flatnonzero(_group_mask(data, a))
     if len(indices) == 0:
         raise EmptyGroup(f"no records with {a}")
@@ -204,10 +211,8 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
                    a: dict, a_prime: dict, config: McmcConfig, draws: int,
                    max_records: int):
     """Subsample the a-group, abduct, and score both branches with shared noise."""
-    require_valid(model)
-    if set(a) != set(a_prime):
-        raise DimensionMismatch("a and a_prime must assign the same variables")
-    indices, sub, latent, exo = _abducted_group(model, data, a, config, draws, max_records)
+    indices, sub, latent, exo = _abducted_group(model, data, a, a_prime, config, draws,
+                                                max_records)
     scores_f, scores_cf = _branch_scores(predictor, model, sub, (a, a_prime), latent, exo,
                                          rng.child_seed(config.seed, rng.TAG_BRANCH),
                                          rng.TAG_BRANCH)
@@ -329,9 +334,9 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
     Each path must be a chain of edges starting at an audited protected
     variable.
     """
-    require_valid(model)
     on_path = _validate_paths(model, paths, a)
-    indices, sub, latent, exo = _abducted_group(model, data, a, config, draws, max_records)
+    indices, sub, latent, exo = _abducted_group(model, data, a, a_prime, config, draws,
+                                                max_records)
     held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in sub.data]
 
     rows = []
@@ -477,8 +482,6 @@ def _pmf_factor(eq: StructuralEquation, values: dict[str, np.ndarray],
         lam = np.exp(eta)
         return np.exp(k * eta - lam - gammaln(k + 1.0))
     sigma = fam.noise_std
-    if sigma == 0.0:
-        return (np.abs(eta - float(observed)) <= _STRICT_TOL).astype(np.float64)
     z = (float(observed) - eta) / sigma
     return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
 

@@ -628,21 +628,51 @@ def intervene(model: CausalModel, assignments: dict) -> CausalModel:
     return CausalModel(model.variables, new_equations, new_priors)
 
 
+def _reachable(names, step) -> set:
+    """names plus every node reached from them through step(node)."""
+    reached = set(names)
+    frontier = list(reached)
+    while frontier:
+        for nxt in step(frontier.pop()):
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached
+
+
 def descendants(model: CausalModel, of) -> frozenset:
     """The intervened set itself plus everything reachable from it."""
     names = [of] if isinstance(of, str) else list(of)
     for name in names:
         model.variable(name)
-    children = model.children_map()
-    reached = set(names)
-    frontier = list(names)
-    while frontier:
-        node = frontier.pop()
-        for c in children[node]:
-            if c not in reached:
-                reached.add(c)
-                frontier.append(c)
-    return frozenset(reached)
+    return frozenset(_reachable(names, model.children_map().__getitem__))
+
+
+def _ancestor_closure(model: CausalModel, names) -> set:
+    """names plus every node reached from them through equation parents."""
+    eq_map = model.equation_map
+    return _reachable(names, lambda node: eq_map[node].parents if node in eq_map else ())
+
+
+def _ancestors_only(model: CausalModel, names) -> tuple[CausalModel, set]:
+    """model restricted to the ancestor closure of names, and that closure.
+
+    forward_eval keys noise by variable name, so the pruned model gives the
+    same draws of these names as the whole one, without evaluating the rest.
+    """
+    needed = _ancestor_closure(model, names)
+    pruned = CausalModel([v for v in model.variables if v.name in needed],
+                         [e for e in model.equations if e.child in needed],
+                         [(n, p) for n, p in model.priors if n in needed])
+    return pruned, needed
+
+
+def _exogenous_names(model: CausalModel) -> tuple[str, ...]:
+    """Backgrounds first, then prior-backed roots, in declaration order."""
+    prior_names = set(model.prior_map)
+    roots = [v.name for v in model.variables
+             if v.role != Role.BACKGROUND and v.name in prior_names]
+    return model.background + tuple(roots)
 
 
 def non_descendants(model: CausalModel, of) -> frozenset:

@@ -449,6 +449,16 @@ def test_experiment_rejects_fractional_integers_bools_and_non_finite_numbers(
     assert not (tmp_path / "o").exists()
 
 
+def test_experiment_rejects_an_audit_count_below_one_before_fitting(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": 50}, "recipes": ["full"],
+                               "audits": [{"criterion": "cf", "a": {"A": 1},
+                                           "a_prime": {"A": -1}, "max_records": 0}]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config: max_records must be at least 1, got 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_numbers_accept_integral_floats_and_numeric_strings():
     assert cli._config_number(3.0, int, "draws") == 3
     assert cli._config_number("7", int, "seed") == 7

@@ -189,6 +189,20 @@ def test_both_routes_validate_evidence(route):
         counterfactual.exogenous_draws(single_latent_model(), {"X": "1.5"}, 10, FAST)
 
 
+def test_object_evidence_of_numbers_draws_as_its_float_column():
+    # X = 0.2 + 0.1 * B gives 0.30000000000000004 at B = 1: within 1e-9 of an
+    # observed 0.3 in either dtype, so the posterior puts all mass on B = 1
+    model = CausalModel(
+        variables=(Variable("B", Role.BACKGROUND, domain=(0, 1)), Variable("X", Role.OBSERVED)),
+        equations=(StructuralEquation("X", ("B",), LinearGaussian(0.2, (0.1,), 0.0)),),
+        priors={"B": CategoricalPrior((0, 1), (0.5, 0.5))})
+    config = McmcConfig(chains=1, burn_in=10, kept=5, thin=1)
+    floats = abduct_records(model, {"X": np.array([0.3])}, config).draws
+    objects = abduct_records(model, {"X": np.array([0.3], dtype=object)}, config).draws
+    assert np.array_equal(floats, np.ones((1, 5, 1)))
+    assert np.array_equal(objects, floats)
+
+
 # ---------------------------------------------------------------------------
 # three-step counterfactuals
 

@@ -13,6 +13,7 @@ from cfair import (
     CausalModel,
     Dataset,
     DeterministicTable,
+    DimensionMismatch,
     EmptyGroup,
     InvalidPath,
     LinearGaussian,
@@ -267,6 +268,33 @@ def test_path_validation_errors():
     with pytest.raises(InvalidPath):  # red_car has no direct A -> Y edge
         path_cf_test(model, linear_predictor(model, manifest_for(
             model, backgrounds=("U",)), {}), data, [["A", "Y"]], A_HI, A_LO)
+
+
+def _paired_audit(audit, model, predictor, data, a, a_prime, **kwargs):
+    if audit == "path":
+        return path_cf_test(model, predictor, data, [], a, a_prime, **kwargs)
+    return {"cf": cf_fairness_test, "strict": strict_cf_check}[audit](
+        model, predictor, data, a, a_prime, **kwargs)
+
+
+@pytest.mark.parametrize("counts", [{"draws": 0}, {"max_records": 0}, {"max_records": -1}],
+                         ids=["draws-0", "max_records-0", "max_records-negative"])
+@pytest.mark.parametrize("audit", ["cf", "strict", "path"])
+def test_paired_audits_reject_counts_below_one(audit, counts):
+    model, data = red_car(n=50, seed=1)
+    predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {})
+    with pytest.raises(DimensionMismatch, match="must be at least 1"):
+        _paired_audit(audit, model, predictor, data, A_HI, A_LO, **counts)
+
+
+@pytest.mark.parametrize("audit", ["cf", "strict", "path"])
+def test_paired_audits_reject_assignments_of_different_variables(audit):
+    model, data = law_school(n=200, seed=3)
+    obs = observed_only(model, data)
+    full = baseline_fit(obs, "full", "FYA", protected=("R", "S"))
+    with pytest.raises(DimensionMismatch, match="same variables"):
+        _paired_audit(audit, model, full, obs, {"R": 1}, {"S": 0}, config=LS_CFG,
+                      draws=20, max_records=8)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from cfair import (
 )
 from cfair import metrics
 from cfair.counterfactual import _stacked
+from cfair.scm import _ancestor_closure
 from helpers import batch_se, linear_predictor, manifest_for, model_signature
 
 _WEIGHT = st.floats(min_value=-2.0, max_value=2.0,
@@ -113,6 +114,19 @@ def test_descendant_split_partitions_the_graph(model, seeds):
     assert down | up == names
     assert down & up == set()
     assert seeds <= down
+
+
+@given(linear_models())
+def test_ancestors_and_descendants_are_converse(model):
+    # y is an ancestor of x exactly when x descends from y; each set holds its start
+    names = model.names()
+    for x in names:
+        up = _ancestor_closure(model, [x])
+        assert x in up
+        for y in names:
+            down = descendants(model, y)
+            assert y in down
+            assert (y in up) == (x in down)
 
 
 @given(linear_models(), st.integers(min_value=0, max_value=2 ** 32))
