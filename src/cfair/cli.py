@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .counterfactual import McmcConfig, _reuse_posteriors
+from .counterfactual import McmcConfig, _reuse_passes
 from .dataset import Dataset, _format_value
 from .errors import CfairError
 from .estimators import fit_level2_latent
@@ -547,10 +547,11 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
         predictors[name] = predictor
 
     # audit phase: each spec runs across the recipes, which audit the same
-    # model on the same records, so one MH posterior serves them all
+    # model on the same records, so one MH posterior serves them all, and so
+    # does each branch pass that reads the same intervened, pruned model
     failures = 0
     for i, audit_spec in enumerate(audits_cfg):
-        with _reuse_posteriors():
+        with _reuse_passes():
             for name, predictor in predictors.items():
                 summary, rep = _run_audit(dict(audit_spec), predictor, model,
                                           audit_data, outcome, mcmc)

@@ -36,9 +36,10 @@ Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
 normals plus equation noises, the sampler's are the continuous block's values.
 
-Inside a _reuse_posteriors scope, abduct_records hands back its last result,
-read-only, when it is called again with the same model, evidence, config and
-names; outside one it keeps nothing.
+Inside a _reuse_passes scope, abduct_records keeps each result, read-only,
+and hands it back when it is called again with the same model, evidence,
+config and names; metrics' branch passes keep their computed columns in the
+same store. Outside every scope nothing is kept.
 
 Prediction (counterfactual_sample) replaces equations per the intervention
 and evaluates forward once per posterior draw. Equation noise is redrawn,
@@ -103,8 +104,8 @@ _CONSISTENCY_TOL = 1e-8
 # record through 2 chains of 10,500 steps with 3 slots fills 4 blocks.
 _BLOCK_VALUES = 1 << 14
 
-# the innermost _reuse_posteriors scope's one-result store: None outside every
-# scope, else a list that is empty or holds one (key, PosteriorDraws)
+# the innermost _reuse_passes scope's store: None outside every scope, else a
+# dict from _digest keys to kept results (abductions and branch passes)
 _REUSE: contextvars.ContextVar = contextvars.ContextVar("cfair_reuse", default=None)
 
 
@@ -694,14 +695,16 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     _BLOCK_VALUES values at a time. Draws are float64 when every requested
     variable's domain is numeric, otherwise object. Returned names default
     to all exogenous variables not in the evidence (backgrounds first).
-    Inside a _reuse_posteriors scope a repeated call returns the kept result.
+    Inside a _reuse_passes scope a repeated call returns the kept result.
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
-    reuse = _REUSE.get()
-    if reuse is not None:
-        key = _reuse_key(model, evidence_cols, config, names)
-        if reuse and reuse[0] == key:
-            return reuse[1]
+    store = _REUSE.get()
+    if store is not None:
+        key = _digest(b"abduct", _model_digest(model), repr(config), repr(tuple(names)),
+                      *[part for name, col in evidence_cols.items()
+                        for part in (name, np.asarray(col))])
+        if key in store:
+            return store[key]
     chains = config.chains
     target = _Target(model, evidence_cols, n_records, order, chains)
 
@@ -782,36 +785,46 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     if independent:
         _draw_independent(kept_out, target.prior_map, independent, config, rows, chain_ids)
     posterior = PosteriorDraws(tuple(names), out, acceptance)
-    if reuse is not None:
+    if store is not None:
         out.flags.writeable = acceptance.flags.writeable = False
-        reuse[:] = (key, posterior)
+        store[key] = posterior
     return posterior
 
 
 @contextlib.contextmanager
-def _reuse_posteriors():
-    """A scope in which abduct_records keeps its last result and returns it,
-    instead of sampling again, to a call with the same key (_reuse_key). The
-    kept draws and acceptance are read-only; each new key replaces the last."""
-    token = _REUSE.set([])
+def _reuse_passes():
+    """A scope with one store that serves two users. abduct_records keeps each
+    result and returns it, instead of sampling again, to a call with the same
+    key; metrics._branch_scores keeps each branch pass's computed columns and
+    only scores a repeated pass. Keys are _digest of all that a result depends
+    on, and kept arrays are read-only. The store is emptied when the scope
+    ends; the CLI opens one per audit spec, whose recipes read the same
+    posterior and mostly the same branch passes."""
+    token = _REUSE.set({})
     try:
         yield
     finally:
         _REUSE.reset(token)
 
 
-def _reuse_key(model: CausalModel, evidence_cols: dict[str, np.ndarray],
-               config: McmcConfig, names: tuple[str, ...]) -> bytes:
-    """SHA-256 over all that an abduct_records result depends on: the model's
-    JSON, each evidence column's name, dtype and values, the config and names."""
-    parts = [json.dumps(model_to_json(model), sort_keys=True).encode(),
-             repr(config).encode(), repr(tuple(names)).encode()]
-    for name, col in evidence_cols.items():
-        col = np.asarray(col)
-        parts += [name.encode(), col.dtype.str.encode(),
-                  repr(col.tolist()).encode() if col.dtype == object else col.tobytes()]
+def _model_digest(model: CausalModel) -> bytes:
+    """SHA-256 of the model's JSON, a key part for _digest."""
+    return hashlib.sha256(json.dumps(model_to_json(model), sort_keys=True).encode()).digest()
+
+
+def _digest(*parts) -> bytes:
+    """SHA-256 over length-prefixed parts: bytes as they are, a str as UTF-8,
+    an array as its dtype, shape and values (object values by repr of their
+    list), anything else by repr."""
     h = hashlib.sha256()
     for part in parts:
+        if isinstance(part, np.ndarray):
+            data = repr(part.tolist()).encode() if part.dtype == object else part.tobytes()
+            part = f"{part.dtype.str}{part.shape}".encode() + data
+        elif isinstance(part, str):
+            part = part.encode()
+        elif not isinstance(part, bytes):
+            part = repr(part).encode()
         h.update(len(part).to_bytes(8, "little"))
         h.update(part)
     return h.digest()

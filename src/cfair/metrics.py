@@ -18,9 +18,12 @@ from scipy.special import expit, gammaln, log_expit, logit
 
 from . import rng
 from .counterfactual import (
+    _REUSE,
     McmcConfig,
     _abduct_act_predict,
     _constant_column,
+    _digest,
+    _model_digest,
     _stacked,
     exact_available,
     posterior_draw_matrix,
@@ -65,6 +68,9 @@ _MAX_ENUM = 1_000_000
 # scores per block of _ks_records' rows: the block's sort and count arrays stay
 # near a megabyte each at any record and draw count
 _KS_BLOCK_VALUES = 1 << 15
+# rows per block of a _branch_scores pass: max(1, this // draws) records, so
+# the block's forward pass and design matrix stay a few megabytes each
+_BRANCH_BLOCK_ROWS = 1 << 15
 
 
 def ks_2sample(x: np.ndarray, y: np.ndarray) -> float:
@@ -163,26 +169,76 @@ def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
 
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                    branches, latent: tuple[str, ...], exo_draws: np.ndarray,
-                   seed: int, salt: int) -> list[np.ndarray]:
+                   seed: int, salt: int, model_digest: bytes | None = None
+                   ) -> list[np.ndarray]:
     """(records, draws) predictor outputs under do(b) for each intervention b in
     branches; every branch reads the same draws and shares noise by key.
 
     Each branch evaluates only the ancestors of the predictor's inputs in the
-    intervened model (_ancestors_only).
+    intervened model (_ancestors_only). A pass runs max(1, _BRANCH_BLOCK_ROWS
+    // draws) records at a time, each block at its forward_eval row offset,
+    so it equals the one-block pass bit for bit with memory bounded by the
+    block. Inside a _reuse_passes scope, a branch that computes any column
+    keeps the columns it computes, full length and read-only, under a digest
+    of all the pass reads: the model, the intervention and the pruned node
+    set, the latent names and draws, the observed exogenous columns, seed and
+    salt. A later pass with that key, such as another recipe's audit of the
+    same spec, only scores. model_digest, when given, is _model_digest(model),
+    so a caller that runs one pass per record hashes the model once.
     """
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
     observed = {n: sub.column(n) for n in _exogenous_names(model) if n in sub.data}
     input_order = predictor.manifest.input_order()
+    per_block = max(1, _BRANCH_BLOCK_ROWS // m)
+    store = _REUSE.get()
+    call_key = None if store is None else _digest(
+        model_digest or _model_digest(model), repr(latent), exo_draws, seed, salt,
+        *[part for name, col in observed.items() for part in (name, col)])
 
     def scores(intervention: dict) -> np.ndarray:
         pruned, needed = _ancestors_only(intervene(model, intervention), input_order)
-        # one branch's columns at a time: they are freed before the next pass
-        given = _stacked(exo_draws, latent, observed, needed - set(intervention))
-        values = forward_eval(pruned, given, n_rec * m, seed, salt=salt)
-        inputs = {name: values[name] for name in input_order}
-        return predictor.score(inputs).reshape(n_rec, m)
+        fixed = (needed - set(intervention)) & (set(latent) | set(observed))
+        computed = needed - fixed
+        key = kept = None
+        if call_key is not None and computed:
+            key = _digest(b"branch", call_key, repr(sorted(intervention.items())),
+                          repr(sorted(needed)))
+            kept = store.get(key)
+        out = np.empty((n_rec, m))
+        filled: dict[str, np.ndarray] = {}
+        for lo in range(0, n_rec, per_block):
+            hi = min(lo + per_block, n_rec)
+            rows = slice(lo * m, hi * m)
+            values = _stacked(exo_draws[lo:hi], latent,
+                              {n: col[lo:hi] for n, col in observed.items()}, fixed)
+            if kept is not None:
+                values.update((n, col[rows]) for n, col in kept.items())
+            else:
+                values = forward_eval(pruned, values, (hi - lo) * m, seed, salt=salt,
+                                      row_offset=lo * m)
+                if key is not None:
+                    for n in computed:
+                        if n not in filled:
+                            filled[n] = np.empty(n_rec * m, dtype=values[n].dtype)
+                        filled[n][rows] = values[n]
+            out[lo:hi] = predictor.score({n: values[n] for n in input_order}).reshape(hi - lo, m)
+        if filled:
+            for col in filled.values():
+                col.flags.writeable = False
+            store[key] = filled
+        return out
 
     return [scores(b) for b in branches]
+
+
+def _check_pair(a: dict, a_prime: dict, **counts) -> None:
+    """Raise DimensionMismatch unless a and a_prime assign the same variables
+    and every count is at least 1."""
+    if set(a) != set(a_prime):
+        raise DimensionMismatch("a and a_prime must assign the same variables")
+    for name, value in counts.items():
+        if not value >= 1:
+            raise DimensionMismatch(f"{name} must be at least 1, got {value!r}")
 
 
 def _abducted_group(model: CausalModel, data: Dataset, a: dict, a_prime: dict,
@@ -191,11 +247,7 @@ def _abducted_group(model: CausalModel, data: Dataset, a: dict, a_prime: dict,
     a-group and abduct its latent exogenous state: (record indices, their rows,
     latent names, (records, draws, latent) draws)."""
     require_valid(model)
-    if set(a) != set(a_prime):
-        raise DimensionMismatch("a and a_prime must assign the same variables")
-    for name, value in (("draws", draws), ("max_records", max_records)):
-        if not value >= 1:
-            raise DimensionMismatch(f"{name} must be at least 1, got {value!r}")
+    _check_pair(a, a_prime, draws=draws, max_records=max_records)
     indices = np.flatnonzero(_group_mask(data, a))
     if len(indices) == 0:
         raise EmptyGroup(f"no records with {a}")
@@ -339,6 +391,7 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                                                 max_records)
     held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in sub.data]
 
+    model_digest = _model_digest(model) if _REUSE.get() is not None else None
     rows = []
     for i, ridx in enumerate(indices):
         pinned = {name: _py(sub.column(name)[i]) for name in held}
@@ -346,7 +399,7 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                                    ({**a, **pinned}, {**a_prime, **pinned}), latent,
                                    exo[i:i + 1],
                                    rng.child_seed(config.seed, rng.TAG_PATH, int(ridx)),
-                                   rng.TAG_PATH))
+                                   rng.TAG_PATH, model_digest))
     all_f, all_cf = (np.concatenate(branch) for branch in zip(*rows))
     per_record, aggregate, tie_tol = _ks_records(indices, all_f, all_cf, tie_frac)
     for r, f, cf in zip(per_record, all_f, all_cf):
@@ -442,9 +495,11 @@ def ace(model: CausalModel, predictor: FairPredictor, x_evidence: dict,
     exact conditioning route, with x pinned; otherwise rejection sampling with
     a +-0.05 acceptance band per continuous evidence coordinate (exact match
     on finite domains). Either route runs forward only the ancestors of the
-    predictor inputs (and, when rejecting, of the evidence).
+    predictor inputs (and, when rejecting, of the evidence). a and a_prime
+    must assign the same variables, and n_draws must be at least 1.
     """
     require_valid(model)
+    _check_pair(a, a_prime, n_draws=n_draws)
     mean_a, method, n_a = _interventional_mean(
         model, predictor, x_evidence, a, n_draws, config)
     mean_ap, _, n_ap = _interventional_mean(

@@ -561,18 +561,22 @@ def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
 
 
 def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
-                 seed: int, salt: int = 0) -> dict[str, np.ndarray]:
+                 seed: int, salt: int = 0, *, row_offset: int = 0) -> dict[str, np.ndarray]:
     """Evaluate all equations forward, taking `given` columns as fixed.
 
     Noise is keyed by (seed, salt, variable name, row), so two calls with the
     same seed share draws variable-by-variable regardless of which equations
-    were replaced in between. `given` must cover every prior-backed variable
-    that feeds an equation, or the prior is drawn here. _noiseless equations
-    draw no uniforms.
+    were replaced in between. The n rows are numbered from row_offset, so a
+    pass over rows [r0, r1) with row_offset=r0 equals rows r0:r1 of the pass
+    from row 0, bit for bit, and a long pass can run in blocks. `given` must
+    cover every prior-backed variable that feeds an equation, or the prior is
+    drawn here. _noiseless equations draw no uniforms.
     """
     order = require_valid(model)
     values: dict[str, np.ndarray] = {}
-    rows = np.arange(n, dtype=np.uint64)
+    # from Python ints: before numpy 2, uint64 rows plus an int64 offset are float64
+    start = int(row_offset)
+    rows = np.arange(start, start + n, dtype=np.uint64)
     eq_map = model.equation_map
     prior_map = model.prior_map
     for name in order:

@@ -9,7 +9,7 @@ import pytest
 import csv_oracle
 from cfair import (SCENARIO_KINDS, Dataset, ScenarioParams, ancestral_sample, generate,
                    load_model, load_predictor, save_model)
-from cfair import cli, counterfactual
+from cfair import cli, counterfactual, metrics
 from cfair.cli import main
 from helpers import chain_model, red_car, split_outcome_model
 
@@ -350,7 +350,9 @@ def _experiment_files(out_dir) -> dict:
 def test_experiment_without_the_reuse_scope_gives_the_same_bytes(tmp_path, capsys,
                                                                  monkeypatch):
     # every recipe's race audit reads one MH posterior, and so does every sex
-    # audit; without the scope each recipe abducts its own
+    # audit; without the scope each recipe abducts its own. The three recipes'
+    # predictors read the same pruned model, so within a spec each branch
+    # pass runs for the first recipe only
     cfg = {
         "scenario": {"kind": "law_school", "n": 300, "seed": 4},
         "outcome": "FYA",
@@ -371,19 +373,33 @@ def test_experiment_without_the_reuse_scope_gives_the_same_bytes(tmp_path, capsy
         return target(*args, **kwargs)
 
     monkeypatch.setattr(counterfactual, "_Target", counted)
+    passes = []
+    forward = metrics.forward_eval
+
+    def counted_eval(model, given, *args, **kwargs):
+        if {v.name for v in model.variables} - set(given):  # computes a column
+            passes.append(1)
+        return forward(model, given, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_eval", counted_eval)
     runs = []
-    for scope in (cli._reuse_posteriors, contextlib.nullcontext):
-        monkeypatch.setattr(cli, "_reuse_posteriors", scope)
+    for scope in (cli._reuse_passes, contextlib.nullcontext):
+        monkeypatch.setattr(cli, "_reuse_passes", scope)
         targets.clear()
+        passes.clear()
         out_dir = tmp_path / "run"
         assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "2"]) == 0
-        runs.append((capsys.readouterr().out, _experiment_files(out_dir), len(targets)))
+        runs.append((capsys.readouterr().out, _experiment_files(out_dir), len(targets),
+                     len(passes)))
         shutil.rmtree(out_dir)
-    (out, files, sampled), (out_no_scope, files_no_scope, sampled_no_scope) = runs
+    (out, files, sampled, branched), (out_no_scope, files_no_scope, sampled_no_scope,
+                                      branched_no_scope) = runs
     assert out == out_no_scope
     assert files == files_no_scope
     assert {"report.json", "metrics.csv", "densities/full_1_cf.csv"} <= set(files)
     assert (sampled, sampled_no_scope) == (2, 6)
+    # 2 specs x 2 branches, once with the scope and once per recipe without
+    assert (branched, branched_no_scope) == (4, 12)
     # each recipe's metric line, then its audit lines, recipe by recipe
     assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
         "full", "  audit cf", "  audit cf", "unaware", "  audit cf", "  audit cf",

@@ -587,7 +587,7 @@ _REUSE_CFG = McmcConfig(chains=2, burn_in=20, kept=5, thin=1, seed=3)
 def test_a_repeated_abduction_in_a_reuse_scope_returns_the_kept_read_only_draws():
     model, evidence = _law_evidence()
     fresh = abduct_records(model, evidence, _REUSE_CFG)
-    with counterfactual._reuse_posteriors():
+    with counterfactual._reuse_passes():
         first = abduct_records(model, evidence, _REUSE_CFG)
         hit = abduct_records(model, dict(evidence), _REUSE_CFG)
     assert hit is first
@@ -625,7 +625,7 @@ def _object_column(model, evidence, config):
 @pytest.mark.parametrize("change", [_one_ulp, _refit_in_place, _another_seed, _object_column])
 def test_a_reuse_scope_misses_on_any_change_of_what_the_draws_depend_on(change):
     model, evidence = _law_evidence()
-    with counterfactual._reuse_posteriors():
+    with counterfactual._reuse_passes():
         first = abduct_records(model, evidence, _REUSE_CFG)
         model, evidence, config = change(model, evidence, _REUSE_CFG)
         second = abduct_records(model, evidence, config)
@@ -637,7 +637,7 @@ def test_a_reuse_scope_misses_on_any_change_of_what_the_draws_depend_on(change):
 
 def test_nothing_is_kept_outside_a_reuse_scope():
     model, evidence = _law_evidence()
-    with counterfactual._reuse_posteriors():
+    with counterfactual._reuse_passes():
         abduct_records(model, evidence, _REUSE_CFG)
     assert counterfactual._REUSE.get() is None
     first = abduct_records(model, evidence, _REUSE_CFG)

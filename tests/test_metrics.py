@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from cfair import (
     prob_sufficiency,
     strict_cf_check,
 )
-from cfair import metrics
+from cfair import counterfactual, metrics, rng
 from helpers import (chain_model, digest, high_crime, law_school, linear_predictor,
                      loan, manifest_for, observed_only, red_car)
 
@@ -298,6 +299,138 @@ def test_paired_audits_reject_assignments_of_different_variables(audit):
 
 
 # ---------------------------------------------------------------------------
+# branch passes in record blocks, kept within a reuse scope
+
+
+def _blocked_audits(route):
+    """JSON text of the cf, strict and path reports of one audit setup."""
+    if route == "exact":
+        model, data = red_car(n=400, seed=30)
+        obs = observed_only(model, data)
+        predictor = baseline_fit(obs, "full", "Y", protected=("A",))
+        a, a_prime, config, paths = A_HI, A_LO, McmcConfig(seed=4), [["A", "X"]]
+    else:
+        model, obs, predictor = _pinned_law()
+        a, a_prime, config, paths = {"R": 1}, {"R": 0}, _PIN_CFG, [["R", "GPA"]]
+    kwargs = dict(config=config, draws=30, max_records=15)
+    reports = {"cf": cf_fairness_test(model, predictor, obs, a, a_prime, **kwargs),
+               "strict": strict_cf_check(model, predictor, obs, a, a_prime, **kwargs),
+               "path": path_cf_test(model, predictor, obs, paths, a, a_prime, **kwargs)}
+    return {name: json.dumps(rep.to_json(), sort_keys=True) for name, rep in reports.items()}
+
+
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
+def test_blocked_branch_passes_equal_the_one_block_pass_bit_for_bit(route, monkeypatch):
+    assert 15 * 30 <= metrics._BRANCH_BLOCK_ROWS  # the default runs one block
+    want = _blocked_audits(route)
+    for block_rows in (1, 7 * 30, metrics._BRANCH_BLOCK_ROWS):  # 1, 7 and 15 records
+        monkeypatch.setattr(metrics, "_BRANCH_BLOCK_ROWS", block_rows)
+        assert _blocked_audits(route) == want
+        with counterfactual._reuse_passes():
+            assert _blocked_audits(route) == want  # fills the store
+            assert _blocked_audits(route) == want  # scores from it
+
+
+def _counted_passes(monkeypatch) -> list:
+    """Record the node set of every forward_eval call metrics makes that
+    computes a column, that is every substantive branch pass."""
+    passes = []
+    forward = metrics.forward_eval
+
+    def counted(model, given, *args, **kwargs):
+        if {v.name for v in model.variables} - set(given):
+            passes.append(model)
+        return forward(model, given, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_eval", counted)
+    return passes
+
+
+def _branch_call():
+    """_branch_scores' arguments for the race branches of 6 law-school records."""
+    model, obs, full = _pinned_law(n=60)
+    sub = obs.take(np.arange(6))
+    exo = np.random.default_rng(0).normal(size=(6, 10, 1))
+    return dict(predictor=full, model=model, sub=sub, branches=({"R": 1}, {"R": 0}),
+                latent=("K",), exo_draws=exo, seed=5, salt=rng.TAG_BRANCH)
+
+
+def _another_seed(call):
+    return {**call, "seed": call["seed"] + 1}
+
+
+def _another_salt(call):
+    return {**call, "salt": rng.TAG_PATH}
+
+
+def _another_intervention(call):
+    return {**call, "branches": ({"R": 1, "S": 0}, {"R": 0, "S": 0})}
+
+
+def _one_draw(call):
+    exo = call["exo_draws"].copy()
+    exo[2, 3, 0] = np.nextafter(exo[2, 3, 0], np.inf)
+    return {**call, "exo_draws": exo}
+
+
+def _one_evidence_cell(call):
+    sub = call["sub"]
+    s = sub.column("S").copy()
+    s[4] = 1 - s[4]
+    return {**call, "sub": Dataset(sub.columns, {**sub.data, "S": s}, sub.domains)}
+
+
+def _refit_in_place(call):
+    model = call["model"]
+    eq = model.equation_map["GPA"]
+    refit = StructuralEquation(eq.child, eq.parents,
+                               replace(eq.family, intercept=eq.family.intercept + 0.5))
+    object.__setattr__(model, "equations", tuple(refit if e.child == "GPA" else e
+                                                 for e in model.equations))
+    return call
+
+
+def _same_pass(call):
+    return call
+
+
+@pytest.mark.parametrize("change", [_same_pass, _another_seed, _another_salt,
+                                    _another_intervention, _one_draw, _one_evidence_cell,
+                                    _refit_in_place])
+def test_a_kept_branch_pass_serves_only_a_pass_that_reads_the_same(change, monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    call = _branch_call()
+    with counterfactual._reuse_passes():
+        metrics._branch_scores(**call)
+        assert len(passes) == 2
+        call = change(call)
+        got = metrics._branch_scores(**call)
+        store = counterfactual._REUSE.get()
+        assert all(not col.flags.writeable for cols in store.values() for col in cols.values())
+    assert len(passes) == (2 if change is _same_pass else 4)
+    assert len(store) == len(passes)
+    assert counterfactual._REUSE.get() is None
+    fresh = metrics._branch_scores(**call)
+    assert len(passes) == (4 if change is _same_pass else 6)  # nothing kept after the scope
+    for g, f in zip(got, fresh):
+        assert g.tobytes() == f.tobytes()
+
+
+def test_a_branch_pass_that_computes_no_column_is_not_kept(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    call = _branch_call()
+    k_reader = _reader(call["model"], {"K": 1.0}, ("K",))
+    with counterfactual._reuse_passes():
+        metrics._branch_scores(**call)
+        store = counterfactual._REUSE.get()
+        kept = dict(store)
+        scores = metrics._branch_scores(**{**call, "predictor": k_reader})
+        assert store == kept and len(kept) == 2
+    assert len(passes) == 2
+    assert all(s.tobytes() == (1.0 * call["exo_draws"][:, :, 0]).tobytes() for s in scores)
+
+
+# ---------------------------------------------------------------------------
 # group rates
 
 
@@ -368,6 +501,29 @@ def test_ace_exact_route_matches_conditioning_algebra():
     out = ace(model, predictor, {"X": 1.0}, A_HI, A_LO, n_draws=2000)
     assert out["method"] == "exact"
     assert out["ace"] == pytest.approx(-2.0 * w_u, abs=1e-6)
+
+
+def test_ace_rejects_assignments_of_different_variables():
+    model, data = law_school(n=200, seed=3)
+    obs = observed_only(model, data)
+    full = baseline_fit(obs, "full", "FYA", protected=("R", "S"))
+    with pytest.raises(DimensionMismatch, match="same variables"):
+        ace(model, full, {"GPA": 3.0}, {"R": 1}, {"S": 0}, n_draws=2000,
+            config=McmcConfig(seed=1))
+
+
+@pytest.mark.parametrize("n_draws", [0, -5])
+@pytest.mark.parametrize("route", ["exact", "rejection"])
+def test_ace_rejects_fewer_than_one_draw(route, n_draws):
+    if route == "exact":
+        model, data, predictor = _fair_red_car(n=200, seed=17)
+        evidence, a, a_prime = {"X": 1.0}, A_HI, A_LO
+    else:
+        model, _ = law_school(n=1, seed=0)
+        predictor = _reader(model, {"GPA": 1.0})
+        evidence, a, a_prime = {"LSAT": 3.0}, {"R": 1}, {"R": 0}
+    with pytest.raises(DimensionMismatch, match="n_draws must be at least 1"):
+        ace(model, predictor, evidence, a, a_prime, n_draws=n_draws)
 
 
 def test_ace_rejection_route_on_non_gaussian_model():

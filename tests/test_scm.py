@@ -12,6 +12,7 @@ from scipy.special import pdtr
 
 import cfair
 from cfair import (
+    BernoulliLogit,
     CategoricalPrior,
     CausalModel,
     DeterministicTable,
@@ -346,6 +347,47 @@ def test_column_order_is_topological():
     model = chain_model(noise=0.5)
     data = ancestral_sample(model, 4, seed=0)
     assert data.columns == ("U", "A", "X", "Y")
+
+
+def _every_family_model() -> CausalModel:
+    """Normal and categorical priors feeding one equation of each family."""
+    background, observed = Role.BACKGROUND, Role.OBSERVED
+    eq = StructuralEquation
+    return CausalModel(
+        variables=(Variable("U", background),
+                   Variable("C", background, ("a", "b")),
+                   Variable("X", observed),
+                   Variable("B", observed, (0, 1)),
+                   Variable("N", observed),
+                   Variable("T", observed, ("lo", "mid", "hi"))),
+        equations=(eq("X", ("U",), LinearGaussian(0.2, (1.0,), 0.5)),
+                   eq("B", ("X",), BernoulliLogit(0.1, (1.5,))),
+                   eq("N", ("X",), PoissonLogLink(1.0, (0.8,))),
+                   eq("T", ("B", "C"), DeterministicTable(
+                       {(0, "a"): "lo", (0, "b"): "mid", (1, "a"): "mid",
+                        (1, "b"): "hi"}))),
+        priors={"U": NormalPrior(0.0, 1.0), "C": CategoricalPrior(("a", "b"), (0.3, 0.7))})
+
+
+# numpy before 2 promotes a uint64 array plus an int64 scalar to float64, so
+# an offset of either numpy type must key the same rows as a Python int
+@pytest.mark.parametrize("offset_type", [int, np.int64, np.uint64])
+def test_forward_eval_over_a_row_block_equals_those_rows_of_the_whole_pass(offset_type):
+    model = _every_family_model()
+    whole = forward_eval(model, {}, 500, seed=5, salt=3)
+    given_u = {"U": whole["U"]}
+    from_u = forward_eval(model, given_u, 500, seed=5, salt=3)
+    for r0, r1 in ((0, 1), (0, 500), (7, 8), (137, 411), (499, 500)):
+        block = forward_eval(model, {}, r1 - r0, seed=5, salt=3, row_offset=offset_type(r0))
+        block_u = forward_eval(model, {"U": whole["U"][r0:r1]}, r1 - r0, seed=5, salt=3,
+                               row_offset=offset_type(r0))
+        for got, want in ((block, whole), (block_u, from_u)):
+            assert list(got) == list(want)
+            for name, col in want.items():
+                assert got[name].dtype == col.dtype, name
+                assert digest(got[name]) == digest(col[r0:r1]), name
+    assert set(whole["T"].tolist()) == {"lo", "mid", "hi"}
+    assert whole["N"].dtype == np.int64 and whole["B"].dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
