@@ -15,10 +15,10 @@ from .dataset import Dataset
 from .errors import (CfairError, ConstraintNotInvertible, DegenerateScale,
                      DimensionMismatch, EmptyGroup, EmptyInputs,
                      EvidenceOnBackground, InterveneOnBackground, InvalidPath,
-                     ModelValidationError, NoAcceptedSamples, NonFiniteDensity,
-                     NotLinearGaussian, SeparationDetected,
-                     SingularConditioning, UnattainableValue, UnknownVariable,
-                     UnsupportedScenario, ZeroPosteriorMass)
+                     ModelValidationError, NonFiniteDensity, NotLinearGaussian,
+                     SeparationDetected, SingularConditioning,
+                     UnattainableValue, UnknownVariable, UnsupportedScenario,
+                     ZeroPosteriorMass)
 from .estimators import (DesignMatrix, LatentModelFit, LinearFit,
                          design_matrix, fit_level2_latent, level3_residuals,
                          logistic_fit, ols_fit, poisson_fit)

@@ -251,7 +251,8 @@ _AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
 
 def _audit_args(spec: dict):
     """(criterion, a, a_prime, numeric fields) of an audit spec; config errors
-    for an unknown criterion, a missing assignment or a malformed number."""
+    for an unknown criterion, a missing assignment or target, or a malformed
+    number."""
     crit = spec.get("criterion")
     if crit not in CRITERIA:
         raise _Failure(f"config: unknown audit criterion {crit!r}; "
@@ -267,6 +268,8 @@ def _audit_args(spec: dict):
     for count in ("draws", "max_records"):
         if num.get(count, 1) < 1:
             raise _Failure(f"config: {count} must be at least 1, got {num[count]!r}")
+    if crit == "ps" and "y" not in num:
+        raise _Failure("config: criterion ps needs --y")
     return crit, a, ap, num
 
 
@@ -316,11 +319,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
             raise _Failure(f"config: record index {idx} out of range")
         record = data.record(idx)
         record.pop(outcome, None)
-        if "y" in num:
-            y = num["y"]
-        else:
-            row = data.take(np.array([idx]))
-            y = float(fair_predict(predictor, model, row, config=config)[0])
+        y = num["y"]
         result = prob_sufficiency(model, predictor, record, y, ap, config=config,
                                   **picked("tol"))
         thr = num.get("threshold", 0.05)
@@ -679,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", type=int, default=0,
                    help="row index for criterion ps")
     p.add_argument("--y", type=float, default=None,
-                   help="target prediction for ps (default: the factual score)")
+                   help="target prediction for criterion ps")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--max-records", type=int, default=None)

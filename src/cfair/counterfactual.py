@@ -955,7 +955,7 @@ def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarra
     draws by its position in this batch: (seed, position, draw) on the exact
     route, (seed, position, chain, step, slot) on the MH route. Reruns of the
     same batch are bit-identical, but the same record draws differently at
-    another position (ROADMAP.md, direction 3, keys by a stable record id
+    another position (ROADMAP.md, direction 2, keys by a stable record id
     instead). Draws are float64 unless a requested variable's domain holds a
     non-number.
     """

@@ -76,10 +76,6 @@ class EmptyGroup(CfairError):
     """A group selector matches no records."""
 
 
-class NoAcceptedSamples(CfairError):
-    """Rejection sampling accepted nothing within the tolerance band."""
-
-
 class ConstraintNotInvertible(CfairError):
     """A prediction-value constraint cannot be turned into evidence on the backgrounds."""
 

@@ -35,7 +35,6 @@ from .errors import (
     EmptyGroup,
     EmptyInputs,
     InvalidPath,
-    NoAcceptedSamples,
     SingularConditioning,
     UnattainableValue,
     ZeroPosteriorMass,
@@ -61,7 +60,6 @@ from .scm import (
     require_valid,
 )
 
-_ACE_BAND = 0.05
 _STRICT_TOL = 1e-9
 _MATCH_TOL = 1e-6
 _MAX_ENUM = 1_000_000
@@ -461,52 +459,34 @@ def ftu_check(predictor: FairPredictor) -> bool:
     return True
 
 
-def _interventional_mean(model: CausalModel, predictor: FairPredictor,
-                         x_evidence: dict, assignment: dict, n_draws: int,
-                         config: McmcConfig) -> tuple[float, str, int]:
-    iv_model = intervene(model, assignment)
-    input_order = predictor.manifest.input_order()
-    if exact_available(iv_model, x_evidence):
-        values = _abduct_act_predict(iv_model, x_evidence, x_evidence, n_draws, config,
-                                     rng.TAG_ACE, reads=input_order)
-        inputs = {n: values[n] for n in input_order}
-        return float(predictor.score(inputs).mean()), "exact", n_draws
-    pruned, _ = _ancestors_only(iv_model, tuple(input_order) + tuple(x_evidence))
-    sim = forward_eval(pruned, {}, n_draws, rng.child_seed(config.seed, rng.TAG_ACE, 1))
-    accept = np.ones(n_draws, dtype=bool)
-    for name, value in x_evidence.items():
-        if model.variable(name).domain is None:
-            accept &= np.abs(sim[name].astype(np.float64) - float(value)) <= _ACE_BAND
-        else:
-            accept &= _matches(sim[name], value)
-    if not accept.any():
-        raise NoAcceptedSamples(
-            f"no simulated rows matched {x_evidence} within band {_ACE_BAND}")
-    inputs = {n: sim[n][accept] for n in input_order}
-    return float(predictor.score(inputs).mean()), "rejection", int(accept.sum())
-
-
 def ace(model: CausalModel, predictor: FairPredictor, x_evidence: dict,
         a: dict, a_prime: dict, n_draws: int = 20000,
         config: McmcConfig = McmcConfig()) -> dict:
     """Average causal effect of the protected flip on the prediction given X = x.
 
-    E[score | do(a), x] - E[score | do(a'), x]. Linear-Gaussian models take the
-    exact conditioning route, with x pinned; otherwise rejection sampling with
-    a +-0.05 acceptance band per continuous evidence coordinate (exact match
-    on finite domains). Either route runs forward only the ancestors of the
-    predictor inputs (and, when rejecting, of the evidence). a and a_prime
-    must assign the same variables, and n_draws must be at least 1.
+    E[score | do(a), x] - E[score | do(a'), x]. Each side abducts the
+    exogenous state from x in the intervened model, pins x and runs forward
+    only the ancestors of the predictor inputs: one abduct, act and predict
+    pass, as in counterfactual_sample. The abduction takes the exact
+    conditioning route where every path relevant to x is linear-Gaussian and
+    MH otherwise, where the n_draws passes cycle over config.chains *
+    config.kept posterior draws. method is "exact" when both sides took the
+    exact route, else "mcmc". a and a_prime must assign the same variables,
+    and n_draws must be at least 1.
     """
     require_valid(model)
     _check_pair(a, a_prime, n_draws=n_draws)
-    mean_a, method, n_a = _interventional_mean(
-        model, predictor, x_evidence, a, n_draws, config)
-    mean_ap, _, n_ap = _interventional_mean(
-        model, predictor, x_evidence, a_prime, n_draws, config)
+    input_order = predictor.manifest.input_order()
+    means, exact = [], True
+    for assignment in (a, a_prime):
+        iv_model = intervene(model, assignment)
+        exact &= exact_available(iv_model, x_evidence)
+        values = _abduct_act_predict(iv_model, x_evidence, x_evidence, n_draws, config,
+                                     rng.TAG_ACE, reads=input_order)
+        means.append(float(predictor.score({n: values[n] for n in input_order}).mean()))
+    mean_a, mean_ap = means
     return {"ace": mean_a - mean_ap, "mean_a": mean_a, "mean_a_prime": mean_ap,
-            "method": method, "accepted_a": n_a, "accepted_a_prime": n_ap,
-            "band": _ACE_BAND if method == "rejection" else 0.0}
+            "method": "exact" if exact else "mcmc"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ noise draws variable-by-variable.
 The exception is generator(): a PCG64 stream seeded through numpy's
 SeedSequence, which draws the audit subsample (metrics._subsample) and the
 CLI's train/test split (cli._split_indices). It is seeded too, but a value
-is not a function of its key alone. ROADMAP.md, direction 3, replaces it
+is not a function of its key alone. ROADMAP.md, direction 2, replaces it
 with keyed uniforms.
 
 All transforms consume exactly one uniform per value (inverse CDF), keeping
@@ -75,8 +75,11 @@ def name_key(name: str) -> int:
 
 
 def _fold(state, part):
+    part = np.asarray(part)
+    if part.dtype.kind not in "iu":  # a float part would be truncated
+        raise TypeError(f"key parts must be integers, got {part.dtype}")
     with np.errstate(over="ignore"):
-        part = np.asarray(part).astype(np.uint64) * _GAMMA
+        part = part.astype(np.uint64) * _GAMMA
         return _mix(state ^ part)
 
 
@@ -94,7 +97,8 @@ def key_bits(seed: int, *parts) -> np.ndarray:
     """Hash (seed, *parts) into uint64 random bits.
 
     Parts combine under numpy broadcasting, so rows[:, None] with
-    draws[None, :] keys a full (rows, draws) block in one call.
+    draws[None, :] keys a full (rows, draws) block in one call. Each part is
+    a Python int or an integer array; any other part raises TypeError.
     """
     return fold_in(_mix(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)), *parts)
 

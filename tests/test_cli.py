@@ -265,6 +265,25 @@ def test_audit_ps_enumerates_the_states_a_fair_learning_predictor_reads(tmp_path
     capsys.readouterr()
 
 
+def test_audit_ps_needs_a_target_prediction(tmp_path, capsys):
+    # no default target: the factual posterior-mean score is attained by no
+    # enumerated state, so the audit could only fail on it
+    pred, model, data = _fit_recipe_file(tmp_path, "full", "full")
+    capsys.readouterr()
+    out_dir = tmp_path / "ps"
+    assert main(["audit", str(pred), str(model), str(data), "--criterion", "ps",
+                 "--a-prime", "A=-1", "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "config: criterion ps needs --y\n"
+    assert not out_dir.exists()
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": 50}, "recipes": ["full"],
+                               "audits": [{"criterion": "ps", "a_prime": {"A": -1}}]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config: criterion ps needs --y\n"
+    # audit specs are checked before any recipe is fitted
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_and_audit_read_past_the_background_columns(tmp_path, capsys):
     # the CLI never parses U, so a data file without it gives the same bytes
     model, data = _scenario_files(tmp_path)

@@ -36,14 +36,15 @@ from cfair import (
     forward_eval,
     ftu_check,
     group_gaps,
+    intervene,
     ks_2sample,
     path_cf_test,
     prob_sufficiency,
     strict_cf_check,
 )
 from cfair import counterfactual, metrics, rng
-from helpers import (chain_model, digest, high_crime, law_school, linear_predictor,
-                     loan, manifest_for, observed_only, red_car)
+from helpers import (batch_se, chain_model, digest, high_crime, law_school,
+                     linear_predictor, loan, manifest_for, observed_only, red_car)
 
 A_HI, A_LO = {"A": 1.0}, {"A": -1.0}
 LS_CFG = McmcConfig(chains=2, burn_in=200, kept=40, thin=2, seed=0)
@@ -489,7 +490,6 @@ def test_ace_zero_when_assignments_match():
     out = ace(model, predictor, {"X": 1.0}, A_HI, A_HI, n_draws=500)
     assert out["ace"] == 0.0
     assert out["method"] == "exact"
-    assert out["band"] == 0.0
 
 
 def test_ace_exact_route_matches_conditioning_algebra():
@@ -513,7 +513,7 @@ def test_ace_rejects_assignments_of_different_variables():
 
 
 @pytest.mark.parametrize("n_draws", [0, -5])
-@pytest.mark.parametrize("route", ["exact", "rejection"])
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
 def test_ace_rejects_fewer_than_one_draw(route, n_draws):
     if route == "exact":
         model, data, predictor = _fair_red_car(n=200, seed=17)
@@ -522,23 +522,122 @@ def test_ace_rejects_fewer_than_one_draw(route, n_draws):
         model, _ = law_school(n=1, seed=0)
         predictor = _reader(model, {"GPA": 1.0})
         evidence, a, a_prime = {"LSAT": 3.0}, {"R": 1}, {"R": 0}
+    assert counterfactual.exact_available(intervene(model, a), evidence) == (route == "exact")
     with pytest.raises(DimensionMismatch, match="n_draws must be at least 1"):
         ace(model, predictor, evidence, a, a_prime, n_draws=n_draws)
 
 
-def test_ace_rejection_route_on_non_gaussian_model():
+def test_ace_mcmc_route_on_non_gaussian_model():
     model, _ = law_school(n=1, seed=0)
     gpa_reader = linear_predictor(model, manifest_for(model, observables=("GPA",),
                                                       whitelist=("GPA",)),
                                   {"GPA": 1.0})
     out = ace(model, gpa_reader, {"LSAT": 3.0}, {"R": 1}, {"R": 0},
               n_draws=20_000, config=McmcConfig(seed=3))
-    assert out["method"] == "rejection"
-    assert out["accepted_a"] > 1000
-    assert out["band"] > 0.0
+    assert out["method"] == "mcmc"
     # race does not reach LSAT by default, so conditioning stays symmetric and
     # the effect is exactly the direct GPA race weight
     assert abs(out["ace"] - 1.0) <= 0.15
+
+
+def _ace_and_draw_se(model, predictor, evidence, a, a_prime, config):
+    """ace over chains * kept draws, and the batch standard error of the
+    per-draw score difference between its two sides."""
+    n_draws, order = config.chains * config.kept, predictor.manifest.input_order()
+    out = ace(model, predictor, evidence, a, a_prime, n_draws=n_draws, config=config)
+    scores = []
+    for assignment in (a, a_prime):
+        values = counterfactual._abduct_act_predict(
+            intervene(model, assignment), evidence, evidence, n_draws, config,
+            rng.TAG_ACE, reads=order)
+        scores.append(predictor.score({n: values[n] for n in order}))
+    assert (out["mean_a"], out["mean_a_prime"]) == tuple(float(s.mean()) for s in scores)
+    return out, batch_se(scores[0] - scores[1])
+
+
+@pytest.mark.parametrize("case", ["red_car", "noisy_chain"])
+def test_ace_mcmc_route_matches_the_exact_route(monkeypatch, case):
+    if case == "red_car":
+        model, _, predictor = _fair_red_car(seed=18)
+        evidence, a, a_prime = {"X": 1.0}, A_HI, A_LO
+    else:
+        model, _ = _pinned_chain()
+        predictor = _reader(model, {"U": 1.0, "X": 0.5}, ("U",))
+        evidence, a, a_prime = {"Y": 1.0}, {"A": 1}, {"A": 0}
+    config = McmcConfig(seed=0)
+    exact = ace(model, predictor, evidence, a, a_prime, n_draws=200, config=config)
+    assert exact["method"] == "exact"
+    monkeypatch.setattr(counterfactual, "_exact_route", lambda *args, **kwargs: None)
+    mcmc, se = _ace_and_draw_se(model, predictor, evidence, a, a_prime, config)
+    assert mcmc["method"] == "mcmc"
+    # red_car's noiseless X pins U, so its MH draws are constant (se = 0) and
+    # only rounding may separate the routes
+    assert abs(mcmc["ace"] - exact["ace"]) <= max(5.0 * se, 1e-9)
+    if case == "noisy_chain":
+        assert se > 0.0
+
+
+def test_ace_mcmc_route_matches_enumeration_on_the_loan_model():
+    # under do(A = a), Employed = 0 leaves the (P, Q) states whose table entry
+    # is 0, weighted by their priors; the reader's mean over them is exact
+    model, _ = loan(n=1, seed=0)
+    weights = {"P": 1.0, "Q": 2.0}
+    predictor = _reader(model, weights, ("P", "Q"))
+    table, priors = model.equation_map["Employed"].family.mapping, model.prior_map
+
+    def enumerated(a):
+        states = [(p, q, pp * pq) for p, pp in zip(priors["P"].values, priors["P"].probs)
+                  for q, pq in zip(priors["Q"].values, priors["Q"].probs)
+                  if table[(a, p, q)] == 0]
+        mass = sum(w for _, _, w in states)
+        return sum(w * (weights["P"] * p + weights["Q"] * q) for p, q, w in states) / mass
+
+    expected = enumerated(1) - enumerated(0)
+    assert expected == pytest.approx(5 / 6)
+    config = McmcConfig(chains=4, burn_in=100, kept=250, thin=2, seed=1)
+    out, se = _ace_and_draw_se(model, predictor, {"Employed": 0}, {"A": 1}, {"A": 0}, config)
+    assert out["method"] == "mcmc"
+    assert abs(out["ace"] - expected) <= 5.0 * se
+
+
+def test_ace_answers_on_two_continuous_evidence_coordinates():
+    # GPA and LSAT pinned at once left no simulated row within a +-0.05 band;
+    # abduction answers. The full predictor reads R, S, GPA and LSAT, and only
+    # S's posterior mean in [0, 1] can move besides R itself
+    model, data = law_school(n=2000, seed=3)
+    full = baseline_fit(observed_only(model, data), "full", "FYA", protected=("R", "S"))
+    weight = dict(zip(full.labels, full.weights))
+    out = ace(model, full, {"GPA": 3.0, "LSAT": 30}, {"R": 1}, {"R": 0},
+              n_draws=20_000, config=McmcConfig(seed=1))
+    assert out["method"] == "mcmc"
+    assert abs(out["ace"] - weight["R"]) <= abs(weight["S"])
+
+
+def _latent_poisson_model() -> CausalModel:
+    """U ~ N(0, 1), C ~ Poisson(exp(U)), X = A + C + N(0, 0.5^2)."""
+    return CausalModel(
+        variables=(Variable("A", Role.PROTECTED, (0, 1)), Variable("U", Role.BACKGROUND),
+                   Variable("C", Role.OBSERVED), Variable("X", Role.OBSERVED)),
+        equations=(StructuralEquation("C", ("U",), PoissonLogLink(0.0, (1.0,))),
+                   StructuralEquation("X", ("A", "C"), LinearGaussian(0.0, (1.0, 1.0), 0.5))),
+        priors={"A": CategoricalPrior((0, 1), (0.5, 0.5)), "U": NormalPrior(0.0, 1.0)})
+
+
+def test_ace_is_zero_where_the_posterior_does_not_depend_on_the_flip():
+    # with C observed, X carries no information about U under either
+    # assignment, so both sides draw the same U
+    model = _latent_poisson_model()
+    out = ace(model, _reader(model, {"U": 1.0}, ("U",)), {"X": 2.0, "C": 1},
+              {"A": 1}, {"A": 0}, n_draws=2000)
+    assert (out["method"], out["ace"]) == ("mcmc", 0.0)
+
+
+def test_ace_rejects_latent_poisson_ancestors_of_the_evidence():
+    # as every other audit does: X's Poisson parent C is unobserved
+    model = _latent_poisson_model()
+    with pytest.raises(NonFiniteDensity, match="latent Poisson ancestors"):
+        ace(model, _reader(model, {"U": 1.0}, ("U",)), {"X": 2.0}, {"A": 1}, {"A": 0},
+            n_draws=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -849,11 +948,11 @@ def _audit_outputs(name):
         model = _string_model()
         return ace(model, _reader(model, {"X": 1.0}), {"A": "m"}, {"B": 1.0}, {"B": 0.0},
                    n_draws=500)
-    if name == "ace_rejection":
+    if name == "ace_mcmc":
         model, _ = law_school(n=1, seed=0)
         return ace(model, _reader(model, {"GPA": 1.0}), {"LSAT": 3.0, "S": 1},
                    {"R": 1}, {"R": 0}, n_draws=4000, config=McmcConfig(seed=3))
-    if name == "ace_rejection_string":
+    if name == "ace_mcmc_string":
         model = _string_model()
         return ace(model, _reader(model, {"Y": 1.0}), {"A": "m", "B": 1.0},
                    {"X": 1.0}, {"X": 0.0}, n_draws=2000)
@@ -875,13 +974,13 @@ def _audit_outputs(name):
 
 
 # digests of audit and learning outputs across routes (exact, MCMC,
-# enumeration, rejection) and value kinds (numeric, str); the steps shared
+# enumeration) and value kinds (numeric, str); the steps shared
 # between abduction and the predictor must reproduce them byte for byte
 AUDIT_DIGESTS = {
-    "ace_exact": "f2ab802659a78201",
-    "ace_exact_string": "8422fc83c3365e1e",
-    "ace_rejection": "e8f6cb21d652947f",
-    "ace_rejection_string": "8ddcf62aa8c3e193",
+    "ace_exact": "6db2435943afeafb",
+    "ace_exact_string": "40957f5942c35dc7",
+    "ace_mcmc": "ad31d2e7d595dbcb",
+    "ace_mcmc_string": "53a64af8801e7aeb",
     "additive_fair_fit": "7c7233269747fca7",
     "cf_exact": "3f06e7661ddf8844",
     "cf_mcmc_law": "5b8dcb60d6a01040",
@@ -962,7 +1061,7 @@ def test_audits_skip_an_unread_descendant_that_cannot_be_evaluated(audit):
     assert report.passed
 
 
-@pytest.mark.parametrize("route", ["exact", "rejection"])
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
 def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated(route):
     if route == "exact":
         # X = A + U without noise, so X = 0.5 pins U = 0.5 - a under do(A = a)
@@ -972,7 +1071,7 @@ def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated(route):
         assert result["method"] == "exact"
         assert (result["mean_a"], result["mean_a_prime"], result["ace"]) == (-0.5, 1.5, -2.0)
         return
-    # LSAT is Poisson, so ace rejects simulated rows; Z overflows as in
+    # LSAT is Poisson, so ace abducts by MH; Z overflows as in
     # _overflowing_child_model and the GPA reader's answer is the one without it
     model, _ = law_school(n=1, seed=0)
     with_z = _with_child(model, Variable("Z", Role.OBSERVED),
@@ -981,5 +1080,5 @@ def test_ace_skips_an_unread_descendant_that_cannot_be_evaluated(route):
         ancestral_sample(with_z, 10, seed=0)
     result = [ace(m, _reader(m, {"GPA": 1.0}), {"LSAT": 3.0}, {"R": 1}, {"R": 0},
                   n_draws=4000, config=McmcConfig(seed=3)) for m in (model, with_z)]
-    assert result[0]["method"] == "rejection"
+    assert result[0]["method"] == "mcmc"
     assert result[1] == result[0]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -74,6 +75,34 @@ def test_fold_in_block_matches_per_call_keys(seed, tag, chain, n_rows, first, n_
 def test_fold_in_without_parts_is_the_state():
     head = rng.key_bits(4, 2, np.arange(3, dtype=np.uint64))
     assert np.array_equal(rng.fold_in(head), head)
+
+
+def test_a_float_key_part_raises_instead_of_truncating():
+    # 0.7 would key as part 0
+    with pytest.raises(TypeError, match="key parts must be integers"):
+        rng.key_bits(1, np.array([0.7]))
+    with pytest.raises(TypeError, match="key parts must be integers"):
+        rng.fold_in(rng.key_bits(1, 2), 3, 0.5)
+
+
+def test_a_promoted_row_offset_keys_its_rows_or_raises():
+    # uint64 rows plus a numpy int64 offset are float64 under NEP 50
+    # promotion (numpy >= 2) and stay uint64 under the value-based rules
+    # before it; either way they never key other rows than 5, 6, 7
+    rows = np.arange(3, dtype=np.uint64) + np.int64(5)
+    if rows.dtype.kind == "f":
+        with pytest.raises(TypeError, match="key parts must be integers"):
+            rng.key_bits(1, rows)
+    else:
+        assert np.array_equal(rng.key_bits(1, rows),
+                              rng.key_bits(1, np.arange(5, 8, dtype=np.uint64)))
+
+
+def test_integer_key_parts_of_any_width_key_alike():
+    rows = np.arange(4)
+    expected = rng.key_bits(9, 2, rows.astype(np.uint64))
+    for part in (rows, rows.astype(np.int32), rows.astype(np.uint8)):
+        assert np.array_equal(rng.key_bits(9, np.int64(2), part), expected)
 
 
 def test_name_key_stable_and_injective_enough():
