@@ -15,14 +15,15 @@ the first linear child's latent weight to be positive.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from . import rng
-from .counterfactual import McmcConfig, _stacked, abduct_records
+from .counterfactual import McmcConfig, PosteriorDraws, _stacked, abduct_records
 from .dataset import Dataset
 from .errors import (
     DegenerateScale,
@@ -202,14 +203,34 @@ def level3_residuals(data: Dataset, targets, regressors) -> Dataset:
 
 @dataclass
 class LatentModelFit:
-    """Fitted latent-variable model plus per-record latent draws."""
+    """Fitted latent-variable model plus per-record latent draws.
+
+    The draws are the latent's posterior under the fitted model given the
+    training evidence, sampled with the full config on the first read of
+    k_draws, acceptance or latent_means(), and kept; a fit that only reads
+    the model samples none.
+    """
 
     model: CausalModel
     latent: str
     params: dict[str, dict]
-    k_draws: np.ndarray          # (records, draws)
-    acceptance: np.ndarray       # (records, chains)
     diagnostics: dict
+    evidence: dict[str, np.ndarray] = field(repr=False)
+    config: McmcConfig
+
+    @functools.cached_property
+    def _posterior(self) -> PosteriorDraws:
+        return abduct_records(self.model, self.evidence, self.config, names=(self.latent,))
+
+    @functools.cached_property
+    def k_draws(self) -> np.ndarray:
+        """(records, draws) latent draws."""
+        return self._posterior.draws[:, :, 0].astype(np.float64)
+
+    @property
+    def acceptance(self) -> np.ndarray:
+        """(records, chains) MH acceptance rates of the draws."""
+        return self._posterior.acceptance
 
     def latent_means(self) -> np.ndarray:
         return self.k_draws.mean(axis=1)
@@ -314,10 +335,7 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
         model = fitted_model()
         trace.append(latent_weight(first_linear))
 
-    final = abduct_records(model, evidence_cols, config, names=(latent,))
     return LatentModelFit(model=model, latent=latent,
                           params={child: _equation_params(eq) for child, eq in fitted.items()},
-                          k_draws=final.draws[:, :, 0].astype(np.float64),
-                          acceptance=final.acceptance,
-                          diagnostics={"latent_weight_trace": trace,
-                                       "mean_acceptance": float(final.acceptance.mean())})
+                          diagnostics={"latent_weight_trace": trace},
+                          evidence=evidence_cols, config=config)

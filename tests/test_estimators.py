@@ -23,6 +23,8 @@ from cfair import (
     poisson_fit,
     rng,
 )
+from cfair import estimators
+from cfair.counterfactual import abduct_records
 from helpers import digest, law_school, loan, red_car
 
 EM_CFG = McmcConfig(chains=2, burn_in=200, kept=40, thin=2, seed=0)
@@ -252,6 +254,38 @@ def test_latent_fit_rejects_a_latent_without_a_linear_child():
     data = ancestral_sample(model, 50, seed=0).drop(("K",))
     with pytest.raises(DimensionMismatch, match="LinearGaussian"):
         fit_level2_latent(data, model, config=McmcConfig(chains=1, burn_in=20, kept=5, thin=1))
+
+
+def _small_latent_fit():
+    model, data = law_school(n=200, seed=4)
+    obs = data.drop(model.background)
+    config = McmcConfig(chains=2, burn_in=40, kept=10, thin=2, seed=3)
+    return fit_level2_latent(obs, model, config=config), obs, config
+
+
+def test_latent_fit_samples_no_posterior_until_its_draws_are_read(monkeypatch):
+    configs = []
+
+    def counted(*args, **kwargs):
+        configs.append(args[2])
+        return abduct_records(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "abduct_records", counted)
+    fit, _, config = _small_latent_fit()
+    assert len(configs) == 50  # the E-steps only
+    assert fit.model is not None and fit.params and fit.diagnostics["latent_weight_trace"]
+    assert len(configs) == 50
+    fit.k_draws, fit.acceptance, fit.latent_means()
+    assert configs[50:] == [config]  # one posterior with the full config, kept
+
+
+def test_latent_fit_draws_are_the_fitted_models_posterior():
+    fit, obs, config = _small_latent_fit()
+    explicit = abduct_records(fit.model, {n: obs.column(n) for n in obs.columns}, config,
+                              names=(fit.latent,))
+    np.testing.assert_array_equal(fit.k_draws, explicit.draws[:, :, 0])
+    np.testing.assert_array_equal(fit.acceptance, explicit.acceptance)
+    np.testing.assert_array_equal(fit.latent_means(), explicit.draws[:, :, 0].mean(axis=1))
 
 
 def _latent_fit_outputs() -> dict:
