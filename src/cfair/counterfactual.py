@@ -581,15 +581,18 @@ class _Target:
             return self.part_solution
         return self.part_solution + t @ self.null_basis.T
 
-    def initial_t(self) -> np.ndarray:
+    def initial_t(self, values: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Free coordinates of the start: the particular solution, with each
-        aux_cont node at its conditional mean given the values before it and
-        the first value of every discrete variable, projected onto the evidence.
-        Without aux_cont nodes these are zeros."""
+        variable named in `values` at its (rows,) values, each aux_cont node
+        at its conditional mean given the values before it and the first
+        value of every discrete variable, projected onto the evidence. Without
+        values or aux_cont nodes these are zeros."""
         t = np.zeros((self.n, self.free_dim))
-        if not self.aux_cont:
+        if not (values or self.aux_cont):
             return t
         start = self.cont_values(t)
+        for name, col in (values or {}).items():
+            start[:, self.cont.index(name)] = col
         num, _ = self.resolve(start, np.zeros((self.n, len(self.disc_names)), dtype=np.intp))
         for j, name in enumerate(self.aux_cont, len(self.cont_prior)):
             start[:, j] = num[name] = self._eta(name, num)
@@ -680,7 +683,8 @@ def _numeric(model: CausalModel, name: str) -> bool:
 
 
 def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
-                   config: McmcConfig, names: tuple[str, ...] | None = None) -> PosteriorDraws:
+                   config: McmcConfig, names: tuple[str, ...] | None = None,
+                   _start: np.ndarray | None = None) -> PosteriorDraws:
     """Vectorised MH over records and chains; the workhorse behind abduct_mcmc.
 
     evidence_cols maps variable name to a column of per-record values. All
@@ -690,15 +694,22 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     results are bit-identical for the same batch and seed, and a chain's
     draws do not depend on how many chains run beside it, but a record's
     draws change when it sits at another position (see ROADMAP.md, direction
-    3, for keying by a stable record id). The keys of a block of steps are
+    2, for keying by a stable record id). The keys of a block of steps are
     folded onto every row's (seed, record, chain) state at once,
     _BLOCK_VALUES values at a time. Draws are float64 when every requested
     variable's domain is numeric, otherwise object. Returned names default
     to all exogenous variables not in the evidence (backgrounds first).
     Inside a _reuse_passes scope a repeated call returns the kept result.
+
+    _start, laid out like one kept draw per (record, chain), (records, chains,
+    len(names)), starts each chain there instead of where the sampler would;
+    every name must then be a normal prior that the sampler moves, and the
+    rest of the state starts as usual (initial_t). A started call is never
+    kept or served by the _reuse_passes store. fit_level2_latent uses it to
+    continue its E-step chains across EM iterations.
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
-    store = _REUSE.get()
+    store = _REUSE.get() if _start is None else None
     if store is not None:
         key = _digest(b"abduct", _model_digest(model), repr(config), repr(tuple(names)),
                       *[part for name, col in evidence_cols.items()
@@ -741,7 +752,8 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     # impossible states score -inf (log 0, inf - inf) and are rejected, so a
     # finite log density is never replaced by -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = target.initial_t()
+        t = target.initial_t(None if _start is None else
+                             {name: _start[:, :, j].T.reshape(-1) for j, name in enumerate(names)})
         codes = _init_disc(target)
         logp = target.log_density(t, codes)
         if not np.all(np.isfinite(logp)):

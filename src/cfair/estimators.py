@@ -9,8 +9,11 @@ and Poisson fits use IRLS.
 fit_level2_latent estimates a one-latent model (latent ~ N(0,1) feeding each
 observed child) by Monte Carlo EM: per-record posterior chains over the
 latent alternate with maximum-likelihood parameter updates on the
-draw-augmented data, 50 outer iterations, latent sign fixed by constraining
-the first linear child's latent weight to be positive.
+draw-augmented data, 50 outer iterations. The chains persist across
+iterations (Wei & Tanner 1990), and after each update the draws' mean and
+scale are folded into the children (PX-EM, Liu, Rubin & Wu 1998), with the
+latent's sign fixed by constraining the first linear child's latent weight
+to be positive.
 """
 
 from __future__ import annotations
@@ -236,10 +239,15 @@ class LatentModelFit:
         return self.k_draws.mean(axis=1)
 
 
-def _negated(eq: StructuralEquation, parent: str) -> StructuralEquation:
-    """eq with the weight on `parent` negated."""
-    weights = tuple(-w if p == parent else w for p, w in zip(eq.parents, eq.family.weights))
-    return StructuralEquation(eq.child, eq.parents, replace(eq.family, weights=weights))
+def _reparametrised(eq: StructuralEquation, parent: str, shift: float,
+                    scale: float) -> StructuralEquation:
+    """eq over parent' where parent = shift + scale * parent': the weight on
+    `parent` times scale, the intercept plus that weight times shift."""
+    w = eq.family.weights[eq.parents.index(parent)]
+    weights = tuple(v * scale if p == parent else v for p, v in zip(eq.parents, eq.family.weights))
+    return StructuralEquation(eq.child, eq.parents,
+                              replace(eq.family, intercept=eq.family.intercept + w * shift,
+                                      weights=weights))
 
 
 def _equation_params(eq: StructuralEquation) -> dict:
@@ -257,10 +265,18 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
     The template fixes the structure: exactly one background latent with a
     N(0, 1) prior, and LinearGaussian or PoissonLogLink children whose parents
     are the latent and observed columns of `data`; the first LinearGaussian
-    child fixes the latent's sign. 50 outer iterations; the E-step draws
-    per-record latent chains (short warm chains derived from `config`), the
-    M-step refits each child equation on the draw-augmented records. Raises DegenerateScale if a fitted noise scale falls below 1e-6.
-    Deterministic given (data, config.seed).
+    child fixes the latent's sign. 50 outer iterations. The E-step runs one
+    chain per record over the latent (burn_in max(20, config.burn_in // 10),
+    kept max(5, config.kept // 10), thin min(config.thin, 2)); the first
+    iteration starts cold, and each later one continues every chain from its
+    last draw with a burn-in of only `thin` steps. The M-step refits each
+    child on the draw-augmented records, then folds the draws' mean and
+    standard deviation into the children (PX-EM: latent weight times the
+    deviation, intercept plus that weight times the mean), negating the
+    latent if the first linear child's weight is negative; the chains' last
+    draws go through the same map. Raises DegenerateScale if a fitted noise
+    scale falls below 1e-6. Deterministic given (data, config.seed); the
+    returned fit samples its draws with the full `config` when first read.
     """
     order = require_valid(template)
     if len(template.background) != 1:
@@ -308,9 +324,12 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
 
     model = fitted_model()
     trace = []
+    start = None
     for it in range(_EM_ITERATIONS):
         e_cfg = replace(em_cfg, seed=rng.child_seed(config.seed, rng.TAG_EM, it))
-        post = abduct_records(model, evidence_cols, e_cfg, names=(latent,))
+        if start is not None:
+            e_cfg = replace(e_cfg, burn_in=e_cfg.thin)
+        post = abduct_records(model, evidence_cols, e_cfg, names=(latent,), _start=start)
         aug = _stacked(post.draws, (latent,), evidence_cols)
         aug_data = Dataset(tuple(aug), aug, dict(data.domains))
 
@@ -330,8 +349,17 @@ def fit_level2_latent(data: Dataset, template: CausalModel,
                              weights=tuple(fit.coefficient(p) for p in eq.parents))
             fitted[eq.child] = StructuralEquation(eq.child, eq.parents, family)
 
+        # PX-EM: refit the latent's mean and scale from the draws and fold them
+        # into the children, with the sign flip, so the latent stays N(0, 1);
+        # each chain's last draw goes through the same map to continue from
+        draws = post.draws[:, :, 0]
+        shift, scale = float(draws.mean()), float(draws.std())
         if latent_weight(first_linear) < 0.0:
-            fitted = {child: _negated(eq, latent) for child, eq in fitted.items()}
+            scale = -scale
+        fitted = {child: _reparametrised(eq, latent, shift, scale)
+                  for child, eq in fitted.items()}
+        last = post.draws.reshape(data.n, e_cfg.chains, e_cfg.kept, 1)[:, :, -1:, 0]
+        start = (last - shift) / scale
         model = fitted_model()
         trace.append(latent_weight(first_linear))
 

@@ -35,6 +35,7 @@ from cfair import (
     validate_evidence,
 )
 from cfair import counterfactual
+from cfair.scm import require_valid
 from helpers import (batch_se, digest, law_school, loan, red_car, single_latent_model,
                      split_outcome_model)
 
@@ -645,3 +646,53 @@ def test_nothing_is_kept_outside_a_reuse_scope():
     assert second is not first
     assert first.draws.flags.writeable and first.acceptance.flags.writeable
     np.testing.assert_array_equal(first.draws, second.draws)
+
+
+# ---------------------------------------------------------------------------
+# chains started from a given state (the EM's persistent E-step chains)
+
+
+_STARTED = {"law_school": ("K",), "strings": ("U", "U2")}
+
+
+def _cold_start(model, evidence, config, names):
+    """Where a cold call starts each chain, laid out like one kept draw."""
+    order = require_valid(model)
+    n = len(next(iter(evidence.values())))
+    target = counterfactual._Target(model, evidence, n, order, config.chains)
+    cont = target.cont_values(np.zeros((target.n, target.free_dim)))
+    return np.stack([cont[:, target.cont.index(name)].reshape(config.chains, n).T
+                     for name in names], axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(_STARTED))
+def test_a_start_at_the_cold_start_reproduces_the_cold_call(name):
+    model, evidence, config = _abduction_fixture(name)
+    names = _STARTED[name]
+    cold = abduct_records(model, evidence, config, names)
+    started = abduct_records(model, evidence, config, names,
+                             _start=_cold_start(model, evidence, config, names))
+    np.testing.assert_array_equal(started.draws, cold.draws)
+    np.testing.assert_array_equal(started.acceptance, cold.acceptance)
+
+
+def test_a_start_moves_the_chains():
+    model, evidence, config = _abduction_fixture("law_school")
+    cold = abduct_records(model, evidence, replace(config, burn_in=0), ("K",))
+    far = abduct_records(model, evidence, replace(config, burn_in=0), ("K",),
+                         _start=np.full((10, 2, 1), 6.0))
+    assert far.draws[:, 0, 0].mean() > cold.draws[:, 0, 0].mean() + 2.0
+
+
+def test_a_started_call_in_a_reuse_scope_is_not_served_the_cold_result():
+    model, evidence = _law_evidence()
+    start = np.full((6, _REUSE_CFG.chains, 1), 1.5)
+    outside = abduct_records(model, evidence, _REUSE_CFG, ("K",), _start=start)
+    with counterfactual._reuse_passes():
+        cold = abduct_records(model, evidence, _REUSE_CFG, ("K",))
+        started = abduct_records(model, evidence, _REUSE_CFG, ("K",), _start=start)
+        again = abduct_records(model, evidence, _REUSE_CFG, ("K",))
+    assert started is not cold and again is cold
+    assert not np.array_equal(started.draws, cold.draws)
+    np.testing.assert_array_equal(started.draws, outside.draws)
+    np.testing.assert_array_equal(started.acceptance, outside.acceptance)
