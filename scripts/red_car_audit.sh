@@ -15,7 +15,7 @@ for recipe in full unaware; do
     echo "== $recipe =="
     cfair audit "$out/$recipe.json" "$out/model.json" "$out/data.csv" \
         --criterion cf --a A=1 --a-prime A=-1 \
-        --out "$out/audit_$recipe" || true
+        --out "$out/audit_$recipe"
 done
 
 echo "reports and density CSVs under $out/audit_{full,unaware}/"

@@ -251,8 +251,8 @@ _AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
 
 def _audit_args(spec: dict):
     """(criterion, a, a_prime, numeric fields) of an audit spec; config errors
-    for an unknown criterion, a missing assignment or target, or a malformed
-    number."""
+    for an unknown criterion, a missing assignment, target or path, or a
+    malformed number."""
     crit = spec.get("criterion")
     if crit not in CRITERIA:
         raise _Failure(f"config: unknown audit criterion {crit!r}; "
@@ -263,6 +263,8 @@ def _audit_args(spec: dict):
         raise _Failure(f"config: criterion {crit} needs --a and --a-prime")
     if crit == "ps" and not ap:
         raise _Failure("config: criterion ps needs --a-prime")
+    if crit == "path" and not spec.get("paths"):
+        raise _Failure("config: criterion path needs at least one --path")
     num = {k: _config_number(spec[k], kind, k) for k, kind in _AUDIT_FIELDS.items()
            if spec.get(k) is not None}
     for count in ("draws", "max_records"):
@@ -288,10 +290,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         report = strict_cf_check(model, predictor, data, a, ap, config=config,
                                  **picked("draws", "tol", "max_records"))
     elif crit == "path":
-        raw_paths = spec.get("paths") or ()
-        paths = [tuple(p) for p in raw_paths]
-        if not paths:
-            raise _Failure("config: criterion path needs at least one --path")
+        paths = [tuple(p) for p in spec["paths"]]
         report = path_cf_test(model, predictor, data, paths, a, ap, config=config,
                               **picked("draws", "threshold", "max_records", "tie_frac"))
     elif crit == "dp":

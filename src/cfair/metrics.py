@@ -3,9 +3,11 @@
 The distributional audits compare, per record, the predictor's output under
 the factual protected assignment against the output under a counterfactual
 assignment, with the exogenous state abducted from that record's evidence.
-Both branches share prediction noise variable-by-variable (same seed, same
-keying), so a predictor built from non-descendants of the protected set comes
-out identical draw-by-draw, not just in distribution.
+The path-specific audit is the same comparison with the observables off the
+declared paths held at their factual values; with nothing held it is the
+plain audit. Both branches share prediction noise variable-by-variable (same
+seed, same keying), so a predictor built from non-descendants of the
+protected set comes out identical draw-by-draw, not just in distribution.
 """
 
 from __future__ import annotations
@@ -167,34 +169,37 @@ def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
 
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                    branches, latent: tuple[str, ...], exo_draws: np.ndarray,
-                   seed: int, salt: int, model_digest: bytes | None = None
-                   ) -> list[np.ndarray]:
+                   seed: int, salt: int, held=()) -> list[np.ndarray]:
     """(records, draws) predictor outputs under do(b) for each intervention b in
     branches; every branch reads the same draws and shares noise by key.
 
-    Each branch evaluates only the ancestors of the predictor's inputs in the
-    intervened model (_ancestors_only). A pass runs max(1, _BRANCH_BLOCK_ROWS
+    The observed exogenous columns of sub and its `held` columns are given per
+    record. Each branch first intervenes on the held names with any value of
+    their domain, so their causes are cut, and evaluates only the ancestors
+    of the predictor's inputs in the intervened model (_ancestors_only); the
+    given columns replace those values. A pass runs max(1, _BRANCH_BLOCK_ROWS
     // draws) records at a time, each block at its forward_eval row offset,
     so it equals the one-block pass bit for bit with memory bounded by the
     block. Inside a _reuse_passes scope, a branch that computes any column
     keeps the columns it computes, full length and read-only, under a digest
     of all the pass reads: the model, the intervention and the pruned node
-    set, the latent names and draws, the observed exogenous columns, seed and
+    set, the latent names and draws, the given columns by name, seed and
     salt. A later pass with that key, such as another recipe's audit of the
-    same spec, only scores. model_digest, when given, is _model_digest(model),
-    so a caller that runs one pass per record hashes the model once.
+    same spec, only scores.
     """
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
-    observed = {n: sub.column(n) for n in _exogenous_names(model) if n in sub.data}
+    observed = {n: sub.column(n) for n in (*_exogenous_names(model), *held) if n in sub.data}
+    cut = {n: (model.variable(n).domain or (0.0,))[0] for n in held}
     input_order = predictor.manifest.input_order()
     per_block = max(1, _BRANCH_BLOCK_ROWS // m)
     store = _REUSE.get()
     call_key = None if store is None else _digest(
-        model_digest or _model_digest(model), repr(latent), exo_draws, seed, salt,
+        _model_digest(model), repr(latent), exo_draws, seed, salt,
         *[part for name, col in observed.items() for part in (name, col)])
 
     def scores(intervention: dict) -> np.ndarray:
-        pruned, needed = _ancestors_only(intervene(model, intervention), input_order)
+        pruned, needed = _ancestors_only(intervene(model, {**cut, **intervention}),
+                                         input_order)
         fixed = (needed - set(intervention)) & (set(latent) | set(observed))
         computed = needed - fixed
         key = kept = None
@@ -239,11 +244,13 @@ def _check_pair(a: dict, a_prime: dict, **counts) -> None:
             raise DimensionMismatch(f"{name} must be at least 1, got {value!r}")
 
 
-def _abducted_group(model: CausalModel, data: Dataset, a: dict, a_prime: dict,
-                    config: McmcConfig, draws: int, max_records: int):
-    """The front half of every paired audit: check its arguments, subsample the
-    a-group and abduct its latent exogenous state: (record indices, their rows,
-    latent names, (records, draws, latent) draws)."""
+def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
+                   a: dict, a_prime: dict, config: McmcConfig, draws: int,
+                   max_records: int, held=()):
+    """Every paired audit's pass: check its arguments, subsample the a-group,
+    abduct its latent exogenous state and score both branches with shared
+    noise, the held observables given per record: (record indices, factual
+    scores, counterfactual scores), each score array (records, draws)."""
     require_valid(model)
     _check_pair(a, a_prime, draws=draws, max_records=max_records)
     indices = np.flatnonzero(_group_mask(data, a))
@@ -254,18 +261,10 @@ def _abducted_group(model: CausalModel, data: Dataset, a: dict, a_prime: dict,
     evidence = _evidence_for(model, sub)
     latent = tuple(n for n in _exogenous_names(model) if n not in evidence)
     cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
-    return indices, sub, latent, posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
-
-
-def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
-                   a: dict, a_prime: dict, config: McmcConfig, draws: int,
-                   max_records: int):
-    """Subsample the a-group, abduct, and score both branches with shared noise."""
-    indices, sub, latent, exo = _abducted_group(model, data, a, a_prime, config, draws,
-                                                max_records)
+    exo = posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
     scores_f, scores_cf = _branch_scores(predictor, model, sub, (a, a_prime), latent, exo,
                                          rng.child_seed(config.seed, rng.TAG_BRANCH),
-                                         rng.TAG_BRANCH)
+                                         rng.TAG_BRANCH, held)
     return indices, scores_f, scores_cf
 
 
@@ -379,28 +378,18 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                  max_records: int = 200, tie_frac: float = 0.08) -> FairnessReport:
     """Path-specific audit: only the listed causal paths transmit the flip.
 
-    Observables off every listed path are pinned to their factual values in
-    both branches, so differences can only travel through the declared paths.
-    Each path must be a chain of edges starting at an audited protected
-    variable.
+    This is cf_fairness_test with the observables off every listed path held
+    at each record's factual values in both branches, so differences can
+    only travel through the declared paths; with nothing held it equals
+    cf_fairness_test bit for bit. Each path must be a chain of edges
+    starting at an audited protected variable.
     """
     on_path = _validate_paths(model, paths, a)
-    indices, sub, latent, exo = _abducted_group(model, data, a, a_prime, config, draws,
-                                                max_records)
-    held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in sub.data]
-
-    model_digest = _model_digest(model) if _REUSE.get() is not None else None
-    rows = []
-    for i, ridx in enumerate(indices):
-        pinned = {name: _py(sub.column(name)[i]) for name in held}
-        rows.append(_branch_scores(predictor, model, sub.take([i]),
-                                   ({**a, **pinned}, {**a_prime, **pinned}), latent,
-                                   exo[i:i + 1],
-                                   rng.child_seed(config.seed, rng.TAG_PATH, int(ridx)),
-                                   rng.TAG_PATH, model_digest))
-    all_f, all_cf = (np.concatenate(branch) for branch in zip(*rows))
-    per_record, aggregate, tie_tol = _ks_records(indices, all_f, all_cf, tie_frac)
-    for r, f, cf in zip(per_record, all_f, all_cf):
+    held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in data.data]
+    indices, scores_f, scores_cf = _paired_scores(
+        model, predictor, data, a, a_prime, config, draws, max_records, held)
+    per_record, aggregate, tie_tol = _ks_records(indices, scores_f, scores_cf, tie_frac)
+    for r, f, cf in zip(per_record, scores_f, scores_cf):
         r["mean_shift"] = float(f.mean() - cf.mean())
     return FairnessReport(
         criterion="path_counterfactual_ks",
@@ -410,8 +399,8 @@ def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                 "tie_tol": tie_tol},
         per_record=per_record, aggregate=aggregate, threshold=threshold,
         passed=bool(aggregate <= threshold),
-        densities={"factual": [float(r.mean()) for r in all_f],
-                   "counterfactual": [float(r.mean()) for r in all_cf]})
+        densities={"factual": [float(r.mean()) for r in scores_f],
+                   "counterfactual": [float(r.mean()) for r in scores_cf]})
 
 
 def group_gaps(predictor: FairPredictor, data: Dataset, outcome: str,

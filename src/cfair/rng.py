@@ -43,8 +43,7 @@ TAG_EXACT = 13  # counterfactual: joint-normal posterior draws
 TAG_PREDICT = 14  # counterfactual: forward pass of counterfactual_sample
 TAG_EM = 21  # estimators: E-step chains of fit_level2_latent, one seed per iteration
 TAG_SUBSAMPLE = 31  # metrics: subsample of audited records
-TAG_BRANCH = 33  # metrics: cf_fairness_test's factual and counterfactual branches
-TAG_PATH = 43  # metrics: path_cf_test's per-record branches
+TAG_BRANCH = 33  # metrics: the paired audits' factual and counterfactual branches
 TAG_SUFF = 51  # metrics: prob_sufficiency's forward passes
 TAG_ACE = 61  # metrics: ace's forward passes
 TAG_SPLIT = 71  # cli: train/test split

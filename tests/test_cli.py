@@ -228,6 +228,27 @@ def test_usage_errors_exit_sixtyfour(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_audit_path_writes_its_report_and_densities(tmp_path, capsys):
+    model, data = _scenario_files(tmp_path, kind="law_school", n=300, label="law")
+    pred = tmp_path / "full.json"
+    assert main(["fit", str(model), str(data), "--recipe", "full", "--out", str(pred)]) == 0
+    common = [str(pred), str(model), str(data), "--criterion", "path",
+              "--a", "R=1", "--a-prime", "R=0", "--draws", "20", "--max-records", "10",
+              "--burn-in", "20", "--kept", "10", "--thin", "1"]
+    assert main(["audit", *common]) == 1
+    assert capsys.readouterr().err == "config: criterion path needs at least one --path\n"
+    out_dir = tmp_path / "path_report"
+    assert main(["audit", *common, "--path", "R,GPA", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith("path: ")
+    blob = json.loads(_read(out_dir / "report.json"))
+    assert blob["criterion"] == "path"
+    assert blob["detail"]["params"]["paths"] == [["R", "GPA"]]
+    assert blob["detail"]["params"]["held"] == ["LSAT"]
+    assert len(blob["detail"]["per_record"]) == 10
+    density = (out_dir / "path_density.csv").read_text().splitlines()
+    assert density[0] == "value,branch" and len(density) == 1 + 2 * 10
+
+
 def test_audit_ftu_and_ace_summaries(tmp_path, capsys):
     pred, model, data = _fit_recipe_file(tmp_path, "unaware", "aux")
     assert main(["audit", str(pred), str(model), str(data),
@@ -425,6 +446,32 @@ def test_experiment_without_the_reuse_scope_gives_the_same_bytes(tmp_path, capsy
         "fair_add", "  audit cf", "  audit cf"]
 
 
+def test_experiment_with_a_path_spec_gives_the_same_bytes_without_the_reuse_scope(
+        tmp_path, capsys, monkeypatch):
+    cfg = {
+        "scenario": {"kind": "law_school", "n": 300, "seed": 4},
+        "outcome": "FYA",
+        "recipes": ["full", "unaware", "fair_add"],
+        "mcmc": {"chains": 2, "burn_in": 20, "kept": 10, "thin": 1},
+        "audits": [{"criterion": "path", "a": {"R": 1}, "a_prime": {"R": 0},
+                    "paths": [["R", "GPA"]], "draws": 20, "max_records": 15}],
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    runs = []
+    for scope in (cli._reuse_passes, contextlib.nullcontext):
+        monkeypatch.setattr(cli, "_reuse_passes", scope)
+        out_dir = tmp_path / "run"
+        assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "2"]) == 0
+        runs.append((capsys.readouterr().out, _experiment_files(out_dir)))
+        shutil.rmtree(out_dir)
+    assert runs[0] == runs[1]
+    out, files = runs[0]
+    assert "densities/fair_add_0_path.csv" in files
+    report = json.loads(files["report.json"])
+    assert report["recipes"]["full"]["audits"][0]["detail"]["params"]["held"] == ["LSAT"]
+
+
 def test_experiment_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": {"kind": "red_car"}}))
@@ -482,6 +529,17 @@ def test_experiment_rejects_fractional_integers_bools_and_non_finite_numbers(
     assert capsys.readouterr().err == f"config: {message}\n"
     # audit specs are checked before any recipe is fitted
     assert not (tmp_path / "o").exists()
+
+
+def test_experiment_rejects_a_path_spec_without_paths_before_fitting(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "law_school", "n": 50},
+                               "recipes": ["full", "fair_k"],
+                               "audits": [{"criterion": "path", "a": {"R": 1},
+                                           "a_prime": {"R": 0}}]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config: criterion path needs at least one --path\n"
+    assert not (tmp_path / "o" / "predictors").exists()
 
 
 def test_experiment_rejects_an_audit_count_below_one_before_fitting(tmp_path, capsys):

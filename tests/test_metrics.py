@@ -236,17 +236,26 @@ def test_path_audit_pins_mediators_off_the_listed_paths():
     assert rep_a.aggregate == 1.0
 
 
-def test_full_path_set_agrees_with_unrestricted_audit():
-    model, data = high_crime(n=1200, seed=9)
-    obs = observed_only(model, data)
-    full = baseline_fit(obs, "full", "Y", protected=("A",))
-    all_paths = [["A", "X"], ["A", "X", "Y"]]
-    via_paths = path_cf_test(model, full, obs, all_paths, A_HI, A_LO,
-                             draws=200, max_records=40)
-    plain = cf_fairness_test(model, full, obs, A_HI, A_LO,
-                             draws=200, max_records=40)
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
+def test_full_path_set_agrees_with_unrestricted_audit(route):
+    # with nothing held the path audit is the cf audit, bit for bit
+    if route == "exact":
+        model, data = high_crime(n=1200, seed=9)
+        obs = observed_only(model, data)
+        predictor = baseline_fit(obs, "full", "Y", protected=("A",))
+        a, a_prime, config = A_HI, A_LO, McmcConfig()
+        all_paths = [["A", "X"], ["A", "X", "Y"]]
+    else:
+        model, obs, predictor = _pinned_law()
+        a, a_prime, config = {"R": 1}, {"R": 0}, _PIN_CFG
+        all_paths = [["R", "GPA"], ["R", "LSAT"]]
+    kwargs = dict(config=config, draws=200, max_records=40)
+    via_paths = path_cf_test(model, predictor, obs, all_paths, a, a_prime, **kwargs)
+    plain = cf_fairness_test(model, predictor, obs, a, a_prime, **kwargs)
     assert via_paths.params["held"] == []
-    assert abs(via_paths.aggregate - plain.aggregate) <= 0.05
+    assert [r["ks"] for r in via_paths.per_record] == [r["ks"] for r in plain.per_record]
+    assert via_paths.aggregate == plain.aggregate
+    assert via_paths.densities == plain.densities
 
 
 def test_empty_path_set_holds_every_observable():
@@ -257,6 +266,19 @@ def test_empty_path_set_holds_every_observable():
                           draws=100, max_records=30)
     assert report.passed
     assert report.params["held"] == ["X"]
+
+
+def test_a_path_audit_makes_one_pass_per_branch(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    model = _admissions_model()
+    data = ancestral_sample(model, 600, seed=1)
+    reader = linear_predictor(model, manifest_for(model, observables=("D",),
+                                                  include_protected=True, whitelist=("D",)),
+                              {"D": 1.0, "A": 0.5})
+    report = path_cf_test(model, reader, data, [["A", "Y"]], {"A": 1}, {"A": 0},
+                          draws=100, max_records=30)
+    assert (report.params["held"], report.params["n_audited"]) == (["D"], 30)
+    assert len(passes) == 2
 
 
 def test_path_validation_errors():
@@ -348,12 +370,13 @@ def _counted_passes(monkeypatch) -> list:
 
 
 def _branch_call():
-    """_branch_scores' arguments for the race branches of 6 law-school records."""
+    """_branch_scores' arguments for the race branches of 6 law-school records,
+    LSAT held."""
     model, obs, full = _pinned_law(n=60)
     sub = obs.take(np.arange(6))
     exo = np.random.default_rng(0).normal(size=(6, 10, 1))
     return dict(predictor=full, model=model, sub=sub, branches=({"R": 1}, {"R": 0}),
-                latent=("K",), exo_draws=exo, seed=5, salt=rng.TAG_BRANCH)
+                latent=("K",), exo_draws=exo, seed=5, salt=rng.TAG_BRANCH, held=("LSAT",))
 
 
 def _another_seed(call):
@@ -361,11 +384,15 @@ def _another_seed(call):
 
 
 def _another_salt(call):
-    return {**call, "salt": rng.TAG_PATH}
+    return {**call, "salt": call["salt"] + 1}
 
 
 def _another_intervention(call):
     return {**call, "branches": ({"R": 1, "S": 0}, {"R": 0, "S": 0})}
+
+
+def _another_held_set(call):
+    return {**call, "held": ("GPA",)}
 
 
 def _one_draw(call):
@@ -379,6 +406,13 @@ def _one_evidence_cell(call):
     s = sub.column("S").copy()
     s[4] = 1 - s[4]
     return {**call, "sub": Dataset(sub.columns, {**sub.data, "S": s}, sub.domains)}
+
+
+def _one_held_cell(call):
+    sub = call["sub"]
+    lsat = sub.column("LSAT").copy()
+    lsat[1] += 1
+    return {**call, "sub": Dataset(sub.columns, {**sub.data, "LSAT": lsat}, sub.domains)}
 
 
 def _refit_in_place(call):
@@ -396,8 +430,8 @@ def _same_pass(call):
 
 
 @pytest.mark.parametrize("change", [_same_pass, _another_seed, _another_salt,
-                                    _another_intervention, _one_draw, _one_evidence_cell,
-                                    _refit_in_place])
+                                    _another_intervention, _another_held_set, _one_draw,
+                                    _one_evidence_cell, _one_held_cell, _refit_in_place])
 def test_a_kept_branch_pass_serves_only_a_pass_that_reads_the_same(change, monkeypatch):
     passes = _counted_passes(monkeypatch)
     call = _branch_call()
@@ -990,7 +1024,7 @@ AUDIT_DIGESTS = {
     "learning_exact": "9e6a72dac9d10371",
     "learning_mcmc": "ee1b3092c13838fb",
     "path_held": "f2d813b3d2287964",
-    "path_mcmc_law": "4a78612628dcf1ff",
+    "path_mcmc_law": "d4c227dfb544ba43",
     "strict_exact": "ebccd5f8f8896494",
     "strict_mcmc_law": "a5fc17d854227dfa",
     "suff_abduction_exact": "b21c84a6d3d5f6b1",

@@ -226,19 +226,18 @@ def test_descendant_inputs_must_be_whitelisted(model):
 @given(linear_models(), st.data())
 def test_audit_pass_reads_the_columns_of_a_full_pass(model, data):
     # the audit branches evaluate only the ancestors of the predictor's
-    # inputs; each input column must equal, bit for bit, the one a pass over
-    # the whole intervened model gives, also with observables pinned as
-    # path_cf_test pins them
+    # inputs, with the held observables' causes cut; each input column must
+    # equal, bit for bit, the one a pass over the whole intervened model gives
+    # with the held columns given per record, as path_cf_test holds them
     mids = [n for n in model.names() if n.startswith("X")]
     inputs = data.draw(st.lists(st.sampled_from(["U", "Y"] + mids), min_size=1, unique=True))
-    pinned = data.draw(st.lists(st.sampled_from(mids), unique=True))
+    held = tuple(data.draw(st.lists(st.sampled_from(mids), unique=True)))
     manifest = manifest_for(model, backgrounds=[n for n in inputs if n == "U"],
                             observables=[n for n in inputs if n != "U"])
     predictor = linear_predictor(model, manifest, {n: 1.0 for n in inputs})
     sample = ancestral_sample(model, 4, seed=data.draw(st.integers(0, 100)))
-    held = {n: float(sample.column(n)[0]) for n in pinned}
-    branches = ({"A": 1.0, **held}, {"A": -1.0, **held})
-    sub = Dataset(("A",), {"A": sample.column("A")})
+    branches = ({"A": 1.0}, {"A": -1.0})
+    sub = Dataset(("A",) + held, {n: sample.column(n) for n in ("A",) + held})
     exo = np.random.default_rng(0).normal(size=(4, 3, 1))
 
     passes = []
@@ -249,10 +248,10 @@ def test_audit_pass_reads_the_columns_of_a_full_pass(model, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "forward_eval", recording)
-        scores = metrics._branch_scores(predictor, model, sub, branches, ("U",), exo, 7, 33)
+        scores = metrics._branch_scores(predictor, model, sub, branches, ("U",), exo, 7, 33,
+                                        held)
     for branch, pruned, score in zip(branches, passes, scores):
-        given = {k: v for k, v in _stacked(exo, ("U",), {"A": sub.column("A")}).items()
-                 if k not in branch}
+        given = {k: v for k, v in _stacked(exo, ("U",), sub.data).items() if k not in branch}
         full = forward_eval(intervene(model, branch), given, 12, 7, salt=33)
         for name in manifest.input_order():
             assert pruned[name].dtype == full[name].dtype

@@ -126,5 +126,5 @@ def test_stream_tags_are_pinned():
     # also fold rows and chain)
     tags = {name: value for name, value in vars(rng).items() if name.startswith("TAG_")}
     assert tags == {"TAG_MH": 11, "TAG_INDEP": 12, "TAG_EXACT": 13, "TAG_PREDICT": 14,
-                    "TAG_EM": 21, "TAG_SUBSAMPLE": 31, "TAG_BRANCH": 33, "TAG_PATH": 43,
+                    "TAG_EM": 21, "TAG_SUBSAMPLE": 31, "TAG_BRANCH": 33,
                     "TAG_SUFF": 51, "TAG_ACE": 61, "TAG_SPLIT": 71, "TAG_SCENARIO": 11}
