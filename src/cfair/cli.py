@@ -209,26 +209,22 @@ def _fit_recipe(recipe: str, train: Dataset, model: CausalModel, outcome: str,
 
 
 def _split_indices(y: np.ndarray, frac: float, seed: int):
-    """Seeded 80/20 split; stratified when the outcome is binary 0/1."""
+    """Seeded 80/20 split over an argsort of uniforms keyed by row; stratified
+    when the outcome is binary 0/1."""
     n = len(y)
-    order = rng.generator(seed, rng.TAG_SPLIT).permutation(n)
-    stratified = False
+    order = np.argsort(rng.uniforms(seed, rng.TAG_SPLIT, np.arange(n, dtype=np.uint64)),
+                       kind="stable")
     try:
         yf = y.astype(np.float64)
         stratified = n > 0 and bool(np.isin(yf, (0.0, 1.0)).all())
     except (TypeError, ValueError):
-        yf = None
-    if stratified:
-        parts = []
-        for cls in np.unique(yf):
-            members = order[yf[order] == cls]
-            parts.append(members[: int(round(frac * len(members)))])
-        train = np.sort(np.concatenate(parts)).astype(np.intp)
-    else:
-        train = np.sort(order[: int(round(frac * n))]).astype(np.intp)
+        stratified = False
+    groups = yf if stratified else np.zeros(n)
     mask = np.zeros(n, dtype=bool)
-    mask[train] = True
-    test = np.nonzero(~mask)[0]
+    for cls in np.unique(groups):
+        members = order[groups[order] == cls]
+        mask[members[: int(round(frac * len(members)))]] = True
+    train, test = np.flatnonzero(mask), np.flatnonzero(~mask)
     if len(train) == 0 or len(test) == 0:
         raise _Failure("config: the train/test split left an empty side")
     return train, test, stratified

@@ -16,10 +16,9 @@ whether the exact route applies:
   raises SingularConditioning.
 
 * MCMC (abduct_records): random-walk Metropolis, vectorised across records
-  and chains.
-  Continuous components move by Gaussian steps of size proposal_std;
-  finite-domain components are re-proposed uniformly over their domain
-  (symmetric, so no Hastings correction). The state is one continuous block,
+  and chains. Continuous components move by Gaussian steps of size
+  proposal_std; finite-domain components are re-proposed uniformly over their
+  domain (symmetric, so no Hastings correction). The state is one continuous block,
   the values of the normal priors and of the latent noisy LinearGaussian
   ancestors of the evidence, plus one discrete block, the categorical priors
   and latent Bernoulli ancestors; the latent nodes' conditional densities
@@ -35,11 +34,8 @@ whether the exact route applies:
 Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
 normals plus equation noises, the sampler's are the continuous block's values.
-
-Inside a _reuse_passes scope, abduct_records keeps each result, read-only,
-and hands it back when it is called again with the same model, evidence,
-config and names; metrics' branch passes keep their computed columns in the
-same store. Outside every scope nothing is kept.
+Both key every draw by the record's id and sum every per-row product in a
+fixed order (_row_products), so a record draws alike in any batch.
 
 Prediction (counterfactual_sample) replaces equations per the intervention
 and evaluates forward once per posterior draw. Equation noise is redrawn,
@@ -55,6 +51,7 @@ import contextvars
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -119,14 +116,13 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # with thin = 0 the sampler keeps no draw and returns zeros as if they
-        # were a posterior
-        for name in ("chains", "kept", "thin"):
+        # thin = 0 would keep no draw, and a fractional count fails in the sampler
+        for name, least in (("chains", 1), ("kept", 1), ("thin", 1), ("burn_in", 0)):
             value = getattr(self, name)
-            if not value >= 1:
-                raise DimensionMismatch(f"mcmc {name} must be at least 1, got {value!r}")
-        if not self.burn_in >= 0:
-            raise DimensionMismatch(f"mcmc burn_in must be at least 0, got {self.burn_in!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DimensionMismatch(f"mcmc {name} must be an integer, got {value!r}")
+            if value < least:
+                raise DimensionMismatch(f"mcmc {name} must be at least {least}, got {value!r}")
         if not (math.isfinite(self.proposal_std) and self.proposal_std > 0.0):
             raise DimensionMismatch(
                 f"mcmc proposal_std must be finite and positive, got {self.proposal_std!r}")
@@ -259,41 +255,42 @@ class _Affine:
         return offset, vec
 
 
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for a (..., k) and b (d, k), summed over k in index order, so a
+    row's bits do not depend on the rows beside it; BLAS (and np.einsum on
+    some layouts) rounds a row differently as the batch changes."""
+    out = np.zeros(a.shape[:-1] + b.shape[:1])
+    for j in range(a.shape[-1]):
+        out += a[..., j, None] * b[:, j]
+    return out
+
+
 def _solve(rows: list, rhs: list, dim: int, n_records: int, full_matrices: bool,
            impossible: type, mean0: np.ndarray | None = None):
     """Least-norm solution x (records, dim) of rows @ x = rhs, per record.
 
     With mean0, x is the solution nearest mean0. Singular values at or below
-    _SVD_CUTOFF times the largest are dropped; a record whose equations have
-    no solution raises `impossible`. Returns (x, vt, rank): the first rank
-    rows of vt span the constrained directions, the rest (full_matrices
-    only) the free ones.
+    _SVD_CUTOFF times the largest are dropped; a record whose equations miss
+    by more than _CONSISTENCY_TOL times 1 + its own largest |rhs| raises
+    `impossible`. Returns (x, vt, rank): the first rank rows of vt span the
+    constrained directions, the rest (full_matrices only) the free ones.
     """
+    start = np.zeros(dim) if mean0 is None else mean0
     if not rows:
-        x = np.zeros((dim, n_records)) if mean0 is None else np.repeat(mean0[:, None], n_records, 1)
-        return x.T, np.eye(dim), 0
+        return np.repeat(start[None, :], n_records, 0), np.eye(dim), 0
     matrix = np.array(rows)
-    target = np.array(rhs)  # (k, records)
+    target = np.array(rhs).T  # (records, k)
     u, s, vt = np.linalg.svd(matrix, full_matrices=full_matrices)
     rank = int((s > _SVD_CUTOFF * s.max(initial=1.0)).sum())
     pinv = vt[:rank].T / s[:rank] @ u[:, :rank].T
-    if mean0 is None:
-        x = pinv @ target
-    else:
-        x = mean0[:, None] + pinv @ (target - matrix @ mean0[:, None])
-    residual = matrix @ x - target
-    scale = 1.0 + np.abs(target).max(initial=0.0)
-    bad = np.abs(residual).max(axis=0, initial=0.0) > _CONSISTENCY_TOL * scale
+    x = start + _row_products(target - matrix @ start, pinv)
+    residual = _row_products(x, matrix) - target
+    scale = 1.0 + np.abs(target).max(axis=1)
+    bad = np.abs(residual).max(axis=1) > _CONSISTENCY_TOL * scale
     if bad.any():
         raise impossible(
             f"evidence jointly impossible for record(s) {np.flatnonzero(bad)[:5].tolist()}")
-    return x.T, vt, rank
-
-
-def _gaussian_draws(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """mean + z @ root.T: standard normals z (..., d) through the eigh square root of cov."""
-    w, v = np.linalg.eigh(cov)
-    return mean + z @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+    return x, vt, rank
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +308,11 @@ class GaussianPosterior:
 
 def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                  names: tuple[str, ...] | None = None):
-    """Validate the evidence and choose the abduction route.
+    """Validate the evidence and requested names and choose the route.
 
-    Returns the exact posterior of `names` (default: every unobserved
-    exogenous variable) as per-record means (records, d) and a shared
-    covariance (d, d), or None when a path relevant to the evidence is not
+    Returns the exact posterior of the d unobserved exogenous variables as
+    (their names in model order, per-record means (records, d), a shared
+    covariance (d, d)), or None when a path relevant to the evidence is not
     linear-Gaussian, so that the MH sampler must be used. Conditioning runs
     over one standard-normal coordinate per unobserved exogenous variable and
     one per noisy LinearGaussian ancestor of the evidence.
@@ -351,11 +348,10 @@ def _exact_route(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     unknown = [n for n in names if n not in latent]
     if unknown:
         raise UnknownVariable(f"no exogenous variables {unknown} to draw")
-    idx = np.array([latent.index(n) for n in names], dtype=int)
-    scales = np.array([prior_map[n].std for n in names])
-    means = np.array([prior_map[n].mean for n in names]) + scales * z_means[:, idx]
-    cov = np.outer(scales, scales) * z_cov[np.ix_(idx, idx)]
-    return means, cov
+    d = len(latent)
+    scales = np.array([prior_map[n].std for n in latent])
+    means = np.array([prior_map[n].mean for n in latent]) + scales * z_means[:, :d]
+    return latent, means, np.outer(scales, scales) * z_cov[:d, :d]
 
 
 def abduct_exact(model: CausalModel, evidence: dict) -> GaussianPosterior:
@@ -363,7 +359,9 @@ def abduct_exact(model: CausalModel, evidence: dict) -> GaussianPosterior:
     exact = _exact_route(model, _record_cols(evidence), model.background)
     if exact is None:
         raise NotLinearGaussian("an evidence path is not linear-Gaussian")
-    return GaussianPosterior(model.background, exact[0][0], exact[1])
+    latent, means, cov = exact
+    idx = [latent.index(n) for n in model.background]
+    return GaussianPosterior(model.background, means[0, idx], cov[np.ix_(idx, idx)])
 
 
 def exact_available(model: CausalModel, evidence) -> bool:
@@ -579,7 +577,7 @@ class _Target:
         """Reconstruct the continuous block's values (R, d) from free coordinates t (R, f)."""
         if not self.cont:
             return self.part_solution
-        return self.part_solution + t @ self.null_basis.T
+        return self.part_solution + _row_products(t, self.null_basis)
 
     def initial_t(self, values: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Free coordinates of the start: the particular solution, with each
@@ -596,7 +594,7 @@ class _Target:
         num, _ = self.resolve(start, np.zeros((self.n, len(self.disc_names)), dtype=np.intp))
         for j, name in enumerate(self.aux_cont, len(self.cont_prior)):
             start[:, j] = num[name] = self._eta(name, num)
-        return (start - self.part_solution) @ self.null_basis
+        return _row_products(start - self.part_solution, self.null_basis.T)
 
     def resolve(self, cont: np.ndarray, codes: np.ndarray):
         """(float values, int codes) of every variable the density reads.
@@ -684,22 +682,20 @@ def _numeric(model: CausalModel, name: str) -> bool:
 
 def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                    config: McmcConfig, names: tuple[str, ...] | None = None,
-                   _start: np.ndarray | None = None) -> PosteriorDraws:
+                   ids=None, _start: np.ndarray | None = None) -> PosteriorDraws:
     """Vectorised MH over records and chains; the workhorse behind abduct_mcmc.
 
-    evidence_cols maps variable name to a column of per-record values. All
-    chains step together in one loop over chains * records state rows: row
-    chain * records + i is chain `chain` of record i. Randomness is keyed by
-    (seed, position of the record in this batch, chain, step, slot), so
-    results are bit-identical for the same batch and seed, and a chain's
-    draws do not depend on how many chains run beside it, but a record's
-    draws change when it sits at another position (see ROADMAP.md, direction
-    2, for keying by a stable record id). The keys of a block of steps are
-    folded onto every row's (seed, record, chain) state at once,
+    evidence_cols maps variable name to a column of per-record values, ids
+    are the records' ids (see posterior_draw_matrix). All chains step
+    together over chains * records state rows: row chain * records + i is
+    chain `chain` of record i. Steps are keyed by (seed, id, chain, step,
+    slot), prior draws outside the chain by (seed, id, chain, draw, name), so
+    a chain's draws do not depend on the chains beside it. A block of steps'
+    keys is folded onto every row's (seed, id, chain) state at once,
     _BLOCK_VALUES values at a time. Draws are float64 when every requested
-    variable's domain is numeric, otherwise object. Returned names default
-    to all exogenous variables not in the evidence (backgrounds first).
-    Inside a _reuse_passes scope a repeated call returns the kept result.
+    domain is numeric, else object; names default to the exogenous variables
+    not in the evidence (backgrounds first). Inside a _reuse_passes scope a
+    repeated call returns the kept result.
 
     _start, laid out like one kept draw per (record, chain), (records, chains,
     len(names)), starts each chain there instead of where the sampler would;
@@ -709,9 +705,10 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     continue its E-step chains across EM iterations.
     """
     order, n_records, _, names = _abduction_prelude(model, evidence_cols, names)
+    ids = _record_ids(ids, n_records)
     store = _REUSE.get() if _start is None else None
     if store is not None:
-        key = _digest(b"abduct", _model_digest(model), repr(config), repr(tuple(names)),
+        key = _digest(b"abduct", _model_digest(model), repr(config), repr(tuple(names)), ids,
                       *[part for name, col in evidence_cols.items()
                         for part in (name, np.asarray(col))])
         if key in store:
@@ -723,7 +720,6 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
         """A (rows,) state column as (records, chains)."""
         return col.reshape(chains, n_records).T
 
-    rows = np.arange(n_records, dtype=np.uint64)
     chain_ids = np.arange(chains, dtype=np.uint64)
     dtype = np.float64 if all(_numeric(model, n) for n in names) else object
     out = np.zeros((n_records, chains * config.kept, len(names)), dtype=dtype)
@@ -759,7 +755,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
         if not np.all(np.isfinite(logp)):
             codes, logp = _feasible_init(target, t, codes, logp)
 
-        head = rng.key_bits(config.seed, rng.TAG_MH, np.tile(rows, chains),
+        head = rng.key_bits(config.seed, rng.TAG_MH, np.tile(ids, chains),
                             np.repeat(chain_ids, n_records))[None, :, None]
         accepted = np.zeros(target.n)
         kept_i = 0
@@ -795,7 +791,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                         kept_i += 1
     acceptance = per_record(accepted / max(1, config.kept * config.thin)).copy()
     if independent:
-        _draw_independent(kept_out, target.prior_map, independent, config, rows, chain_ids)
+        _draw_independent(kept_out, target.prior_map, independent, config, ids, chain_ids)
     posterior = PosteriorDraws(tuple(names), out, acceptance)
     if store is not None:
         out.flags.writeable = acceptance.flags.writeable = False
@@ -870,13 +866,13 @@ def _feasible_init(target, t, codes, logp):
     return best, best_logp
 
 
-def _draw_independent(out, prior_map, independent, config, rows, chain_ids):
+def _draw_independent(out, prior_map, independent, config, ids, chain_ids):
     """Prior draws for every kept slot of out, viewed as (records, chains, kept,
-    names), keyed (seed, rows, chain, kept, column)."""
-    head = rng.key_bits(config.seed, rng.TAG_INDEP, rows[:, None], chain_ids)[:, :, None]
+    names), keyed (seed, record id, chain, kept, name key)."""
+    head = rng.key_bits(config.seed, rng.TAG_INDEP, ids[:, None], chain_ids)[:, :, None]
     kept = np.arange(config.kept, dtype=np.uint64)
     for j, name in independent:
-        u = rng.bits_to_uniforms(rng.fold_in(head, kept, j))
+        u = rng.bits_to_uniforms(rng.fold_in(head, kept, rng.name_key(name)))
         out[..., j] = _prior_column(prior_map[name], u)
 
 
@@ -924,53 +920,60 @@ def _abduct_act_predict(model: CausalModel, evidence: dict, intervention: dict,
     return forward_eval(modified, given, n_draws, rng.child_seed(config.seed, tag), salt=tag)
 
 
+def _record_ids(ids, n_records: int) -> np.ndarray:
+    """Record ids as uint64 keys: arange(n_records) by default."""
+    ids = np.arange(n_records) if ids is None else np.asarray(ids)
+    if ids.shape != (n_records,) or ids.dtype.kind not in "iu":
+        raise DimensionMismatch(f"ids must be {n_records} integers, got {ids.dtype} {ids.shape}")
+    return ids.astype(np.uint64)
+
+
 def _abduct(model: CausalModel, evidence_cols: dict[str, np.ndarray], config: McmcConfig,
-            names: tuple[str, ...], exact_normals) -> PosteriorDraws:
+            names: tuple[str, ...], m: int, ids=None) -> PosteriorDraws:
     """Posterior draws of `names` per record, from the one site that picks the route.
 
-    Where _exact_route gives the joint-normal posterior, the draws' standard
-    normals are exact_normals(k, rows), (records, m, d) for k = arange(d) and
-    rows = arange(records)[:, None, None]; otherwise abduct_records draws.
+    Where _exact_route gives the joint-normal posterior, m draws of every
+    unobserved exogenous variable k (model order), keyed by (seed, TAG_EXACT,
+    1, k, id, draw), of which the names' columns are returned; otherwise
+    abduct_records draws.
     """
     exact = _exact_route(model, evidence_cols, names)
     if exact is None:
-        return abduct_records(model, evidence_cols, config, names=names)
-    means, cov = exact
-    z = exact_normals(np.arange(len(cov), dtype=np.uint64),
-                      np.arange(len(means), dtype=np.uint64)[:, None, None])
-    return PosteriorDraws(tuple(names), _gaussian_draws(means[:, None, :], cov, z), None)
+        return abduct_records(model, evidence_cols, config, names=names, ids=ids)
+    latent, means, cov = exact
+    ids = _record_ids(ids, len(means))
+    z = rng.normals(config.seed, rng.TAG_EXACT, 1, np.arange(len(latent), dtype=np.uint64),
+                    ids[:, None, None], np.arange(m, dtype=np.uint64)[None, :, None])
+    w, v = np.linalg.eigh(cov)  # z through the eigh square root of cov
+    draws = means[:, None, :] + _row_products(z, v * np.sqrt(np.clip(w, 0.0, None)))
+    return PosteriorDraws(tuple(names), draws[:, :, [latent.index(n) for n in names]], None)
 
 
 def exogenous_draws(model: CausalModel, evidence: dict, n_draws: int,
                     config: McmcConfig) -> dict[str, np.ndarray]:
-    """Draws of every exogenous variable given evidence, plus pinned observed roots."""
+    """Draws of every exogenous variable given evidence, plus pinned observed
+    roots: the one-record view of _abduct, the record's id 0."""
     exo = _exogenous_names(model)
     latent = tuple(n for n in exo if n not in evidence)
-    draw_ids = np.arange(n_draws, dtype=np.uint64)[None, :, None]
-    draws = _abduct(model, _record_cols(evidence), config, latent, lambda k, rows: rng.normals(
-        config.seed, rng.TAG_EXACT, 0, k, draw_ids)).draws[0]
+    draws = _abduct(model, _record_cols(evidence), config, latent, n_draws).draws[0]
     draws = draws[np.arange(n_draws) % len(draws)]
     out = {name: draws[:, j] for j, name in enumerate(latent)}
-    for name in exo:
-        if name in evidence:
-            out[name] = _constant_column(evidence[name], n_draws)
+    out.update((n, _constant_column(evidence[n], n_draws)) for n in exo if n in evidence)
     return out
 
 
 def posterior_draw_matrix(model: CausalModel, evidence_cols: dict[str, np.ndarray],
-                          config: McmcConfig, names: tuple[str, ...]) -> np.ndarray:
+                          config: McmcConfig, names: tuple[str, ...], ids=None) -> np.ndarray:
     """(records, chains * kept, len(names)) posterior draws for every record.
 
     The route is chosen once, by _abduct: the exact joint-normal posterior
     when every path relevant to the evidence is linear-Gaussian, otherwise
     the record-vectorised MH sampler (abduct_records). Both key a record's
-    draws by its position in this batch: (seed, position, draw) on the exact
-    route, (seed, position, chain, step, slot) on the MH route. Reruns of the
-    same batch are bit-identical, but the same record draws differently at
-    another position (ROADMAP.md, direction 2, keys by a stable record id
-    instead). Draws are float64 unless a requested variable's domain holds a
-    non-number.
+    draws by its id, its row in the caller's Dataset (ids, default
+    arange(records)), and sum every per-row product in a fixed order
+    (_row_products), so a record draws bit-identically alone, at any position
+    and among any other records, and a name's draws do not depend on the
+    other requested names. Draws are float64 unless a requested variable's
+    domain holds a non-number.
     """
-    draw_ids = np.arange(config.draws, dtype=np.uint64)[None, :, None]
-    return _abduct(model, evidence_cols, config, names, lambda k, rows: rng.normals(
-        config.seed, rng.TAG_EXACT, 1, k, rows, draw_ids)).draws
+    return _abduct(model, evidence_cols, config, names, config.draws, ids).draws

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .counterfactual import McmcConfig, _stacked, posterior_draw_matrix
+from .counterfactual import McmcConfig, _row_products, _stacked, posterior_draw_matrix
 from .dataset import Dataset
 from .errors import DimensionMismatch, EmptyInputs, InvalidPath, UnknownVariable
 from .estimators import _residual_fits, design_matrix, logistic_fit, ols_fit
@@ -117,8 +117,8 @@ class FairPredictor:
         return design.matrix
 
     def score(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        """Head output for fully specified input columns (one row per entry)."""
-        eta = self.design_from(columns) @ self.weights
+        """Head output per row of fully specified inputs, alike in any batch."""
+        eta = _row_products(self.design_from(columns), self.weights[None, :])[:, 0]
         return expit(eta) if self.head == "logistic" else eta
 
     def to_json(self) -> dict:

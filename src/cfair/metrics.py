@@ -26,6 +26,7 @@ from .counterfactual import (
     _constant_column,
     _digest,
     _model_digest,
+    _record_ids,
     _stacked,
     exact_available,
     posterior_draw_matrix,
@@ -160,41 +161,44 @@ def _group_mask(data: Dataset, assignment: dict) -> np.ndarray:
 
 
 def _subsample(indices: np.ndarray, max_records: int, seed: int) -> np.ndarray:
+    """The max_records ascending indices with the smallest keyed uniforms (ties
+    to the lower index), so a smaller audit's records are among a larger one's."""
     if len(indices) <= max_records:
         return indices
-    gen = rng.generator(seed, rng.TAG_SUBSAMPLE)
-    pick = gen.choice(len(indices), size=max_records, replace=False)
-    return indices[np.sort(pick)]
+    u = rng.uniforms(seed, rng.TAG_SUBSAMPLE, indices.astype(np.uint64))
+    near = np.flatnonzero(u <= np.partition(u, max_records - 1)[max_records - 1])
+    return indices[np.sort(near[np.argsort(u[near], kind="stable")[:max_records]])]
 
 
 def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                    branches, latent: tuple[str, ...], exo_draws: np.ndarray,
-                   seed: int, salt: int, held=()) -> list[np.ndarray]:
+                   seed: int, salt: int, held=(), ids=None) -> list[np.ndarray]:
     """(records, draws) predictor outputs under do(b) for each intervention b in
-    branches; every branch reads the same draws and shares noise by key.
+    branches; every branch reads the same draws and shares noise by key: draw
+    d of the record with id i (default arange(records)) is row key i * draws + d.
 
     The observed exogenous columns of sub and its `held` columns are given per
     record. Each branch first intervenes on the held names with any value of
     their domain, so their causes are cut, and evaluates only the ancestors
     of the predictor's inputs in the intervened model (_ancestors_only); the
     given columns replace those values. A pass runs max(1, _BRANCH_BLOCK_ROWS
-    // draws) records at a time, each block at its forward_eval row offset,
-    so it equals the one-block pass bit for bit with memory bounded by the
-    block. Inside a _reuse_passes scope, a branch that computes any column
-    keeps the columns it computes, full length and read-only, under a digest
-    of all the pass reads: the model, the intervention and the pruned node
-    set, the latent names and draws, the given columns by name, seed and
-    salt. A later pass with that key, such as another recipe's audit of the
-    same spec, only scores.
+    // draws) records at a time, so it equals the one-block pass bit for bit
+    with memory bounded by the block. Inside a _reuse_passes scope, a branch
+    that computes any column keeps the columns it computes, full length and
+    read-only, under a digest of all the pass reads: the model, the
+    intervention and the pruned node set, the latent names and draws, the
+    given columns by name, the ids, seed and salt. A later pass with
+    that key, such as another recipe's audit of the same spec, only scores.
     """
     n_rec, m = exo_draws.shape[0], exo_draws.shape[1]
+    ids, draw_ids = _record_ids(ids, n_rec), np.arange(m, dtype=np.uint64)
     observed = {n: sub.column(n) for n in (*_exogenous_names(model), *held) if n in sub.data}
     cut = {n: (model.variable(n).domain or (0.0,))[0] for n in held}
     input_order = predictor.manifest.input_order()
     per_block = max(1, _BRANCH_BLOCK_ROWS // m)
     store = _REUSE.get()
     call_key = None if store is None else _digest(
-        _model_digest(model), repr(latent), exo_draws, seed, salt,
+        _model_digest(model), repr(latent), exo_draws, ids, seed, salt,
         *[part for name, col in observed.items() for part in (name, col)])
 
     def scores(intervention: dict) -> np.ndarray:
@@ -218,7 +222,7 @@ def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
                 values.update((n, col[rows]) for n, col in kept.items())
             else:
                 values = forward_eval(pruned, values, (hi - lo) * m, seed, salt=salt,
-                                      row_offset=lo * m)
+                                      rows=(ids[lo:hi, None] * np.uint64(m) + draw_ids).ravel())
                 if key is not None:
                     for n in computed:
                         if n not in filled:
@@ -250,7 +254,7 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     """Every paired audit's pass: check its arguments, subsample the a-group,
     abduct its latent exogenous state and score both branches with shared
     noise, the held observables given per record: (record indices, factual
-    scores, counterfactual scores), each score array (records, draws)."""
+    scores, counterfactual scores), each (records, draws) and keyed by row in data."""
     require_valid(model)
     _check_pair(a, a_prime, draws=draws, max_records=max_records)
     indices = np.flatnonzero(_group_mask(data, a))
@@ -261,10 +265,10 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     evidence = _evidence_for(model, sub)
     latent = tuple(n for n in _exogenous_names(model) if n not in evidence)
     cfg = replace(config, kept=max(1, math.ceil(draws / config.chains)))
-    exo = posterior_draw_matrix(model, evidence, cfg, latent)[:, :draws, :]
+    exo = posterior_draw_matrix(model, evidence, cfg, latent, ids=indices)[:, :draws, :]
     scores_f, scores_cf = _branch_scores(predictor, model, sub, (a, a_prime), latent, exo,
                                          rng.child_seed(config.seed, rng.TAG_BRANCH),
-                                         rng.TAG_BRANCH, held)
+                                         rng.TAG_BRANCH, held, indices)
     return indices, scores_f, scores_cf
 
 

@@ -1,18 +1,15 @@
 """Counter-based random number generation.
 
-Every stochastic draw in the toolkit but one kind is addressed by an explicit
-key (master seed, stream tag, record/row index, variable key, ...) and
-computed by hashing the key with the SplitMix64 finisher, so results are
-bit-identical for a given seed and independent of iteration or thread order.
-Variables are keyed by a stable 64-bit hash of their name, which survives
-equation surgery: the factual and counterfactual branches of an audit share
-noise draws variable-by-variable.
-
-The exception is generator(): a PCG64 stream seeded through numpy's
-SeedSequence, which draws the audit subsample (metrics._subsample) and the
-CLI's train/test split (cli._split_indices). It is seeded too, but a value
-is not a function of its key alone. ROADMAP.md, direction 2, replaces it
-with keyed uniforms.
+Every stochastic draw in the toolkit is addressed by an explicit key (master
+seed, stream tag, record id, chain/step/draw, variable key, ...) and computed
+by hashing the key with the SplitMix64 finisher, so results are bit-identical
+for a given seed and independent of iteration or thread order. A record's
+key holds its id, its row in the caller's Dataset, so its draws do not depend
+on which records are drawn beside it. Variables are keyed by a stable 64-bit
+hash of their name, which survives equation surgery: the factual and
+counterfactual branches of an audit share noise draws variable-by-variable.
+Seeded permutations (the audit subsample, the CLI's train/test split) sort
+keyed uniforms, so an index's rank is a function of its key alone.
 
 All transforms consume exactly one uniform per value (inverse CDF), keeping
 the key -> value map one-to-one.
@@ -36,7 +33,7 @@ from scipy.special import ndtri
 # Stream tags: the key part after the seed that keeps one kind of draw apart
 # from the others. Every value is baked into seeded outputs and must not
 # change. TAG_SCENARIO shares 11 with TAG_MH: the CLI's scenario seed is
-# child_seed(seed, 11) alone, while every MH key also folds rows and chain.
+# child_seed(seed, 11) alone, while every MH key also folds record ids and chain.
 TAG_MH = 11  # counterfactual: MH chain steps
 TAG_INDEP = 12  # counterfactual: prior draws of exogenous variables outside the chain
 TAG_EXACT = 13  # counterfactual: joint-normal posterior draws
@@ -124,9 +121,3 @@ def child_seed(seed: int, *parts) -> int:
     """Derive an integer sub-seed; used to key whole sampling passes."""
     return int(key_bits(seed, *parts))
 
-
-def generator(seed: int, *parts) -> np.random.Generator:
-    """A numpy Generator on an independent stream keyed by (seed, *parts)."""
-    ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                spawn_key=tuple(int(p) & 0xFFFFFFFFFFFFFFFF for p in parts))
-    return np.random.Generator(np.random.PCG64(ss))

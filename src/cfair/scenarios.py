@@ -80,6 +80,8 @@ class ScenarioParams:
     def __post_init__(self):
         if self.kind not in _DEFAULTS:
             raise UnsupportedScenario(f"unknown scenario {self.kind!r}")
+        if not self.n >= 0:
+            raise DimensionMismatch(f"n must be at least 0, got {self.n!r}")
         unknown = set(self.params) - set(_DEFAULTS[self.kind])
         if unknown:
             raise DimensionMismatch(

@@ -31,6 +31,7 @@ from scipy.special import expit, ndtri, pdtr, pdtrik
 from . import rng
 from .dataset import Dataset
 from .errors import (
+    DimensionMismatch,
     InterveneOnBackground,
     ModelValidationError,
     NonFiniteDensity,
@@ -561,22 +562,21 @@ def evaluate_equation(eq: StructuralEquation, values: dict[str, np.ndarray],
 
 
 def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
-                 seed: int, salt: int = 0, *, row_offset: int = 0) -> dict[str, np.ndarray]:
+                 seed: int, salt: int = 0, *, rows=None) -> dict[str, np.ndarray]:
     """Evaluate all equations forward, taking `given` columns as fixed.
 
-    Noise is keyed by (seed, salt, variable name, row), so two calls with the
-    same seed share draws variable-by-variable regardless of which equations
-    were replaced in between. The n rows are numbered from row_offset, so a
-    pass over rows [r0, r1) with row_offset=r0 equals rows r0:r1 of the pass
-    from row 0, bit for bit, and a long pass can run in blocks. `given` must
-    cover every prior-backed variable that feeds an equation, or the prior is
-    drawn here. _noiseless equations draw no uniforms.
+    Noise is keyed by (seed, salt, variable name, row key), so two calls with
+    the same seed share draws variable-by-variable regardless of which
+    equations were replaced in between. Every step is elementwise, so a row
+    depends on its key (`rows`, default arange(n)) and given values alone.
+    `given` must cover every prior-backed variable that feeds an equation, or
+    the prior is drawn here. _noiseless equations draw no uniforms.
     """
     order = require_valid(model)
     values: dict[str, np.ndarray] = {}
-    # from Python ints: before numpy 2, uint64 rows plus an int64 offset are float64
-    start = int(row_offset)
-    rows = np.arange(start, start + n, dtype=np.uint64)
+    rows = np.arange(n, dtype=np.uint64) if rows is None else np.asarray(rows)
+    if rows.shape != (n,):
+        raise DimensionMismatch(f"rows must hold {n} keys, got shape {rows.shape}")
     eq_map = model.equation_map
     prior_map = model.prior_map
     for name in order:
@@ -598,6 +598,8 @@ def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
 def ancestral_sample(model: CausalModel, n: int, seed: int) -> Dataset:
     """Sample n rows in topological order; deterministic given seed."""
     order = require_valid(model)
+    if n < 0:
+        raise DimensionMismatch(f"row count must be at least 0, got {n}")
     values = forward_eval(model, {}, n, seed)
     domains = {v.name: v.domain for v in model.variables if v.domain is not None}
     return Dataset(tuple(order), {k: values[k] for k in order}, domains)

@@ -137,3 +137,23 @@ def digest(arr) -> str:
     else:
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
+
+
+def assert_keyed_by_id(draw, evidence: dict, picks) -> None:
+    """Check that a record's draws depend on its id alone.
+
+    draw(evidence columns, ids or None) gives (records, m, d) draws. A batch
+    of the evidence rows `picks`, each row's first occurrence under its own
+    id and every later one under a fresh id, must give every record under its
+    own id the draws that record gets in the whole evidence (ids 0, 1, ...),
+    bit for bit: alone, at another position and among other records.
+    """
+    whole = draw(evidence, None)
+    for r in range(len(whole)):
+        alone = draw({k: np.asarray(v)[[r]] for k, v in evidence.items()}, np.array([r]))
+        assert digest(alone[0]) == digest(whole[r]), r
+    ids = [r if r not in picks[:j] else 1000 + j for j, r in enumerate(picks)]
+    batch = draw({k: np.asarray(v)[list(picks)] for k, v in evidence.items()}, np.array(ids))
+    for j, (r, i) in enumerate(zip(picks, ids)):
+        if r == i:
+            assert digest(batch[j]) == digest(whole[r]), (picks, j)

@@ -85,6 +85,22 @@ def test_simulate_writes_seeded_rows(tmp_path, capsys):
     assert Dataset.from_csv(out1).n == 50
 
 
+def test_a_negative_row_count_is_an_error_line_not_a_traceback(tmp_path, capsys):
+    # each once ended in numpy's "negative dimensions are not allowed"
+    model_path, _ = _scenario_files(tmp_path, n=5)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": -2}, "recipes": ["full"]}))
+    for argv, message in (
+            (["scenario", "red_car", "--n", "-5", "--out", str(tmp_path / "s")],
+             "n must be at least 0, got -5"),
+            (["simulate", str(model_path), "--n", "-5", "--out", str(tmp_path / "d.csv")],
+             "row count must be at least 0, got -5"),
+            (["experiment", str(cfg), "--out", str(tmp_path / "o")],
+             "n must be at least 0, got -2")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"DimensionMismatch: {message}\n"
+
+
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_scenario_and_simulate_files_match_the_cell_by_cell_writer(tmp_path, kind):
     model_path, data_path = _scenario_files(tmp_path, kind=kind, n=300, seed=12)

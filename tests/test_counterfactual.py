@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, stats
 from scipy.special import expit
 
@@ -14,6 +15,7 @@ from cfair import (
     DeterministicTable,
     DimensionMismatch,
     EvidenceOnBackground,
+    SingularConditioning,
     LinearGaussian,
     McmcConfig,
     NormalPrior,
@@ -36,8 +38,8 @@ from cfair import (
 )
 from cfair import counterfactual
 from cfair.scm import require_valid
-from helpers import (batch_se, digest, law_school, loan, red_car, single_latent_model,
-                     split_outcome_model)
+from helpers import (assert_keyed_by_id, batch_se, digest, law_school, loan, red_car,
+                     single_latent_model, split_outcome_model)
 
 FAST = McmcConfig(chains=2, burn_in=200, kept=200, thin=2, seed=0)
 
@@ -115,7 +117,7 @@ def test_mcmc_acceptance_band_and_quadrature_mean():
     logp = (stats.norm.logpdf(k, 0.0, 1.0) + lin_loglik("GPA") + lin_loglik("FYA")
             + stats.poisson.logpmf(record["LSAT"], np.exp(log_rate)))
     w = np.exp(logp - logp.max())
-    quad_mean = float(np.trapezoid(w * k, k) / np.trapezoid(w, k))
+    quad_mean = float(integrate.trapezoid(w * k, k) / integrate.trapezoid(w, k))
 
     u = draws.column("K")
     assert abs(u.mean() - quad_mean) <= max(0.05, 5 * batch_se(u))
@@ -350,12 +352,14 @@ def _abduction_fixture(name):
 
 
 # (draws, acceptance) digests recorded with the sampler that hashed every
-# step's key in full; drawing the same keys in blocks must reproduce them
+# step's key in full; drawing the same keys in blocks must reproduce them.
+# "strings" was re-recorded when prior draws outside the chain (W, V) were
+# keyed by name instead of column
 ABDUCTION_DIGESTS = {
     "loan": ("19198d19a19ed999", "53f7a11ca91762ef"),
     "law_school": ("bb48b4ac975620ac", "0b9d77f58c109a8e"),
     "indicator": ("d3fb8b3cdddd3de0", "41704422471b59ab"),
-    "strings": ("dd2fc7cb2e3b611f", "7ac7af70c00c6929"),
+    "strings": ("8795f4a4e462c5bd", "7ac7af70c00c6929"),
 }
 
 
@@ -384,12 +388,73 @@ def test_chains_are_prefixes_of_longer_runs(name):
         np.testing.assert_array_equal(runs[short].acceptance, runs[long].acceptance[:, :short])
 
 
+@given(st.sampled_from(sorted(ABDUCTION_DIGESTS)), st.data())
+def test_a_record_draws_by_its_id_on_the_mh_route(name, data):
+    # the MH keys once held the record's position in the batch, so the same
+    # record drew differently at another position
+    model, evidence, config = _abduction_fixture(name)
+    config = replace(config, chains=data.draw(st.integers(1, 3)))  # one chain: one-row products
+    n = len(next(iter(evidence.values())))
+    assert not exact_available(model, {k: v[0] for k, v in evidence.items()})
+    names = abduct_records(model, evidence, config).names
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    assert_keyed_by_id(lambda ev, ids: counterfactual.posterior_draw_matrix(
+        model, ev, config, names, ids=ids), evidence, picks)
+
+
+@given(st.permutations(("C", "U", "U2", "W", "V", "B")), st.integers(1, 6))
+def test_a_names_draws_do_not_depend_on_the_other_names_on_the_mh_route(order, count):
+    # W and V are prior draws outside the chain, once keyed by their column
+    model, evidence, config = _abduction_fixture("strings")
+    full = abduct_records(model, evidence, config, names=("C", "U", "U2", "W", "V", "B"))
+    some = abduct_records(model, evidence, config, names=order[:count])
+    for j, name in enumerate(order[:count]):
+        # equal as values: a numeric column is object dtype beside C
+        assert some.draws[:, :, j].tolist() == full.draws[:, :, full.names.index(name)].tolist()
+
+
+def test_record_ids_must_be_one_integer_per_record():
+    model, evidence, config = _abduction_fixture("law_school")
+    for ids in (np.arange(9), np.arange(10.0), np.arange(20).reshape(10, 2)):
+        with pytest.raises(DimensionMismatch, match="ids must be 10 integers"):
+            counterfactual.posterior_draw_matrix(model, evidence, config, ("K",), ids=ids)
+
+
+def test_a_records_impossibility_verdict_does_not_depend_on_its_companions():
+    # X1 = X2 = U without noise: record 0's X2 misses X1 by 5e-7, above 1e-8
+    # times its own scale; a companion with |X| = 1000 once raised the shared
+    # scale enough to let record 0 pass, on both routes
+    model = CausalModel(
+        variables=(Variable("U", Role.BACKGROUND), Variable("X1", Role.OBSERVED),
+                   Variable("X2", Role.OBSERVED), Variable("B", Role.OBSERVED, (0, 1))),
+        equations=(StructuralEquation("X1", ("U",), LinearGaussian(0.0, (1.0,), 0.0)),
+                   StructuralEquation("X2", ("U",), LinearGaussian(0.0, (1.0,), 0.0)),
+                   StructuralEquation("B", ("U",), BernoulliLogit(0.0, (1.0,)))),
+        priors={"U": NormalPrior(0.0, 1.0)})
+    off, far = (0.0, 5e-7), (1000.0, 1000.0)
+    for route, extra, error in (("exact", {}, SingularConditioning),
+                                ("mcmc", {"B": np.array([1, 1])}, ZeroPosteriorMass)):
+        for pair in ((off,), (off, far), (far, off)):
+            evidence = {"X1": np.array([p[0] for p in pair]),
+                        "X2": np.array([p[1] for p in pair]),
+                        **{k: v[:len(pair)] for k, v in extra.items()}}
+            with pytest.raises(error, match=rf"record\(s\) \[{pair.index(off)}\]"):
+                counterfactual.posterior_draw_matrix(model, evidence, FAST, ("U",))
+        alone = {"X1": np.array([far[0]]), "X2": np.array([far[1]]),
+                 **{k: v[:1] for k, v in extra.items()}}
+        assert exact_available(model, {k: v[0] for k, v in alone.items()}) == (route == "exact")
+        counterfactual.posterior_draw_matrix(model, alone, FAST, ("U",))
+
+
 @pytest.mark.parametrize("field, value", [("chains", 0), ("kept", 0), ("thin", 0),
                                           ("burn_in", -1), ("proposal_std", 0.0),
                                           ("proposal_std", float("nan")),
-                                          ("proposal_std", float("inf"))])
+                                          ("proposal_std", float("inf")),
+                                          ("chains", 2.5), ("kept", 3.5), ("burn_in", 1.5),
+                                          ("thin", 2.0), ("chains", True)])
 def test_mcmc_config_rejects_settings_that_keep_no_posterior(field, value):
-    # thin = 0 once ran the burn-in only and returned all-zero "draws"
+    # thin = 0 once ran the burn-in only and returned all-zero "draws"; a
+    # fractional count once reached the sampler and raised a bare TypeError
     with pytest.raises(DimensionMismatch, match=f"mcmc {field} must be"):
         McmcConfig(**{field: value})
     with pytest.raises(DimensionMismatch):
@@ -519,12 +584,14 @@ def _exact_outputs(name):
 
 
 # digests of the joint-normal route recorded before its elimination was shared
-# with the MH sampler's; the shared elimination must reproduce them
+# with the MH sampler's; the shared elimination must reproduce them. The
+# one-record views and pdm_redundant (names out of model order) were
+# re-recorded when exact draws were keyed by record id over every latent
 EXACT_DIGESTS = {
     "pdm_red_car": "2293e84c6186090c",
-    "pdm_redundant": "ca3618625b248575",
-    "exogenous_draws": "bfc215c4c53a4887",
-    "counterfactual_sample": "271b981ac27814a5",
+    "pdm_redundant": "4ff47f6053fde2d1",
+    "exogenous_draws": "41121600ed59b9ff",
+    "counterfactual_sample": "c466d47c0bd38e33",
     "abduct_exact_mean": "fc5b31f0084ccc4a",
     "abduct_exact_cov": "ba88500ddf563b55",
 }

@@ -327,10 +327,13 @@ def test_paired_audits_reject_assignments_of_different_variables(audit):
 
 def _blocked_audits(route):
     """JSON text of the cf, strict and path reports of one audit setup."""
-    if route == "exact":
+    if route.startswith("exact"):
+        # red_car's full fit recovers the exact weights (X: 1, A: -1); its
+        # unaware fit and the law-school full fit have generic weights
         model, data = red_car(n=400, seed=30)
         obs = observed_only(model, data)
-        predictor = baseline_fit(obs, "full", "Y", protected=("A",))
+        recipe = "unaware" if route == "exact_unaware" else "full"
+        predictor = baseline_fit(obs, recipe, "Y", protected=("A",))
         a, a_prime, config, paths = A_HI, A_LO, McmcConfig(seed=4), [["A", "X"]]
     else:
         model, obs, predictor = _pinned_law()
@@ -342,11 +345,11 @@ def _blocked_audits(route):
     return {name: json.dumps(rep.to_json(), sort_keys=True) for name, rep in reports.items()}
 
 
-@pytest.mark.parametrize("route", ["exact", "mcmc"])
+@pytest.mark.parametrize("route", ["exact", "exact_unaware", "mcmc"])
 def test_blocked_branch_passes_equal_the_one_block_pass_bit_for_bit(route, monkeypatch):
     assert 15 * 30 <= metrics._BRANCH_BLOCK_ROWS  # the default runs one block
     want = _blocked_audits(route)
-    for block_rows in (1, 7 * 30, metrics._BRANCH_BLOCK_ROWS):  # 1, 7 and 15 records
+    for block_rows in (1, 3 * 30, 7 * 30, metrics._BRANCH_BLOCK_ROWS):  # 1, 3, 7, 15 records
         monkeypatch.setattr(metrics, "_BRANCH_BLOCK_ROWS", block_rows)
         assert _blocked_audits(route) == want
         with counterfactual._reuse_passes():
@@ -1009,28 +1012,30 @@ def _audit_outputs(name):
 
 # digests of audit and learning outputs across routes (exact, MCMC,
 # enumeration) and value kinds (numeric, str); the steps shared
-# between abduction and the predictor must reproduce them byte for byte
+# between abduction and the predictor must reproduce them byte for byte.
+# The subsampled audits and the one-record exact ones were re-recorded when
+# draws and the subsample were keyed by record id
 AUDIT_DIGESTS = {
-    "ace_exact": "6db2435943afeafb",
-    "ace_exact_string": "40957f5942c35dc7",
+    "ace_exact": "2e9b2482340b8f8e",
+    "ace_exact_string": "1edf10d203b8fb85",
     "ace_mcmc": "ad31d2e7d595dbcb",
     "ace_mcmc_string": "53a64af8801e7aeb",
     "additive_fair_fit": "7c7233269747fca7",
-    "cf_exact": "3f06e7661ddf8844",
-    "cf_mcmc_law": "5b8dcb60d6a01040",
-    "cf_mcmc_string": "86142d0a33e2dc59",
+    "cf_exact": "b99886cfaacf7981",
+    "cf_mcmc_law": "46300a93940b9daf",
+    "cf_mcmc_string": "ec8a29990e91c726",
     "group_gaps_latent": "1e880b736ef6d74c",
     "group_gaps_logistic": "6876cfba927a203e",
     "learning_exact": "9e6a72dac9d10371",
     "learning_mcmc": "ee1b3092c13838fb",
-    "path_held": "f2d813b3d2287964",
-    "path_mcmc_law": "d4c227dfb544ba43",
-    "strict_exact": "ebccd5f8f8896494",
-    "strict_mcmc_law": "a5fc17d854227dfa",
+    "path_held": "51918628d9d26568",
+    "path_mcmc_law": "a7e8193985864830",
+    "strict_exact": "8f1544526cf3bb59",
+    "strict_mcmc_law": "9832f84f20f05dc6",
     "suff_abduction_exact": "b21c84a6d3d5f6b1",
     "suff_abduction_mcmc": "fd3c7baad54e132e",
     "suff_enumeration": "fcd9b454d2360c6f",
-    "suff_pinned_exact": "2af976c3e03e4d76",
+    "suff_pinned_exact": "4111ce4683c15666",
     "suff_pinned_mcmc": "c1db6aa0386fe997",
     "suff_pinned_string": "4a25127c2721ffd9",
 }

@@ -1,8 +1,11 @@
 """Invariants checked over randomly built linear models."""
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cfair import (
@@ -23,6 +26,7 @@ from cfair import (
     abduct_exact,
     abduct_records,
     ancestral_sample,
+    baseline_fit,
     cf_fairness_test,
     descendants,
     exact_available,
@@ -39,7 +43,8 @@ from cfair import (
 from cfair import metrics
 from cfair.counterfactual import _stacked
 from cfair.scm import _ancestor_closure
-from helpers import batch_se, linear_predictor, manifest_for, model_signature
+from helpers import (assert_keyed_by_id, batch_se, digest, law_school,
+                     linear_predictor, manifest_for, model_signature, observed_only, red_car)
 
 _WEIGHT = st.floats(min_value=-2.0, max_value=2.0,
                     allow_nan=False, allow_infinity=False)
@@ -375,22 +380,89 @@ def test_impossible_zero_noise_evidence_raises_on_both_routes(dag, data):
         abduct_records(twin, evidence, _ABDUCTION_CONFIG)
 
 
-@settings(max_examples=30)
-@given(abduction_dags(), st.sampled_from(("linear", "bernoulli", "categorical")))
-def test_posterior_draw_matrix_routes_every_model(dag, twist):
+def _twisted(dag, twist):
+    """An abduction DAG as it is ("linear"), with an observed Bernoulli child
+    of U0, which leaves the joint-normal family ("bernoulli"), or with a
+    categorical background that no evidence reaches ("categorical")."""
     model, evidence = dag
     variables, equations, priors = model.variables, model.equations, dict(model.priors)
     if twist == "bernoulli":
-        # an observed Bernoulli child of U0 leaves the joint-normal family
         variables += (Variable("B", Role.OBSERVED, domain=(0, 1)),)
         equations += (StructuralEquation("B", ("U0",), BernoulliLogit(0.0, (1.0,))),)
         evidence = {**evidence, "B": np.array([0, 1, 1])}
     elif twist == "categorical":
-        # a categorical background no evidence reaches
         variables += (Variable("C", Role.BACKGROUND, domain=(0, 1)),)
         priors["C"] = CategoricalPrior((0, 1), (0.3, 0.7))
-    model = CausalModel(variables, equations, priors)
+    return CausalModel(variables, equations, priors), evidence
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.sampled_from(("linear", "bernoulli", "categorical")))
+def test_posterior_draw_matrix_routes_every_model(dag, twist):
+    model, evidence = _twisted(dag, twist)
     assert exact_available(model, {k: v[0] for k, v in evidence.items()}) == (twist == "linear")
     draws = posterior_draw_matrix(model, evidence, _ABDUCTION_CONFIG, model.background)
     assert draws.shape == (3, _ABDUCTION_CONFIG.draws, len(model.background))
     assert np.all(np.isfinite(draws))
+
+
+@settings(max_examples=100)
+@given(abduction_dags(), st.lists(st.integers(0, 2), min_size=1, max_size=6))
+def test_a_record_draws_by_its_id_on_either_route(dag, picks):
+    # the keys once held the record's position in the batch, and the matrix
+    # products rounded a row differently beside other rows; one chain gives
+    # the one-row products that BLAS computes another way
+    for twist, chains in product(("linear", "bernoulli"), (1, 2)):
+        model, evidence = _twisted(dag, twist)
+        assert exact_available(model, {k: v[0] for k, v in evidence.items()}) == (
+            twist == "linear")
+        config = replace(_ABDUCTION_CONFIG, chains=chains)
+        assert_keyed_by_id(lambda ev, ids: posterior_draw_matrix(
+            model, ev, config, model.background, ids=ids), evidence, picks)
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.data())
+def test_a_names_draws_do_not_depend_on_the_other_names_on_the_exact_route(dag, data):
+    model, evidence = dag
+    names = model.background
+    full = posterior_draw_matrix(model, evidence, _ABDUCTION_CONFIG, names)
+    order = data.draw(st.permutations(names))
+    some = order[:data.draw(st.integers(1, len(names)))]
+    draws = posterior_draw_matrix(model, evidence, _ABDUCTION_CONFIG, tuple(some))
+    for j, name in enumerate(some):
+        assert digest(draws[:, :, j]) == digest(full[:, :, names.index(name)])
+
+
+def _audit_setup(route):
+    """(model, observed data, predictor, a, a_prime, config) of a paired audit."""
+    if route == "exact":
+        model, data = red_car(n=120, seed=8)
+        obs = observed_only(model, data)
+        return (model, obs, baseline_fit(obs, "unaware", "Y", protected=("A",)),
+                {"A": 1.0}, {"A": -1.0}, McmcConfig(seed=4))
+    model, data = law_school(n=60, seed=2)
+    obs = observed_only(model, data)
+    return (model, obs, baseline_fit(obs, "full", "FYA", protected=model.protected),
+            {"R": 1}, {"R": 0}, McmcConfig(chains=2, burn_in=40, kept=10, thin=2, seed=3))
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(("exact", "mcmc")), st.integers(1, 12), st.integers(1, 12),
+       st.integers(1, 31))
+@example("mcmc", 1, 12, 1)  # a one-row score once took another BLAS path
+def test_an_audited_records_result_does_not_depend_on_its_companions(route, k, more, draws):
+    # a smaller audit's records are among a larger one's, and each record's
+    # means and largest paired gap are bit-identical in both; KS is not
+    # checked, since its tie tolerance pools the spread of every record
+    model, obs, predictor, a, a_prime, config = _audit_setup(route)
+    fields = {cf_fairness_test: ("mean_factual", "mean_counterfactual"),
+              strict_cf_check: ("max_abs_diff",)}
+    for audit, names in fields.items():
+        small, large = (audit(model, predictor, obs, a, a_prime, config, draws=draws,
+                              max_records=m) for m in (k, k + more))
+        by_record = {r["record"]: r for r in large.per_record}
+        assert small.params["n_audited"] == min(k, large.params["n_audited"])
+        for r in small.per_record:
+            assert r["record"] in by_record
+            assert [r[n] for n in names] == [by_record[r["record"]][n] for n in names]

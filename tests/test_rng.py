@@ -112,12 +112,9 @@ def test_name_key_stable_and_injective_enough():
     assert len(keys) == len(names)
 
 
-def test_child_seed_and_generator_determinism():
+def test_child_seed_determinism():
     assert rng.child_seed(5, 1, 2) == rng.child_seed(5, 1, 2)
     assert rng.child_seed(5, 1, 2) != rng.child_seed(5, 1, 3)
-    p1 = rng.generator(5, 71).permutation(10)
-    p2 = rng.generator(5, 71).permutation(10)
-    assert np.array_equal(p1, p2)
 
 
 def test_stream_tags_are_pinned():

@@ -9,6 +9,7 @@ from cfair import (
     SCENARIO_KINDS,
     ScenarioParams,
     UnsupportedScenario,
+    ancestral_sample,
     build_model,
     design_matrix,
     generate,
@@ -48,6 +49,11 @@ def test_param_validation():
         ScenarioParams(kind="loan", params={"p_p": 1.5})
     with pytest.raises(DimensionMismatch):  # checked when the model is built
         build_model(ScenarioParams(kind="law_school", params={"race_arity": 1}))
+    # a negative row count once reached numpy as "negative dimensions"
+    with pytest.raises(DimensionMismatch, match="n must be at least 0, got -3"):
+        ScenarioParams(kind="red_car", n=-3)
+    with pytest.raises(DimensionMismatch, match="row count must be at least 0, got -1"):
+        ancestral_sample(build_model(ScenarioParams(kind="red_car")), -1, seed=0)
 
 
 # ---------------------------------------------------------------------------
