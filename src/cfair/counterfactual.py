@@ -81,6 +81,7 @@ from .scm import (
     _NUMBER,
     _ancestor_closure,
     _ancestors_only,
+    _decode,
     _exogenous_names,
     _linear_predictor,
     _prior_column,
@@ -365,7 +366,13 @@ def abduct_exact(model: CausalModel, evidence: dict) -> GaussianPosterior:
 
 
 def exact_available(model: CausalModel, evidence) -> bool:
-    return _exact_route(model, _record_cols(dict(evidence))) is not None
+    """Whether the exact route serves this evidence: False where a path
+    relevant to it is not linear-Gaussian, and False where the evidence is
+    jointly impossible, on which abduction raises SingularConditioning."""
+    try:
+        return _exact_route(model, _record_cols(dict(evidence))) is not None
+    except SingularConditioning:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +679,41 @@ def _domain_of(model: CausalModel, name: str) -> tuple:
     if prior is not None and hasattr(prior, "values"):
         return tuple(prior.values)
     return (0, 1)
+
+
+def _enumerate_posterior(model: CausalModel, evidence: dict, names: tuple[str, ...]):
+    """Every joint state of the categorical latents `names`, in np.meshgrid
+    ("ij") order over their prior values, as value columns, and each state's
+    unnormalised posterior weight given one record's evidence.
+
+    A state's weight is exp of _Target.log_density at its codes, the density
+    the sampler moves on; a name that the evidence does not reach is not in
+    _Target's state, so its prior probability multiplies in. The names must
+    hold every latent the evidence reaches, and those must fix what the
+    evidence reads. Raises ZeroPosteriorMass when no state has weight.
+    """
+    evidence_cols = _record_cols(evidence)
+    order, _, _, names = _abduction_prelude(model, evidence_cols, names)
+    priors = [model.prior_map[n] for n in names]
+    total = math.prod(len(prior.values) for prior in priors)
+    target = _Target(model, evidence_cols, 1, order, total)
+    columns, unreached = {}, np.ones(total)
+    codes = np.zeros((total, len(target.disc_names)), dtype=np.intp)
+    grids = np.meshgrid(*[np.arange(len(prior.values)) for prior in priors], indexing="ij")
+    for name, prior, grid in zip(names, priors, grids):
+        idx = grid.reshape(-1)
+        columns[name] = _decode(prior.values, idx)
+        if name in target.disc_names:
+            index = _index_of(target.values_of[name])
+            codes[:, target.disc_names.index(name)] = np.array(
+                [index[v] for v in prior.values], dtype=np.intp)[idx]
+        else:
+            unreached = unreached * np.array(prior.probs, dtype=np.float64)[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.exp(target.log_density(target.initial_t(), codes)) * unreached
+    if not np.any(weight > 0.0):
+        raise ZeroPosteriorMass("evidence has no support under the prior")
+    return columns, weight
 
 
 def _numeric(model: CausalModel, name: str) -> bool:

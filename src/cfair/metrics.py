@@ -13,10 +13,11 @@ protected set comes out identical draw-by-draw, not just in distribution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit, logit
+from scipy.special import expit, logit
 
 from . import rng
 from .counterfactual import (
@@ -25,6 +26,7 @@ from .counterfactual import (
     _abduct_act_predict,
     _constant_column,
     _digest,
+    _enumerate_posterior,
     _model_digest,
     _record_ids,
     _stacked,
@@ -44,20 +46,15 @@ from .errors import (
 )
 from .learning import FairPredictor, _evidence_for, fair_predict
 from .scm import (
-    BernoulliLogit,
     CategoricalPrior,
     CausalModel,
     LinearGaussian,
-    PoissonLogLink,
     Role,
     StructuralEquation,
     Variable,
     _ancestors_only,
-    _decode,
     _exogenous_names,
-    _linear_predictor,
     _noiseless,
-    evaluate_equation,
     forward_eval,
     intervene,
     require_valid,
@@ -240,12 +237,12 @@ def _branch_scores(predictor: FairPredictor, model: CausalModel, sub: Dataset,
 
 def _check_pair(a: dict, a_prime: dict, **counts) -> None:
     """Raise DimensionMismatch unless a and a_prime assign the same variables
-    and every count is at least 1."""
+    and every count is an integer (not a bool) of at least 1."""
     if set(a) != set(a_prime):
         raise DimensionMismatch("a and a_prime must assign the same variables")
     for name, value in counts.items():
-        if not value >= 1:
-            raise DimensionMismatch(f"{name} must be at least 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise DimensionMismatch(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
@@ -498,38 +495,23 @@ def _score_equation(predictor: FairPredictor) -> StructuralEquation:
                               LinearGaussian(float(theta0), weights, 0.0))
 
 
-def _pmf_factor(eq: StructuralEquation, values: dict[str, np.ndarray],
-                observed, n: int) -> np.ndarray:
-    fam = eq.family
-    eta = _linear_predictor(eq, values, n)
-    if isinstance(fam, BernoulliLogit):
-        y = float(observed)
-        return np.exp(np.where(y == 1.0, log_expit(eta), log_expit(-eta)))
-    if isinstance(fam, PoissonLogLink):
-        k = float(observed)
-        lam = np.exp(eta)
-        return np.exp(k * eta - lam - gammaln(k + 1.0))
-    sigma = fam.noise_std
-    z = (float(observed) - eta) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-
-
 def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
                              evidence: dict, y: float, a_prime: dict, tol: float) -> dict | None:
     """Exact sufficiency over the joint states of the latents, or None unless
     they are categorical, at most _MAX_ENUM states and fix what both passes read.
 
-    Each pass is forward_eval of _ancestors_only over the state grid: the
-    factual one pins the evidence and reads it and the predictor inputs; the
-    one under do(a_prime) pins the exogenous evidence outside it and reads the
-    inputs. Every other node they evaluate must be _noiseless.
+    The states and their posterior weights come from _enumerate_posterior,
+    which weighs each with the sampler's density. Each pass is forward_eval of
+    _ancestors_only over the states: the factual one pins the evidence and
+    reads it and the predictor inputs; the one under do(a_prime) pins the
+    exogenous evidence outside it and reads the inputs. Every other node they
+    evaluate must be _noiseless.
     """
     priors = model.prior_map
-    latents = [n for n in _exogenous_names(model) if n not in evidence]
+    latents = tuple(n for n in _exogenous_names(model) if n not in evidence)
     if not latents or not all(isinstance(priors[n], CategoricalPrior) for n in latents):
         return None
-    sizes = [len(priors[n].values) for n in latents]
-    total = math.prod(sizes)
+    total = math.prod(len(priors[n].values) for n in latents)
     if total > _MAX_ENUM:
         return None
     input_order = predictor.manifest.input_order()
@@ -542,48 +524,19 @@ def _enumeration_sufficiency(model: CausalModel, predictor: FairPredictor,
         if not all(_noiseless(eqs.get(n)) for n in needed - set(latents) - set(pins)):
             return None
         passes.append((pruned, pins))
+    state_cols, w = _enumerate_posterior(model, evidence, latents)
 
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    state_cols = {}
-    weight = np.ones(total)
-    for name, grid in zip(latents, grids):
-        idx = grid.reshape(-1)
-        state_cols[name] = _decode(priors[name].values, idx)
-        weight = weight * np.array(priors[name].probs, dtype=np.float64)[idx]
-
-    def forward(pruned: CausalModel, pins: dict) -> dict[str, np.ndarray]:
+    def scores(pruned: CausalModel, pins: dict) -> np.ndarray:
         given = {**state_cols, **{k: _constant_column(v, total) for k, v in pins.items()}}
-        return forward_eval(pruned, given, total, seed=0)  # noiseless: no draws
-
-    def scores(values: dict[str, np.ndarray]) -> np.ndarray:
+        values = forward_eval(pruned, given, total, seed=0)  # noiseless: no draws
         return predictor.score({n: values[n] for n in input_order})
 
-    # each evidence node with an equation contributes an indicator or pmf factor
-    factual = forward(*passes[0])
-    w = weight.copy()
-    eq_map = model.equation_map
-    for name, obs in evidence.items():
-        eq = eq_map.get(name)
-        if eq is None:
-            continue  # observed exogenous root: constant factor, cancels
-        if _noiseless(eq):
-            implied = evaluate_equation(eq, factual, None, total)
-            if isinstance(obs, str):
-                w = w * _matches(implied, obs)
-            else:
-                w = w * (np.abs(implied.astype(np.float64) - float(obs)) <= _STRICT_TOL)
-        else:
-            w = w * _pmf_factor(eq, factual, obs, total)
-    if not np.any(w > 0.0):
-        raise ZeroPosteriorMass("evidence has no support under the prior")
-
-    keep = w * (np.abs(scores(factual) - y) <= tol)
+    keep = w * (np.abs(scores(*passes[0]) - y) <= tol)
     mass = keep.sum()
     if mass <= 0.0:
         raise UnattainableValue(f"no posterior state yields prediction {y}")
 
-    score_cf = scores(forward(*passes[1]))
-    prob = float((keep * (np.abs(score_cf - y) > tol)).sum() / mass)
+    prob = float((keep * (np.abs(scores(*passes[1]) - y) > tol)).sum() / mass)
     return {"probability": prob, "method": "enumeration", "states": total,
             "conditioned_mass": float(mass / w.sum())}
 
@@ -616,7 +569,8 @@ def prob_sufficiency(model: CausalModel, predictor: FairPredictor, record: dict,
 
     Requires the factual prediction to equal y within tol. Finite discrete
     backgrounds are enumerated exactly (up to 10^6 joint states) where their
-    joint state fixes what both passes read. Otherwise the condition
+    joint state fixes what both passes read, each state weighed by the MH
+    sampler's posterior density. Otherwise the condition
     "prediction = y" is appended to the evidence: trivially for predictors
     whose inputs the record pins, and as a zero-noise score equation over the
     inputs for predictors with latent inputs. The counterfactual prediction is

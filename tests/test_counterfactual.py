@@ -76,6 +76,18 @@ def test_exact_route_detection():
         equations=(StructuralEquation("N", ("U",), PoissonLogLink(0.0, (1.0,))),),
         priors={"U": NormalPrior(0.0, 1.0)})
     assert not exact_available(poisson, {"N": 3})
+    # jointly impossible evidence on X1 = X2 = U: no exact route, and
+    # abduction still raises
+    twins = CausalModel(
+        variables=(Variable("U", Role.BACKGROUND), Variable("X1", Role.OBSERVED),
+                   Variable("X2", Role.OBSERVED)),
+        equations=(StructuralEquation("X1", ("U",), LinearGaussian(0.0, (1.0,), 0.0)),
+                   StructuralEquation("X2", ("U",), LinearGaussian(0.0, (1.0,), 0.0))),
+        priors={"U": NormalPrior(0.0, 1.0)})
+    assert exact_available(twins, {"X1": 0.5, "X2": 0.5})
+    assert not exact_available(twins, {"X1": 0.0, "X2": 5e-7})
+    with pytest.raises(SingularConditioning):
+        abduct_exact(twins, {"X1": 0.0, "X2": 5e-7})
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from cfair import (
     StructuralEquation,
     UnattainableValue,
     Variable,
+    ZeroPosteriorMass,
     ace,
     additive_fair_fit,
     ancestral_sample,
@@ -301,14 +302,27 @@ def _paired_audit(audit, model, predictor, data, a, a_prime, **kwargs):
         model, predictor, data, a, a_prime, **kwargs)
 
 
-@pytest.mark.parametrize("counts", [{"draws": 0}, {"max_records": 0}, {"max_records": -1}],
-                         ids=["draws-0", "max_records-0", "max_records-negative"])
+@pytest.mark.parametrize("counts", [{"draws": 0}, {"max_records": 0}, {"max_records": -1},
+                                    {"draws": 2.5}, {"max_records": 2.5}, {"draws": True}],
+                         ids=["draws-0", "max_records-0", "max_records-negative",
+                              "draws-fraction", "max_records-fraction", "draws-bool"])
 @pytest.mark.parametrize("audit", ["cf", "strict", "path"])
 def test_paired_audits_reject_counts_below_one(audit, counts):
     model, data = red_car(n=50, seed=1)
     predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {})
-    with pytest.raises(DimensionMismatch, match="must be at least 1"):
+    with pytest.raises(DimensionMismatch, match="must be an integer of at least 1"):
         _paired_audit(audit, model, predictor, data, A_HI, A_LO, **counts)
+
+
+def test_audits_take_numpy_integer_counts():
+    model, data = red_car(n=50, seed=1)
+    predictor = linear_predictor(model, manifest_for(model, backgrounds=("U",)), {"U": 1.0})
+    as_int = cf_fairness_test(model, predictor, data, A_HI, A_LO, draws=20, max_records=5)
+    as_numpy = cf_fairness_test(model, predictor, data, A_HI, A_LO, draws=np.int64(20),
+                                max_records=np.int32(5))
+    assert as_numpy.per_record == as_int.per_record
+    out = ace(model, predictor, {"X": 1.0}, A_HI, A_LO, n_draws=np.int64(50))
+    assert out == ace(model, predictor, {"X": 1.0}, A_HI, A_LO, n_draws=50)
 
 
 @pytest.mark.parametrize("audit", ["cf", "strict", "path"])
@@ -549,7 +563,7 @@ def test_ace_rejects_assignments_of_different_variables():
             config=McmcConfig(seed=1))
 
 
-@pytest.mark.parametrize("n_draws", [0, -5])
+@pytest.mark.parametrize("n_draws", [0, -5, 2.5, True])
 @pytest.mark.parametrize("route", ["exact", "mcmc"])
 def test_ace_rejects_fewer_than_one_draw(route, n_draws):
     if route == "exact":
@@ -560,7 +574,7 @@ def test_ace_rejects_fewer_than_one_draw(route, n_draws):
         predictor = _reader(model, {"GPA": 1.0})
         evidence, a, a_prime = {"LSAT": 3.0}, {"R": 1}, {"R": 0}
     assert counterfactual.exact_available(intervene(model, a), evidence) == (route == "exact")
-    with pytest.raises(DimensionMismatch, match="n_draws must be at least 1"):
+    with pytest.raises(DimensionMismatch, match="n_draws must be an integer of at least 1"):
         ace(model, predictor, evidence, a, a_prime, n_draws=n_draws)
 
 
@@ -741,8 +755,8 @@ def test_sufficiency_counts_joint_states_without_wrapping():
     assert out["probability"] == 1.0  # P0 = 0, so X = 0 under do(A = 0)
 
 
-def _likelihood_model(q_values=None) -> CausalModel:
-    """A and background P (and Q, with q_values as its prior) feed a table D;
+def _likelihood_model(q_prior=None) -> CausalModel:
+    """A and background P (and Q, with prior q_prior) feed a table D;
     P (and Q) feed a Bernoulli E, a normal G and a Poisson C, observed as
     _LIKELIHOOD_RECORD. Without Q, D = A xor P; with it, D = A * P + [Q == 2]."""
     variables = [Variable("A", Role.PROTECTED, domain=(0, 1)),
@@ -751,12 +765,12 @@ def _likelihood_model(q_values=None) -> CausalModel:
                  Variable("E", Role.OBSERVED, domain=(0, 1)),
                  Variable("G", Role.OBSERVED), Variable("C", Role.OBSERVED)]
     priors = {"A": CategoricalPrior((0, 1), (0.5, 0.5)), "P": CategoricalPrior((0, 1), (0.6, 0.4))}
-    if q_values is None:
+    if q_prior is None:
         parents, q_w = ("P",), ()
         table = {(a, p): a ^ p for a in (0, 1) for p in (0, 1)}
     else:
         variables.append(Variable("Q", Role.BACKGROUND, domain=(0, 1, 2)))
-        priors["Q"] = CategoricalPrior((0, 1, 2), q_values)
+        priors["Q"] = q_prior
         parents, q_w = ("P", "Q"), (-0.4,)
         table = {(a, p, q): a * p + (q == 2) for a in (0, 1) for p in (0, 1) for q in (0, 1, 2)}
     return CausalModel(
@@ -789,23 +803,56 @@ def test_sufficiency_enumeration_weighs_bernoulli_normal_and_poisson_evidence():
     assert out["probability"] == 1.0  # do(A = 0) turns D = 1 into D = 0
 
 
-def test_sufficiency_enumeration_over_two_latents():
-    # D = 1 at (P, Q) = (1, 0), (1, 1) and (0, 2); under do(A = 0) only the
-    # last keeps D = 1
-    q_prior = (0.2, 0.5, 0.3)
-    model = _likelihood_model(q_prior)
-    out = prob_sufficiency(model, _reader(model, {"D": 1.0}), _LIKELIHOOD_RECORD, 1.0, {"A": 0})
-    w = {(p, q): (0.6, 0.4)[p] * q_prior[q] * _likelihood_weight(p, q)
-         for p in (0, 1) for q in (0, 1, 2)}
-    kept = w[1, 0] + w[1, 1] + w[0, 2]
-    assert out["method"] == "enumeration" and out["states"] == 6
-    assert abs(out["conditioned_mass"] - kept / sum(w.values())) <= 1e-12
-    assert abs(out["probability"] - (w[1, 0] + w[1, 1]) / kept) <= 1e-12
-    assert 0.0 < out["probability"] < 1.0
-
-
 def _with_child(model, var, eq) -> CausalModel:
     return CausalModel(model.variables + (var,), model.equations + (eq,), model.priors)
+
+
+@pytest.mark.parametrize("case", ["plain", "reordered_prior", "unreached_latent",
+                                  "string_table", "zero_noise"])
+def test_sufficiency_enumeration_over_two_latents(case):
+    # D = 1 at (P, Q) = (1, 0), (1, 1) and (0, 2); under do(A = 0) only the
+    # last keeps D = 1. Each other case changes one thing: Q's prior lists
+    # (2, 0) of its domain (0, 1, 2); a background R that reaches no evidence,
+    # which the predictor reads as 2 R; or one more observed child, the
+    # string table S = "hi" where Q = 2, or the zero-noise L = P + Q
+    q_prior = CategoricalPrior(*({"reordered_prior": ((2, 0), (0.3, 0.7))}
+                                 .get(case, ((0, 1, 2), (0.2, 0.5, 0.3)))))
+    model, record = _likelihood_model(q_prior), dict(_LIKELIHOOD_RECORD)
+    r_probs, allowed = (1.0,), lambda p, q: True
+    if case == "unreached_latent":
+        r_probs = (0.25, 0.75)
+        model = CausalModel(model.variables + (Variable("R", Role.BACKGROUND, (0, 1)),),
+                            model.equations,
+                            {**model.prior_map, "R": CategoricalPrior((0, 1), r_probs)})
+    elif case == "string_table":
+        model = _with_child(model, Variable("S", Role.OBSERVED, ("lo", "hi")),
+                            StructuralEquation("S", ("Q",), DeterministicTable(
+                                {(q,): "hi" if q == 2 else "lo" for q in (0, 1, 2)})))
+        record["S"], allowed = "lo", lambda p, q: q != 2
+    elif case == "zero_noise":
+        model = _with_child(model, Variable("L", Role.OBSERVED), StructuralEquation(
+            "L", ("P", "Q"), LinearGaussian(0.0, (1.0, 1.0), 0.0)))
+        record["L"], allowed = 1.0, lambda p, q: p + q == 1
+    reader = (_reader(model, {"D": 1.0, "R": 2.0}, ("R",)) if case == "unreached_latent"
+              else _reader(model, {"D": 1.0}))
+    out = prob_sufficiency(model, reader, record, 1.0, {"A": 0})
+    score = lambda a, p, q, r: a * p + (q == 2) + 2 * r
+    w = {(p, q, r): (0.6, 0.4)[p] * pq * pr * _likelihood_weight(p, q) * allowed(p, q)
+         for p in (0, 1) for q, pq in zip(q_prior.values, q_prior.probs)
+         for r, pr in enumerate(r_probs)}
+    kept = {s: v for s, v in w.items() if score(1, *s) == 1}
+    flipped = sum(v for s, v in kept.items() if score(0, *s) != 1)
+    assert out["method"] == "enumeration" and out["states"] == len(w)
+    assert abs(out["conditioned_mass"] - sum(kept.values()) / sum(w.values())) <= 1e-12
+    assert abs(out["probability"] - flipped / sum(kept.values())) <= 1e-12
+
+
+def test_sufficiency_enumeration_rejects_impossible_evidence():
+    # D = A xor P cannot be 2
+    model = _likelihood_model()
+    with pytest.raises(ZeroPosteriorMass, match="no support"):
+        prob_sufficiency(model, _reader(model, {"D": 1.0}), {**_LIKELIHOOD_RECORD, "D": 2},
+                         2.0, {"A": 0})
 
 
 def test_sufficiency_enumeration_skips_an_unread_table_child_of_a_stochastic_node():
