@@ -334,7 +334,35 @@ def string_latent_model() -> CausalModel:
                 "V": CategoricalPrior(("x", "y"), (0.25, 0.75))})
 
 
+def discrete_latent_model() -> CausalModel:
+    """MH state without a continuous coordinate: a categorical C behind a table
+    G, a categorical K behind a latent Bernoulli B, and an observed
+    Bernoulli-logit child Y of B and C. The 60 x 40 x 2 = 4,800 joint states
+    exceed _feasible_init's 4,096, so a chain starts at C's prior mode, where
+    G = "mid" or "hi" is impossible, and must move out of it."""
+    c_values, k_values = tuple(range(60)), tuple(range(40))
+    weights = [1 + c % 3 for c in c_values]
+    table_g = {(c,): "lo" if c < 20 else "mid" if c < 45 else "hi" for c in c_values}
+    return CausalModel(
+        variables=(Variable("C", Role.BACKGROUND, domain=c_values),
+                   Variable("K", Role.BACKGROUND, domain=k_values),
+                   Variable("G", Role.OBSERVED, domain=("lo", "mid", "hi")),
+                   Variable("B", Role.OBSERVED, domain=(0, 1)),
+                   Variable("Y", Role.OBSERVED, domain=(0, 1))),
+        equations=(StructuralEquation("G", ("C",), DeterministicTable(table_g)),
+                   StructuralEquation("B", ("K",), BernoulliLogit(-1.0, (0.05,))),
+                   StructuralEquation("Y", ("B", "C"), BernoulliLogit(-0.5, (1.2, 0.03)))),
+        priors={"C": CategoricalPrior(c_values, tuple(w / sum(weights) for w in weights)),
+                "K": CategoricalPrior(k_values, (1 / 40,) * 40)})
+
+
 def _abduction_fixture(name):
+    if name == "discrete":
+        # 4 records x 2 chains x 4 slots: a block of 70 values holds 2 steps
+        return (discrete_latent_model(),
+                {"G": np.array(["lo", "mid", "hi", "mid"], dtype=object),
+                 "Y": np.array([1, 0, 1, 1])},
+                McmcConfig(chains=2, burn_in=33, kept=14, thin=3, seed=8))
     if name == "loan":
         model, _ = loan(n=1, seed=0)
         return (model, {"A": np.array([1]), "Employed": np.array([0])},
@@ -366,8 +394,10 @@ def _abduction_fixture(name):
 # (draws, acceptance) digests recorded with the sampler that hashed every
 # step's key in full; drawing the same keys in blocks must reproduce them.
 # "strings" was re-recorded when prior draws outside the chain (W, V) were
-# keyed by name instead of column
+# keyed by name instead of column; "discrete" was recorded with the sampler
+# that scored each step's proposals in a density call of its own
 ABDUCTION_DIGESTS = {
+    "discrete": ("c91d618e9bd4f04f", "d25b5f7a05f50985"),
     "loan": ("19198d19a19ed999", "53f7a11ca91762ef"),
     "law_school": ("bb48b4ac975620ac", "0b9d77f58c109a8e"),
     "indicator": ("d3fb8b3cdddd3de0", "41704422471b59ab"),
