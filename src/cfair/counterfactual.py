@@ -29,7 +29,11 @@ whether the exact route applies:
   indicator. Zero-noise evidence that mixes the continuous block with a
   table or a Bernoulli node, and unobserved Poisson ancestors, are not
   supported (NonFiniteDensity). A record with a chain still in an
-  impossible state at the first kept draw raises ZeroPosteriorMass.
+  impossible state at the first kept draw raises ZeroPosteriorMass. Steps
+  run in blocks whose keyed randomness is drawn at once; without a free
+  continuous coordinate a proposal's density does not depend on the chain's
+  state, so a block's proposals are scored in one density call and only the
+  accept test runs per step. Kept draws are written once per block.
 
 Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
@@ -97,9 +101,11 @@ _CONSISTENCY_TOL = 1e-8
 # values per block of MH randomness: the (step, slot) keys of every state row
 # (chains x records) are folded and transformed this many at a time, so the
 # block's memory stays bounded at any record and chain count while the
-# per-step hashing cost is paid once per block. On a small batch a block's
-# arrays are most of the sampler's memory, so the block stays small: one
-# record through 2 chains of 10,500 steps with 3 slots fills 4 blocks.
+# per-step hashing cost is paid once per block. Without a free continuous
+# coordinate a block's steps are also scored in one density call over its
+# (step, chain, record) rows. On a small batch a block's arrays are most of
+# the sampler's memory, so the block stays small: one record through 2
+# chains of 10,500 steps with 3 slots fills 4 blocks.
 _BLOCK_VALUES = 1 << 14
 
 # the innermost _reuse_passes scope's store: None outside every scope, else a
@@ -259,10 +265,14 @@ class _Affine:
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.T for a (..., k) and b (d, k), summed over k in index order, so a
     row's bits do not depend on the rows beside it; BLAS (and np.einsum on
-    some layouts) rounds a row differently as the batch changes."""
+    some layouts) rounds a row differently as the batch changes. Each output
+    column accumulates its own (...,) operands, so numpy's inner loop runs
+    over the rows, not over the d outputs."""
     out = np.zeros(a.shape[:-1] + b.shape[:1])
-    for j in range(a.shape[-1]):
-        out += a[..., j, None] * b[:, j]
+    for o in range(b.shape[0]):
+        col = out[..., o]
+        for j in range(b.shape[1]):
+            col += a[..., j] * b[o, j]
     return out
 
 
@@ -734,7 +744,12 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     slot), prior draws outside the chain by (seed, id, chain, draw, name), so
     a chain's draws do not depend on the chains beside it. A block of steps'
     keys is folded onto every row's (seed, id, chain) state at once,
-    _BLOCK_VALUES values at a time. Draws are float64 when every requested
+    _BLOCK_VALUES values at a time. Without a free continuous coordinate
+    (target.free_dim == 0), the block's proposals are scored in one
+    _Target.log_density call over its stacked (step, chain, record) rows and
+    each step runs only the accept test; with one, each step scores its own
+    proposals. Either way the block's kept draws and acceptance counts are
+    written once, after its steps. Draws are float64 when every requested
     domain is numeric, else object; names default to the exogenous variables
     not in the evidence (backgrounds first). Inside a _reuse_passes scope a
     repeated call returns the kept result.
@@ -759,8 +774,8 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     target = _Target(model, evidence_cols, n_records, order, chains)
 
     def per_record(col: np.ndarray) -> np.ndarray:
-        """A (rows,) state column as (records, chains)."""
-        return col.reshape(chains, n_records).T
+        """A (..., rows) state column as (records, chains, ...)."""
+        return np.moveaxis(col.reshape(col.shape[:-1] + (chains, n_records)), (-1, -2), (0, 1))
 
     chain_ids = np.arange(chains, dtype=np.uint64)
     dtype = np.float64 if all(_numeric(model, n) for n in names) else object
@@ -786,6 +801,9 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     slots = np.arange(n_cont + n_disc + 1, dtype=np.uint64)
     block = max(1, _BLOCK_VALUES // max(1, target.n * len(slots)))
     total_steps = config.burn_in + config.kept * config.thin
+    # block length -> the target that scores a block's proposals at once over
+    # its (step, chain, record) rows, when no continuous coordinate is free
+    scorers: dict[int, _Target] = {}
 
     # impossible states score -inf (log 0, inf - inf) and are rejected, so a
     # finite log density is never replaced by -inf
@@ -807,30 +825,51 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
             moves = config.proposal_std * ndtri(u[:, :, :n_cont])
             proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
             log_u = np.log(u[:, :, -1])
+            if not n_cont:
+                scorer = scorers.get(len(steps))
+                if scorer is None:
+                    scorer = scorers[len(steps)] = _Target(model, evidence_cols, n_records,
+                                                           order, chains * len(steps))
+                block_logp = scorer.log_density(np.tile(t, (len(steps), 1)),
+                                                proposals.reshape(scorer.n, n_disc))
+                block_logp = block_logp.reshape(len(steps), target.n)
+            takes = np.empty((len(steps), target.n), dtype=bool)
+            kept, kept_t = [], []  # the block's kept steps, and t after each
             for i, step in enumerate(range(start, start + len(steps))):
-                t_new = t + moves[i] if n_cont else t
-                logp_new = target.log_density(t_new, proposals[i])
-                take = log_u[i] < (logp_new - logp)
+                if n_cont:
+                    t_new = t + moves[i]
+                    logp_new = target.log_density(t_new, proposals[i])
+                else:
+                    logp_new = block_logp[i]
+                take = np.less(log_u[i], logp_new - logp, out=takes[i])
                 take |= np.isfinite(logp_new) & ~np.isfinite(logp)
-                if n_cont or n_disc:
-                    if n_cont:
-                        t = np.where(take[:, None], t_new, t)
-                    if n_disc:
-                        codes = np.where(take[:, None], proposals[i], codes)
-                    logp = np.where(take, logp_new, logp)
-                if step >= config.burn_in:
-                    accepted += take.astype(float)
-                    if (step - config.burn_in + 1) % config.thin == 0:
-                        if kept_i == 0 and not np.all(np.isfinite(logp)):
-                            stuck = np.flatnonzero(~per_record(np.isfinite(logp)).all(axis=1))
-                            raise ZeroPosteriorMass(
-                                f"no feasible background state for record(s) {stuck[:5].tolist()}")
-                        cont = target.cont_values(t)
-                        for j, c in cont_cols:
-                            kept_out[:, :, kept_i, j] = per_record(cont[:, c])
-                        for j, k, decoded in disc_cols:
-                            kept_out[:, :, kept_i, j] = per_record(decoded[codes[:, k]])
-                        kept_i += 1
+                if n_cont:
+                    t = np.where(take[:, None], t_new, t)
+                logp = np.where(take, logp_new, logp)
+                if step >= config.burn_in and (step - config.burn_in + 1) % config.thin == 0:
+                    if kept_i == 0 and not kept and not np.all(np.isfinite(logp)):
+                        stuck = np.flatnonzero(~per_record(np.isfinite(logp)).all(axis=1))
+                        raise ZeroPosteriorMass(
+                            f"no feasible background state for record(s) {stuck[:5].tolist()}")
+                    kept.append(i)
+                    kept_t.append(t)
+            accepted += takes[max(0, config.burn_in - start):].sum(axis=0)
+            # a step's codes are its row's last accepted proposal in the block,
+            # else the codes the block started from
+            last = np.maximum.accumulate(
+                np.where(takes, np.arange(len(steps))[:, None], -1), axis=0)
+            step_codes = np.where((last >= 0)[..., None],
+                                  proposals[last, np.arange(target.n)], codes)
+            codes = step_codes[-1]
+            if not kept:
+                continue
+            window = slice(kept_i, kept_i + len(kept))
+            cont = target.cont_values(np.stack(kept_t))
+            for j, c in cont_cols:
+                kept_out[:, :, window, j] = per_record(cont[..., c])
+            for j, k, decoded in disc_cols:
+                kept_out[:, :, window, j] = per_record(decoded[step_codes[kept, :, k]])
+            kept_i += len(kept)
     acceptance = per_record(accepted / max(1, config.kept * config.thin)).copy()
     if independent:
         _draw_independent(kept_out, target.prior_map, independent, config, ids, chain_ids)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 from scipy.special import expit
 
@@ -643,6 +644,29 @@ EXACT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
 def test_exact_route_is_byte_identical(name):
     assert digest(_exact_outputs(name)) == EXACT_DIGESTS[name]
+
+
+def _broadcast_row_products(a, b):
+    """_row_products as both routes' digests were recorded with it: one
+    (..., 1) x (d,) broadcast product per contraction index."""
+    out = np.zeros(a.shape[:-1] + b.shape[:1])
+    for j in range(a.shape[-1]):
+        out += a[..., j, None] * b[:, j]
+    return out
+
+
+@given(st.integers(1, 4), st.integers(0, 3),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
+def test_row_products_keep_the_bits_of_the_broadcast_sums(d, k, lead, data):
+    # per output column the same products are summed in the same order, so
+    # every bit holds at any number of outputs, contraction length and
+    # leading axes
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    a = data.draw(hnp.arrays(np.float64, (*lead, k), elements=elements))
+    b = data.draw(hnp.arrays(np.float64, (d, k), elements=elements))
+    out = counterfactual._row_products(a, b)
+    assert out.shape == (*lead, d)
+    assert out.tobytes() == _broadcast_row_products(a, b).tobytes()
 
 
 def _dataset_digest(data) -> str:

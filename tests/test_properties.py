@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from cfair import (
@@ -40,9 +41,9 @@ from cfair import (
     posterior_draw_matrix,
     strict_cf_check,
 )
-from cfair import metrics
+from cfair import counterfactual, metrics
 from cfair.counterfactual import _stacked
-from cfair.scm import _ancestor_closure
+from cfair.scm import _ancestor_closure, require_valid
 from helpers import (assert_keyed_by_id, batch_se, digest, law_school,
                      linear_predictor, manifest_for, model_signature, observed_only, red_car)
 
@@ -404,6 +405,22 @@ def test_posterior_draw_matrix_routes_every_model(dag, twist):
     draws = posterior_draw_matrix(model, evidence, _ABDUCTION_CONFIG, model.background)
     assert draws.shape == (3, _ABDUCTION_CONFIG.draws, len(model.background))
     assert np.all(np.isfinite(draws))
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.sampled_from(("bernoulli", "categorical")))
+def test_draws_without_a_free_coordinate_do_not_depend_on_the_block_size(dag, twist):
+    # with no free continuous coordinate, a block's proposals are scored in one
+    # density call over its stacked (step, chain, record) rows; blocks of one
+    # step must give the same bits
+    model, evidence = _twisted(dag, twist)
+    target = counterfactual._Target(model, evidence, 3, require_valid(model), 1)
+    assume(target.free_dim == 0)
+    default = abduct_records(model, evidence, _ABDUCTION_CONFIG)
+    with mock.patch.object(counterfactual, "_BLOCK_VALUES", 1):
+        stepwise = abduct_records(model, evidence, _ABDUCTION_CONFIG)
+    assert digest(stepwise.draws) == digest(default.draws)
+    assert digest(stepwise.acceptance) == digest(default.acceptance)
 
 
 @settings(max_examples=100)
