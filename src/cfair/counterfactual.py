@@ -774,8 +774,9 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     target = _Target(model, evidence_cols, n_records, order, chains)
 
     def per_record(col: np.ndarray) -> np.ndarray:
-        """A (..., rows) state column as (records, chains, ...)."""
-        return np.moveaxis(col.reshape(col.shape[:-1] + (chains, n_records)), (-1, -2), (0, 1))
+        """A (rows,) state column as (records, chains), a (steps, rows) one
+        as (records, chains, steps)."""
+        return col.reshape(col.shape[:-1] + (chains, n_records)).T
 
     chain_ids = np.arange(chains, dtype=np.uint64)
     dtype = np.float64 if all(_numeric(model, n) for n in names) else object
@@ -854,17 +855,18 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
                     kept.append(i)
                     kept_t.append(t)
             accepted += takes[max(0, config.burn_in - start):].sum(axis=0)
-            # a step's codes are its row's last accepted proposal in the block,
-            # else the codes the block started from
-            last = np.maximum.accumulate(
-                np.where(takes, np.arange(len(steps))[:, None], -1), axis=0)
-            step_codes = np.where((last >= 0)[..., None],
-                                  proposals[last, np.arange(target.n)], codes)
-            codes = step_codes[-1]
+            if n_disc:
+                # a step's codes are its row's last accepted proposal in the
+                # block, else the codes the block started from
+                last = np.maximum.accumulate(
+                    np.where(takes, np.arange(len(steps))[:, None], -1), axis=0)
+                step_codes = np.where((last >= 0)[..., None],
+                                      proposals[last, np.arange(target.n)], codes)
+                codes = step_codes[-1]
             if not kept:
                 continue
             window = slice(kept_i, kept_i + len(kept))
-            cont = target.cont_values(np.stack(kept_t))
+            cont = target.cont_values(np.array(kept_t))
             for j, c in cont_cols:
                 kept_out[:, :, window, j] = per_record(cont[..., c])
             for j, k, decoded in disc_cols:
