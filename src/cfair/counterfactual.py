@@ -55,7 +55,6 @@ import contextvars
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -89,6 +88,7 @@ from .scm import (
     _exogenous_names,
     _linear_predictor,
     _prior_column,
+    _require_integer,
     forward_eval,
     intervene,
     model_to_json,
@@ -102,10 +102,10 @@ _CONSISTENCY_TOL = 1e-8
 # (chains x records) are folded and transformed this many at a time, so the
 # block's memory stays bounded at any record and chain count while the
 # per-step hashing cost is paid once per block. Without a free continuous
-# coordinate a block's steps are also scored in one density call over its
-# (step, chain, record) rows. On a small batch a block's arrays are most of
-# the sampler's memory, so the block stays small: one record through 2
-# chains of 10,500 steps with 3 slots fills 4 blocks.
+# coordinate a block's steps are also scored in one call of the chain's own
+# target, with the steps as a leading axis. On a small batch a block's arrays
+# are most of the sampler's memory, so the block stays small: one record
+# through 2 chains of 10,500 steps with 3 slots fills 4 blocks.
 _BLOCK_VALUES = 1 << 14
 
 # the innermost _reuse_passes scope's store: None outside every scope, else a
@@ -123,12 +123,12 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # thin = 0 would keep no draw, and a fractional count fails in the sampler
-        for name, least in (("chains", 1), ("kept", 1), ("thin", 1), ("burn_in", 0)):
+        # thin = 0 would keep no draw, a fractional count fails in the sampler,
+        # and a fractional seed would key the draws of its integer part
+        for name, least in (("chains", 1), ("kept", 1), ("thin", 1), ("burn_in", 0), ("seed", None)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DimensionMismatch(f"mcmc {name} must be an integer, got {value!r}")
-            if value < least:
+            _require_integer(value, f"mcmc {name}")
+            if least is not None and value < least:
                 raise DimensionMismatch(f"mcmc {name} must be at least {least}, got {value!r}")
         if not (math.isfinite(self.proposal_std) and self.proposal_std > 0.0):
             raise DimensionMismatch(
@@ -415,6 +415,9 @@ class _Target:
     model's maps, linear predictors and prior pmfs are resolved once here, so
     a step does array arithmetic only. The state holds `copies` stacked
     copies of the records, one per MH chain, and the evidence is tiled to match.
+    A state may carry leading axes before its rows, such as an MH block's
+    steps; the per-row arrays (evidence, Poisson constants, check targets and
+    the particular solution) broadcast against it.
     """
 
     def __init__(self, model: CausalModel, evidence_cols: dict[str, np.ndarray],
@@ -521,7 +524,10 @@ class _Target:
         eq_map = self.eq_map
         var_map = self.model.variable_map
         self.disc_names = self.disc_prior + self.aux_disc
-        self.values_of = {n: _domain_of(self.model, n) for n in self.disc_names}
+        # a categorical prior needs a domain, so a discrete state variable
+        # without one is a latent BernoulliLogit
+        self.values_of = {n: (0, 1) if var_map[n].domain is None else var_map[n].domain
+                          for n in self.disc_names}
         self.tables: dict[str, np.ndarray] = {}
         table_parents = set()
         for name in self.determined:
@@ -592,8 +598,6 @@ class _Target:
 
     def cont_values(self, t: np.ndarray) -> np.ndarray:
         """Reconstruct the continuous block's values (R, d) from free coordinates t (R, f)."""
-        if not self.cont:
-            return self.part_solution
         return self.part_solution + _row_products(t, self.null_basis)
 
     def initial_t(self, values: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -610,51 +614,54 @@ class _Target:
             start[:, self.cont.index(name)] = col
         num, _ = self.resolve(start, np.zeros((self.n, len(self.disc_names)), dtype=np.intp))
         for j, name in enumerate(self.aux_cont, len(self.cont_prior)):
-            start[:, j] = num[name] = self._eta(name, num)
+            start[:, j] = num[name] = _linear_predictor(self.eq_map[name], num, self.n)
         return _row_products(start - self.part_solution, self.null_basis.T)
 
     def resolve(self, cont: np.ndarray, codes: np.ndarray):
         """(float values, int codes) of every variable the density reads.
 
-        codes holds one column per disc_names entry.
+        codes holds one column per disc_names entry, after every leading axis
+        of the state; cont broadcasts against it.
         """
+        shape = codes.shape[:-1]
         num = dict(self.base_num)
         cod = dict(self.base_codes)
         for j, name in enumerate(self.cont):
-            num[name] = cont[:, j]
+            num[name] = cont[..., j]
         for k, name in enumerate(self.disc_names):
-            cod[name] = codes[:, k]
+            cod[name] = codes[..., k]
             if name in self.numeric:
-                num[name] = self.numeric[name][codes[:, k]]
+                num[name] = self.numeric[name][codes[..., k]]
         for name in self.determined:
             dense = self.tables.get(name)
             if dense is None:
-                num[name] = self._eta(name, num)
+                num[name] = _linear_predictor(self.eq_map[name], num, shape)
                 continue
             parents = self.eq_map[name].parents
             if parents:
                 cod[name] = dense[tuple(cod[p] for p in parents)]
             else:
-                cod[name] = np.full(self.n, dense[()], dtype=np.intp)
+                cod[name] = np.full(shape, dense[()], dtype=np.intp)
             if name in self.numeric:
                 num[name] = self.numeric[name][cod[name]]
         return num, cod
 
     def log_density(self, t, codes) -> np.ndarray:
-        """Per-record log-density; call under np.errstate(divide/invalid="ignore")."""
+        """Log-density per state row, shaped codes.shape[:-1]; call under
+        np.errstate(divide/invalid="ignore")."""
         cont = self.cont_values(t)
         num, cod = self.resolve(cont, codes)
-        logp = np.zeros(self.n)
+        logp = np.zeros(codes.shape[:-1])
         for j, name in enumerate(self.cont_prior):
             std = self.prior_std[j]
             if std == 0.0:
-                logp = np.where(np.abs(cont[:, j] - self.prior_mean[j]) <= 1e-12, logp, -np.inf)
+                logp = np.where(np.abs(cont[..., j] - self.prior_mean[j]) <= 1e-12, logp, -np.inf)
             else:
-                logp = logp - 0.5 * ((cont[:, j] - self.prior_mean[j]) / std) ** 2 - math.log(std)
+                logp = logp - 0.5 * ((cont[..., j] - self.prior_mean[j]) / std) ** 2 - math.log(std)
         for k, name in enumerate(self.disc_prior):
-            logp = logp + self.log_pmf[name][codes[:, k]]
+            logp = logp + self.log_pmf[name][codes[..., k]]
         for name in self.density_nodes:
-            eta = self._eta(name, num)
+            eta = _linear_predictor(self.eq_map[name], num, logp.shape)
             y = num[name]
             fam = self.eq_map[name].family
             if isinstance(fam, LinearGaussian):
@@ -669,9 +676,6 @@ class _Target:
             logp = np.where(np.abs(num[name] - want) <= 1e-9, logp, -np.inf)
         return np.where(np.isnan(logp), -np.inf, logp)
 
-    def _eta(self, name, num) -> np.ndarray:
-        return _linear_predictor(self.eq_map[name], num, self.n)
-
 
 def _index_of(values: tuple) -> dict:
     """value -> code, the first position of an equal value."""
@@ -679,16 +683,6 @@ def _index_of(values: tuple) -> dict:
     for code, v in enumerate(values):
         index.setdefault(v, code)
     return index
-
-
-def _domain_of(model: CausalModel, name: str) -> tuple:
-    var = model.variable(name)
-    if var.domain is not None:
-        return var.domain
-    prior = model.prior_map.get(name)
-    if prior is not None and hasattr(prior, "values"):
-        return tuple(prior.values)
-    return (0, 1)
 
 
 def _enumerate_posterior(model: CausalModel, evidence: dict, names: tuple[str, ...]):
@@ -706,7 +700,7 @@ def _enumerate_posterior(model: CausalModel, evidence: dict, names: tuple[str, .
     order, _, _, names = _abduction_prelude(model, evidence_cols, names)
     priors = [model.prior_map[n] for n in names]
     total = math.prod(len(prior.values) for prior in priors)
-    target = _Target(model, evidence_cols, 1, order, total)
+    target = _Target(model, evidence_cols, 1, order, 1)
     columns, unreached = {}, np.ones(total)
     codes = np.zeros((total, len(target.disc_names)), dtype=np.intp)
     grids = np.meshgrid(*[np.arange(len(prior.values)) for prior in priors], indexing="ij")
@@ -745,9 +739,9 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     a chain's draws do not depend on the chains beside it. A block of steps'
     keys is folded onto every row's (seed, id, chain) state at once,
     _BLOCK_VALUES values at a time. Without a free continuous coordinate
-    (target.free_dim == 0), the block's proposals are scored in one
-    _Target.log_density call over its stacked (step, chain, record) rows and
-    each step runs only the accept test; with one, each step scores its own
+    (target.free_dim == 0), the block's (steps, rows, k) proposals are scored
+    in one log_density call of the chain's own _Target and each step runs
+    only the accept test; with one, each step scores its own
     proposals. Either way the block's kept draws and acceptance counts are
     written once, after its steps. Draws are float64 when every requested
     domain is numeric, else object; names default to the exogenous variables
@@ -802,9 +796,6 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     slots = np.arange(n_cont + n_disc + 1, dtype=np.uint64)
     block = max(1, _BLOCK_VALUES // max(1, target.n * len(slots)))
     total_steps = config.burn_in + config.kept * config.thin
-    # block length -> the target that scores a block's proposals at once over
-    # its (step, chain, record) rows, when no continuous coordinate is free
-    scorers: dict[int, _Target] = {}
 
     # impossible states score -inf (log 0, inf - inf) and are rejected, so a
     # finite log density is never replaced by -inf
@@ -827,13 +818,7 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
             proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
             log_u = np.log(u[:, :, -1])
             if not n_cont:
-                scorer = scorers.get(len(steps))
-                if scorer is None:
-                    scorer = scorers[len(steps)] = _Target(model, evidence_cols, n_records,
-                                                           order, chains * len(steps))
-                block_logp = scorer.log_density(np.tile(t, (len(steps), 1)),
-                                                proposals.reshape(scorer.n, n_disc))
-                block_logp = block_logp.reshape(len(steps), target.n)
+                block_logp = target.log_density(t, proposals)
             takes = np.empty((len(steps), target.n), dtype=bool)
             kept, kept_t = [], []  # the block's kept steps, and t after each
             for i, step in enumerate(range(start, start + len(steps))):

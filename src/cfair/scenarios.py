@@ -41,6 +41,7 @@ from .scm import (
     Role,
     StructuralEquation,
     Variable,
+    _require_integer,
     ancestral_sample,
     require_valid,
 )
@@ -80,7 +81,9 @@ class ScenarioParams:
     def __post_init__(self):
         if self.kind not in _DEFAULTS:
             raise UnsupportedScenario(f"unknown scenario {self.kind!r}")
-        if not self.n >= 0:
+        _require_integer(self.n, "n")
+        _require_integer(self.seed, "seed")
+        if self.n < 0:
             raise DimensionMismatch(f"n must be at least 0, got {self.n!r}")
         unknown = set(self.params) - set(_DEFAULTS[self.kind])
         if unknown:

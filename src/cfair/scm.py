@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -410,6 +411,12 @@ def validate_model(model: CausalModel) -> ValidationResult:
                             topological_order=tuple(order))
 
 
+def _require_integer(value, what: str) -> None:
+    """Raise DimensionMismatch unless value is an integer (a numpy one, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionMismatch(f"{what} must be an integer, got {value!r}")
+
+
 def require_valid(model: CausalModel) -> tuple[str, ...]:
     result = validate_model(model)
     result.raise_if_invalid()
@@ -445,8 +452,9 @@ def _prior_column(prior: Prior, u: np.ndarray) -> np.ndarray:
     return _decode(prior.values, np.searchsorted(cum, u, side="right"))
 
 
-def _linear_predictor(eq, values: dict[str, np.ndarray], n: int) -> np.ndarray:
-    """intercept + sum of weight * parent over n rows, as float64."""
+def _linear_predictor(eq, values: dict[str, np.ndarray], n) -> np.ndarray:
+    """intercept + sum of weight * parent over n rows, as float64. n may also
+    be a shape, against which each parent's values broadcast."""
     eta = np.full(n, float(eq.family.intercept))
     for w, p in zip(eq.family.weights, eq.parents):
         eta += w * np.asarray(values[p], dtype=np.float64)
@@ -598,6 +606,7 @@ def forward_eval(model: CausalModel, given: dict[str, np.ndarray], n: int,
 def ancestral_sample(model: CausalModel, n: int, seed: int) -> Dataset:
     """Sample n rows in topological order; deterministic given seed."""
     order = require_valid(model)
+    _require_integer(n, "row count")
     if n < 0:
         raise DimensionMismatch(f"row count must be at least 0, got {n}")
     values = forward_eval(model, {}, n, seed)

@@ -573,3 +573,84 @@ def test_config_numbers_accept_integral_floats_and_numeric_strings():
     assert cli._config_number("7", int, "seed") == 7
     assert cli._config_number("0.25", float, "threshold") == 0.25
     assert cli._config_number(2, float, "tol") == 2.0
+
+
+def test_experiment_runs_dp_and_strict_audit_specs(tmp_path, capsys):
+    cfg = {"scenario": {"kind": "red_car", "n": 300, "seed": 2}, "outcome": "Y",
+           "recipes": ["full", "unaware"],
+           "audits": [{"criterion": "dp", "a": {"A": 1}, "a_prime": {"A": -1}, "threshold": 0.5},
+                      {"criterion": "strict", "a": {"A": 1}, "a_prime": {"A": -1},
+                       "draws": 20, "max_records": 10}]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(_read(out_dir / "report.json"))
+    for name in ("full", "unaware"):
+        dp, strict = report["recipes"][name]["audits"]
+        assert set(dp["detail"]) == {"dp_gap", "eo_gap", "predictive_parity_gap",
+                                     "n_a", "n_a_prime"}
+        assert dp["aggregate"] == dp["detail"]["dp_gap"] and dp["threshold"] == 0.5
+        assert dp["detail"]["n_a"] + dp["detail"]["n_a_prime"] == report["split"]["n_test"]
+        assert dp["detail"]["eo_gap"] is None  # Y is not 0/1
+        assert strict["criterion"] == "strict" and strict["threshold"] == 0.0
+        assert strict["detail"]["params"]["n_audited"] == 10
+        assert (out_dir / "densities" / f"{name}_1_strict.csv").exists()
+    # without noise, full's weights on X and A read U alone; unaware reads X,
+    # which descends from A
+    assert report["recipes"]["full"]["audits"][1]["passed"] is True
+    assert report["recipes"]["unaware"]["audits"][1]["passed"] is False
+    assert "  audit dp: " in out and "  audit strict: FAIL" in out
+
+
+def test_experiment_with_a_logistic_head_reports_log_loss(tmp_path, capsys):
+    cfg = {"scenario": {"kind": "loan", "n": 400, "seed": 1}, "head": "logistic",
+           "recipes": ["full", "unaware"]}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "run"
+    assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+    report = json.loads(_read(out_dir / "report.json"))
+    for name in ("full", "unaware"):
+        entry = report["recipes"][name]
+        assert (entry["head"], entry["metric"]) == ("logistic", "log_loss")
+        assert 0.0 < entry["value"] < np.log(2.0)  # better than a coin
+    rows = (out_dir / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["logistic", "log_loss"]] * 2
+
+
+def test_experiment_from_a_model_and_data_file(tmp_path, capsys):
+    model_path, data_path = _scenario_files(tmp_path)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"model": str(model_path), "recipes": ["full"]}))
+    assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config: experiments with a model file need a 'data' path\n"
+    cfg_path.write_text(json.dumps({"model": str(model_path), "data": str(data_path),
+                                    "recipes": ["full"]}))
+    out_dir = tmp_path / "run"
+    assert main(["experiment", str(cfg_path), "--out", str(out_dir), "--seed", "1"]) == 0
+    capsys.readouterr()
+    report = json.loads(_read(out_dir / "report.json"))
+    assert report["config"]["source"] == {"model": str(model_path), "data": str(data_path)}
+    assert report["seeds"] == {"master": 1, "mcmc": 1, "split": 1}
+    assert report["split"]["n_train"] + report["split"]["n_test"] == 400
+    assert report["recipes"]["full"]["metric"] == "rmse"
+    assert not (out_dir / "model.json").exists()  # the model is the caller's file
+
+
+def test_fit_reads_a_fair_learning_manifest(tmp_path, capsys):
+    model_path, data_path = _scenario_files(tmp_path)
+    manifest = {"background_inputs": ["U"], "observable_inputs": [],
+                "include_protected": False, "protected": ["A"], "whitelisted": []}
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    pred_path = tmp_path / "fair.json"
+    assert main(["fit", str(model_path), str(data_path), "--recipe", "fair_learning",
+                 "--manifest", str(manifest_path), "--out", str(pred_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "fair_learning (linear): fit 2 weights on 400 rows")
+    predictor = load_predictor(pred_path)
+    assert predictor.manifest.to_json() == manifest
+    assert predictor.labels == ("intercept", "U")

@@ -419,6 +419,23 @@ def test_abduct_records_is_byte_identical_for_any_block_size(name, block_values,
     assert (digest(post.draws), digest(post.acceptance)) == ABDUCTION_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["discrete", "loan", "law_school"])
+def test_abduct_records_compiles_one_target(name, monkeypatch):
+    # a block without a free continuous coordinate was once scored on a second
+    # target per block length, its evidence tiled over the block's steps
+    model, evidence, config = _abduction_fixture(name)
+    built = []
+    target = counterfactual._Target
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(counterfactual, "_Target", counted)
+    abduct_records(model, evidence, config)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("name", sorted(ABDUCTION_DIGESTS))
 def test_chains_are_prefixes_of_longer_runs(name):
     # chain c is keyed by (seed, record, c) alone, so adding chains appends
@@ -494,14 +511,21 @@ def test_a_records_impossibility_verdict_does_not_depend_on_its_companions():
                                           ("proposal_std", float("nan")),
                                           ("proposal_std", float("inf")),
                                           ("chains", 2.5), ("kept", 3.5), ("burn_in", 1.5),
-                                          ("thin", 2.0), ("chains", True)])
+                                          ("thin", 2.0), ("chains", True),
+                                          ("seed", 1.7), ("seed", "a"), ("seed", True)])
 def test_mcmc_config_rejects_settings_that_keep_no_posterior(field, value):
     # thin = 0 once ran the burn-in only and returned all-zero "draws"; a
-    # fractional count once reached the sampler and raised a bare TypeError
+    # fractional count once reached the sampler and raised a bare TypeError;
+    # seed 1.7 once drew what seed 1 draws
     with pytest.raises(DimensionMismatch, match=f"mcmc {field} must be"):
         McmcConfig(**{field: value})
     with pytest.raises(DimensionMismatch):
         replace(FAST, **{field: value})
+
+
+def test_mcmc_config_takes_numpy_integers():
+    config = McmcConfig(chains=np.int64(2), kept=np.uint8(3), seed=np.uint64(2**63))
+    assert config.draws == 6
 
 
 def test_feasible_init_skips_more_than_4096_combinations():
@@ -552,6 +576,21 @@ def test_mh_solves_zero_noise_evidence_on_a_latent_noisy_node():
     weight = lambda v: stats.norm.pdf(v) * stats.norm.pdf(0.3, v, 0.5) * expit(v)
     mean = integrate.quad(lambda v: v * weight(v), -10, 10)[0] / integrate.quad(weight, -10, 10)[0]
     assert abs(u.mean() - mean) <= 5 * batch_se(u), (u.mean(), mean, batch_se(u))
+
+
+def test_a_latent_bernoulli_without_a_domain_draws_zeros_and_ones():
+    # a discrete state variable without a declared domain is a latent
+    # BernoulliLogit, whose values are 0 and 1
+    model = CausalModel(
+        variables=(Variable("U", Role.BACKGROUND), Variable("H", Role.OBSERVED),
+                   Variable("X", Role.OBSERVED)),
+        equations=(StructuralEquation("H", ("U",), BernoulliLogit(0.0, (1.0,))),
+                   StructuralEquation("X", ("H",), LinearGaussian(0.0, (1.0,), 0.5))),
+        priors={"U": NormalPrior(0.0, 1.0)})
+    config = McmcConfig(chains=2, burn_in=20, kept=5, thin=1, seed=3)
+    post = abduct_records(model, {"X": np.array([0.9, -0.2])}, config, names=("U", "H"))
+    assert post.draws.shape == (2, 10, 2)
+    assert set(np.unique(post.draws[:, :, 1])) <= {0.0, 1.0}
 
 
 def test_numeric_domains_give_float_draws():

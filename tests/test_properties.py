@@ -411,7 +411,7 @@ def test_posterior_draw_matrix_routes_every_model(dag, twist):
 @given(abduction_dags(), st.sampled_from(("bernoulli", "categorical")))
 def test_draws_without_a_free_coordinate_do_not_depend_on_the_block_size(dag, twist):
     # with no free continuous coordinate, a block's proposals are scored in one
-    # density call over its stacked (step, chain, record) rows; blocks of one
+    # density call with the block's steps as a leading axis; blocks of one
     # step must give the same bits
     model, evidence = _twisted(dag, twist)
     target = counterfactual._Target(model, evidence, 3, require_valid(model), 1)

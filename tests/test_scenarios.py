@@ -54,6 +54,18 @@ def test_param_validation():
         ScenarioParams(kind="red_car", n=-3)
     with pytest.raises(DimensionMismatch, match="row count must be at least 0, got -1"):
         ancestral_sample(build_model(ScenarioParams(kind="red_car")), -1, seed=0)
+    # a fractional row count once failed in forward_eval, a fractional seed
+    # once keyed the draws of its integer part, and a bool passed as 0 or 1
+    for field, value in (("n", 2.5), ("n", True), ("n", "3"), ("seed", 1.5), ("seed", "x"),
+                         ("seed", False)):
+        with pytest.raises(DimensionMismatch, match=f"{field} must be an integer, got {value!r}"):
+            ScenarioParams(kind="red_car", **{field: value})
+    for n in (2.5, True):
+        with pytest.raises(DimensionMismatch, match=f"row count must be an integer, got {n!r}"):
+            ancestral_sample(build_model(ScenarioParams(kind="red_car")), n, seed=0)
+    # numpy integers pass
+    params = ScenarioParams(kind="red_car", n=np.int32(3), seed=np.uint64(7))
+    assert ancestral_sample(build_model(params), np.int64(3), seed=params.seed).n == 3
 
 
 # ---------------------------------------------------------------------------

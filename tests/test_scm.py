@@ -20,6 +20,7 @@ from cfair import (
     InterveneOnBackground,
     LinearGaussian,
     McmcConfig,
+    ModelValidationError,
     NonFiniteDensity,
     NormalPrior,
     PoissonLogLink,
@@ -27,6 +28,7 @@ from cfair import (
     ScenarioParams,
     StructuralEquation,
     UnattainableValue,
+    UnknownVariable,
     Variable,
     ancestral_sample,
     baseline_fit,
@@ -42,7 +44,7 @@ from cfair import (
     save_model,
     validate_model,
 )
-from cfair.scm import _POISSON_SEARCH_MAX_RATE, _poisson_quantile
+from cfair.scm import _POISSON_SEARCH_MAX_RATE, _poisson_quantile, require_valid
 from helpers import (chain_model, digest, law_school, loan, model_signature, red_car,
                      split_outcome_model)
 
@@ -127,6 +129,95 @@ def test_dangling_parent_flagged():
                                       LinearGaussian(0.0, (1.0,), 1.0)),),
         priors={"U": NormalPrior(0.0, 1.0)})
     assert "DanglingParent" in _codes(validate_model(m))
+
+
+def _with(variables=(), equations=(), priors=()):
+    """U ~ N(0, 1) and a protected A in {0, 1}, plus the given parts."""
+    return CausalModel(
+        (Variable("U", Role.BACKGROUND), Variable("A", Role.PROTECTED, domain=(0, 1)),
+         *variables),
+        equations,
+        (("U", NormalPrior(0.0, 1.0)), ("A", CategoricalPrior((0, 1), (0.5, 0.5))), *priors))
+
+
+def _on(child, *parents, family=None):
+    """child = parents' sum + N(0, 1), or the given family over the parents."""
+    return StructuralEquation(child, parents, family or LinearGaussian(
+        0.0, (1.0,) * len(parents), 1.0))
+
+
+_X = Variable("X", Role.OBSERVED)
+_B_BIT = Variable("B", Role.OBSERVED, domain=(0, 1))
+_Z_REAL = Variable("Z", Role.BACKGROUND)
+_Z_BIT = Variable("Z", Role.BACKGROUND, domain=(0, 1))
+
+
+@pytest.mark.parametrize("model, code, words", [
+    (_with((Variable("1X", Role.OBSERVED),), (_on("1X", "U"),)), "InvalidName", "'1X'"),
+    (_with((Variable("U", Role.BACKGROUND),)), "DuplicateVariable", "U declared twice"),
+    (_with((Variable("Z", Role.BACKGROUND, domain=(1, 1)),),
+           priors=(("Z", CategoricalPrior((1,), (1.0,))),)), "BadDomain", "duplicate domain"),
+    (_with(equations=(_on("Y", "U"),)), "UnknownVariable", "undeclared variable Y"),
+    (_with((_X,), (_on("X", "U"), _on("X", "A"))), "DuplicateEquation", "X has more"),
+    (_with((_X,), (_on("X", "U", "U"),)), "DanglingParent", "repeated parent"),
+    (_with((Variable("C", Role.BACKGROUND, domain=("a", "b")), _X), (_on("X", "C"),),
+           (("C", CategoricalPrior(("a", "b"), (0.5, 0.5))),)), "NonNumericParent", "parent C"),
+    (_with((_X,), (_on("X", "U", family=LinearGaussian(0.0, (1.0,), -1.0)),)),
+     "BadParam", "noise_std"),
+    (_with((_B_BIT,), (_on("B", "U"),)), "BadDomain", "LinearGaussian child"),
+    (_with((_B_BIT,), (_on("B", "U", family=PoissonLogLink(0.0, (1.0,))),)),
+     "BadDomain", "PoissonLogLink child"),
+    (_with((Variable("B", Role.OBSERVED, domain=(0, 1, 2)),),
+           (_on("B", "U", family=BernoulliLogit(0.0, (1.0,))),)), "BadDomain", "BernoulliLogit"),
+    (_with((_B_BIT,), (_on("B", "U", family=DeterministicTable({(0.0,): 0})),)),
+     "TableDomain", "parent U"),
+    (_with((_B_BIT,), (_on("B", "A", family=DeterministicTable({(0,): 0})),)),
+     "TableNotTotal", "missing [(1,)]"),
+    (_with((_B_BIT,), (_on("B", "A", family=DeterministicTable({(0,): 0, (1,): 2})),)),
+     "BadTableValue", "[2]"),
+    (_with(priors=(("Y", NormalPrior()),)), "UnknownVariable", "prior on undeclared"),
+    (_with(priors=(("U", NormalPrior()),)), "BadPrior", "more than one prior"),
+    (_with((_Z_BIT,), priors=(("Z", NormalPrior()),)), "BadPrior", "real-valued domain"),
+    (_with((_Z_REAL,), priors=(("Z", NormalPrior(0.0, -1.0)),)), "BadPrior", "std must be"),
+    (_with((_Z_BIT,), priors=(("Z", CategoricalPrior((0, 1), (1.0,))),)),
+     "BadPrior", "length mismatch"),
+    (_with((_Z_BIT,), priors=(("Z", CategoricalPrior((0, 1), (0.7, 0.7))),)),
+     "BadPrior", "sum to 1"),
+    (_with((_Z_REAL,), priors=(("Z", CategoricalPrior((0, 1), (0.5, 0.5))),)),
+     "BadPrior", "requires a finite domain"),
+    (_with((_Z_BIT,), priors=(("Z", CategoricalPrior((0, 2), (0.5, 0.5))),)),
+     "BadPrior", "outside the declared domain"),
+    (_with((_Z_REAL,)), "MissingPrior", "Z has no prior"),
+    (_with((_X,), (_on("X", "U"),), (("X", NormalPrior()),)), "EquationAndPrior", "X has both"),
+])
+def test_validate_model_reports_each_issue(model, code, words):
+    result = validate_model(model)
+    assert not result.ok and result.topological_order == ()
+    assert code in _codes(result)
+    assert any(words in issue.message for issue in result.issues if issue.code == code)
+
+
+def test_require_valid_raises_every_issue_in_its_message():
+    model = _with((_Z_REAL, _X), (_on("X", "U"),), (("X", NormalPrior()),))
+    with pytest.raises(ModelValidationError) as err:
+        require_valid(model)
+    assert str(err.value) == ("invalid model: MissingPrior: background variable Z has no "
+                              "prior; EquationAndPrior: X has both an equation and a prior")
+    assert [issue.code for issue in err.value.issues] == ["MissingPrior", "EquationAndPrior"]
+
+
+@pytest.mark.parametrize("part, message", [
+    ("family", "unknown equation family 'quadratic'"),
+    ("dist", "unknown prior dist 'beta'"),
+])
+def test_model_from_json_rejects_an_unknown_family_or_prior(part, message):
+    blob = model_to_json(chain_model())
+    if part == "family":
+        blob["equations"][0]["family"] = "quadratic"
+    else:
+        blob["priors"]["U"]["dist"] = "beta"
+    with pytest.raises(UnknownVariable, match=message):
+        model_from_json(blob)
 
 
 # ---------------------------------------------------------------------------
