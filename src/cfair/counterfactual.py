@@ -33,7 +33,9 @@ whether the exact route applies:
   run in blocks whose keyed randomness is drawn at once; without a free
   continuous coordinate a proposal's density does not depend on the chain's
   state, so a block's proposals are scored in one density call and only the
-  accept test runs per step. Kept draws are written once per block.
+  accept test runs per step. The density is finite or -inf, so that test
+  alone moves a chain out of an impossible state. Kept draws are written
+  once per block.
 
 Both routes build affine forms of the evidence with one builder (_Affine) and
 solve them with one SVD (_solve); the exact route's coordinates are standard
@@ -647,8 +649,9 @@ class _Target:
         return num, cod
 
     def log_density(self, t, codes) -> np.ndarray:
-        """Log-density per state row, shaped codes.shape[:-1]; call under
-        np.errstate(divide/invalid="ignore")."""
+        """Log-density per state row, shaped codes.shape[:-1]: finite or -inf,
+        as an impossible state (log 0, inf - inf, nan or +inf on the way)
+        scores -inf. Call under np.errstate(divide/invalid="ignore")."""
         cont = self.cont_values(t)
         num, cod = self.resolve(cont, codes)
         logp = np.zeros(codes.shape[:-1])
@@ -674,7 +677,7 @@ class _Target:
             logp = np.where(cod[name] == want, logp, -np.inf)
         for name, want in self.linear_checks:
             logp = np.where(np.abs(num[name] - want) <= 1e-9, logp, -np.inf)
-        return np.where(np.isnan(logp), -np.inf, logp)
+        return np.where(logp < np.inf, logp, -np.inf)
 
 
 def _index_of(values: tuple) -> dict:
@@ -738,12 +741,17 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     slot), prior draws outside the chain by (seed, id, chain, draw, name), so
     a chain's draws do not depend on the chains beside it. A block of steps'
     keys is folded onto every row's (seed, id, chain) state at once,
-    _BLOCK_VALUES values at a time. Without a free continuous coordinate
-    (target.free_dim == 0), the block's (steps, rows, k) proposals are scored
-    in one log_density call of the chain's own _Target and each step runs
-    only the accept test; with one, each step scores its own
-    proposals. Either way the block's kept draws and acceptance counts are
-    written once, after its steps. Draws are float64 when every requested
+    _BLOCK_VALUES values at a time. A step runs only what depends on the
+    step before: without a free continuous coordinate (target.free_dim == 0)
+    the block's (steps, rows, k) proposals are scored in one log_density
+    call of the chain's own _Target, so a step is the accept test alone; with
+    one, a step scores its own proposals, then runs the test. log_density is
+    finite or -inf, so from a -inf state any finite proposal gives
+    logp_new - logp = +inf and is taken. After the steps, a row's codes and
+    log-density at each step of the block are rebuilt from its last accepted
+    proposal: the kept draws and acceptance counts are written once per
+    block, and a record with a chain still at -inf at the first kept step
+    raises ZeroPosteriorMass. Draws are float64 when every requested
     domain is numeric, else object; names default to the exogenous variables
     not in the evidence (backgrounds first). Inside a _reuse_passes scope a
     repeated call returns the kept result.
@@ -797,8 +805,9 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
     block = max(1, _BLOCK_VALUES // max(1, target.n * len(slots)))
     total_steps = config.burn_in + config.kept * config.thin
 
-    # impossible states score -inf (log 0, inf - inf) and are rejected, so a
-    # finite log density is never replaced by -inf
+    # log_density is finite or -inf and log u is finite, so the accept test
+    # log u < logp_new - logp never trades a finite logp for -inf, and takes
+    # any finite proposal from a -inf state (logp_new - logp = +inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = target.initial_t(None if _start is None else
                              {name: _start[:, :, j].T.reshape(-1) for j, name in enumerate(names)})
@@ -810,6 +819,8 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
         head = rng.key_bits(config.seed, rng.TAG_MH, np.tile(ids, chains),
                             np.repeat(chain_ids, n_records))[None, :, None]
         accepted = np.zeros(target.n)
+        rows = np.arange(target.n)
+        first_kept = config.burn_in + config.thin - 1
         kept_i = 0
         for start in range(0, total_steps, block):
             steps = np.arange(start, min(start + block, total_steps), dtype=np.uint64)
@@ -817,36 +828,48 @@ def abduct_records(model: CausalModel, evidence_cols: dict[str, np.ndarray],
             moves = config.proposal_std * ndtri(u[:, :, :n_cont])
             proposals = np.minimum((u[:, :, n_cont:-1] * sizes).astype(np.intp), sizes - 1)
             log_u = np.log(u[:, :, -1])
-            if not n_cont:
-                block_logp = target.log_density(t, proposals)
+            # the block's kept steps: first_kept, then every thin-th step
+            first = max(start, first_kept)
+            kept = range(first + (first_kept - first) % config.thin - start, len(steps),
+                         config.thin)
             takes = np.empty((len(steps), target.n), dtype=bool)
-            kept, kept_t = [], []  # the block's kept steps, and t after each
-            for i, step in enumerate(range(start, start + len(steps))):
-                if n_cont:
+            start_logp = logp
+            if n_cont:
+                block_logp = np.empty(takes.shape)
+                t_after = []
+                for i in range(len(steps)):
                     t_new = t + moves[i]
-                    logp_new = target.log_density(t_new, proposals[i])
-                else:
-                    logp_new = block_logp[i]
-                take = np.less(log_u[i], logp_new - logp, out=takes[i])
-                take |= np.isfinite(logp_new) & ~np.isfinite(logp)
-                if n_cont:
+                    logp_new = block_logp[i] = target.log_density(t_new, proposals[i])
+                    take = np.less(log_u[i], logp_new - logp, out=takes[i])
                     t = np.where(take[:, None], t_new, t)
-                logp = np.where(take, logp_new, logp)
-                if step >= config.burn_in and (step - config.burn_in + 1) % config.thin == 0:
-                    if kept_i == 0 and not kept and not np.all(np.isfinite(logp)):
-                        stuck = np.flatnonzero(~per_record(np.isfinite(logp)).all(axis=1))
-                        raise ZeroPosteriorMass(
-                            f"no feasible background state for record(s) {stuck[:5].tolist()}")
-                    kept.append(i)
-                    kept_t.append(t)
-            accepted += takes[max(0, config.burn_in - start):].sum(axis=0)
-            if n_disc:
-                # a step's codes are its row's last accepted proposal in the
-                # block, else the codes the block started from
+                    logp = np.where(take, logp_new, logp)
+                    t_after.append(t)
+                kept_t = [t_after[i] for i in kept]
+            else:
+                block_logp = target.log_density(t, proposals)
+                logp, diff = logp.copy(), np.empty(target.n)
+                for logp_new, lu, take in zip(block_logp, log_u, takes):
+                    np.subtract(logp_new, logp, out=diff)
+                    np.less(lu, diff, out=take)
+                    np.copyto(logp, logp_new, where=take)
+                kept_t = [t] * len(kept)
+            accepted += takes[max(0, config.burn_in - start):].sum(axis=0, dtype=np.float64)
+            checked = kept and not kept_i  # the block holds the first kept step
+            if n_disc or checked:
+                # a step's state is its row's last accepted proposal in the
+                # block, else the state the block started from
                 last = np.maximum.accumulate(
                     np.where(takes, np.arange(len(steps))[:, None], -1), axis=0)
-                step_codes = np.where((last >= 0)[..., None],
-                                      proposals[last, np.arange(target.n)], codes)
+                moved = last >= 0
+            if checked:
+                i = kept[0]
+                logp_i = np.where(moved[i], block_logp[last[i], rows], start_logp)
+                if not np.all(np.isfinite(logp_i)):
+                    stuck = np.flatnonzero(~per_record(np.isfinite(logp_i)).all(axis=1))
+                    raise ZeroPosteriorMass(
+                        f"no feasible background state for record(s) {stuck[:5].tolist()}")
+            if n_disc:
+                step_codes = np.where(moved[..., None], proposals[last, rows], codes)
                 codes = step_codes[-1]
             if not kept:
                 continue

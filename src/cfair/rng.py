@@ -53,8 +53,12 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(x):
-    """SplitMix64 finisher, vectorised over uint64 arrays (wrapping multiply)."""
-    x = np.asarray(x, dtype=np.uint64).copy()
+    """SplitMix64 finisher, vectorised over uint64 arrays (wrapping multiply).
+
+    Mixes in place: a uint64 array passed in is overwritten and returned, so
+    pass one that no one else holds (both callers pass a fresh one).
+    """
+    x = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
         x *= _M1

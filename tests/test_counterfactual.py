@@ -541,21 +541,59 @@ def test_feasible_init_skips_more_than_4096_combinations():
     assert counterfactual._feasible_init(target, None, codes, logp) == (codes, logp)
 
 
+@pytest.mark.parametrize("chains, later_block", [(1, False), (4, True)])
+@pytest.mark.parametrize("block_values", [1, 70, None])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_chain_still_in_an_impossible_state_raises(seed):
+def test_a_chain_still_in_an_impossible_state_raises(seed, block_values, chains, later_block,
+                                                     monkeypatch):
     # P has 5,000 values, above _feasible_init's scan cap, so both records'
     # chains start at P = 0, where E = 1 is impossible; the second record's
-    # chain once kept every draw before its first move to P = 4999
+    # chain once kept every draw before its first move to P = 4999. The check
+    # reads the first kept step's state: step 0, or, after a longer burn-in,
+    # two steps into the second block (2 records x chains rows x 2 slots per
+    # step), where one of the second record's 4 chains is still at P = 0
+    if block_values is not None:
+        monkeypatch.setattr(counterfactual, "_BLOCK_VALUES", block_values)
+    block = max(1, counterfactual._BLOCK_VALUES // (4 * chains))
+    config = McmcConfig(chains=chains, burn_in=block + 2 if later_block else 0, kept=20000,
+                        thin=1, seed=seed)
+    with pytest.raises(ZeroPosteriorMass, match=r"record\(s\) \[1\]$"):
+        abduct_records(_five_thousand_codes(4999), {"E": np.array([0, 1])}, config)
+
+
+@pytest.mark.parametrize("block_values", [1, 70, None])
+def test_a_chain_that_leaves_an_impossible_state_before_its_first_kept_step_is_kept(
+        block_values, monkeypatch):
+    # E = 1 holds for 4 in 5 values of P, so the second record's chains leave
+    # P = 0 within the 30 burn-in steps, inside the first block at the
+    # default size: the check reads the state after those moves, not the
+    # state the block started from
+    if block_values is not None:
+        monkeypatch.setattr(counterfactual, "_BLOCK_VALUES", block_values)
+    config = McmcConfig(chains=4, burn_in=30, kept=50, thin=1, seed=0)
+    post = abduct_records(_five_thousand_codes(1000), {"E": np.array([0, 1])}, config)
+    assert np.all(post.draws[0] < 1000) and np.all(post.draws[1] >= 1000)
+
+
+def _five_thousand_codes(lowest_e1: int) -> CausalModel:
+    """P uniform over 5,000 values, above _feasible_init's scan cap, and
+    E = 1 exactly when P >= lowest_e1."""
     values = tuple(range(5000))
-    model = CausalModel(
+    return CausalModel(
         variables=(Variable("P", Role.BACKGROUND, domain=values),
                    Variable("E", Role.OBSERVED, domain=(0, 1))),
         equations=(StructuralEquation("E", ("P",), DeterministicTable(
-            {(p,): int(p == 4999) for p in values})),),
+            {(p,): int(p >= lowest_e1) for p in values})),),
         priors={"P": CategoricalPrior(values, (1 / 5000,) * 5000)})
-    config = McmcConfig(chains=1, burn_in=0, kept=20000, thin=1, seed=seed)
-    with pytest.raises(ZeroPosteriorMass, match=r"record\(s\) \[1\]"):
-        abduct_records(model, {"E": np.array([0, 1])}, config)
+
+
+@pytest.mark.parametrize("name", ["loan", "law_school"])
+def test_zero_records_give_empty_draws(name):
+    # loan has no free continuous coordinate, law_school has one
+    model, evidence, config = _abduction_fixture(name)
+    post = abduct_records(model, {k: v[:0] for k, v in evidence.items()}, config)
+    assert post.draws.shape == (0, config.draws, len(post.names))
+    assert post.acceptance.shape == (0, config.chains)
 
 
 def test_mh_solves_zero_noise_evidence_on_a_latent_noisy_node():

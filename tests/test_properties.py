@@ -18,6 +18,7 @@ from cfair import (
     LinearGaussian,
     McmcConfig,
     NormalPrior,
+    PoissonLogLink,
     Role,
     ScenarioParams,
     SingularConditioning,
@@ -421,6 +422,92 @@ def test_draws_without_a_free_coordinate_do_not_depend_on_the_block_size(dag, tw
         stepwise = abduct_records(model, evidence, _ABDUCTION_CONFIG)
     assert digest(stepwise.draws) == digest(default.draws)
     assert digest(stepwise.acceptance) == digest(default.acceptance)
+
+
+def _finite_or_minus_inf(target, t, codes) -> bool:
+    # the extremes overflow np.exp and divide by subnormal scales; the
+    # sampler's accept test needs no more than this of the values
+    with np.errstate(all="ignore"):
+        logp = target.log_density(t, codes)
+    return bool(np.all(np.isfinite(logp) | (logp == -np.inf)))
+
+
+def _every_code(target, rows: int) -> np.ndarray:
+    """Every joint code of the target's discrete state, as (states, rows, k)."""
+    sizes = [len(target.values_of[n]) for n in target.disc_names]
+    codes = np.array(list(product(*map(range, sizes))), dtype=np.intp)
+    return np.broadcast_to(codes[:, None, :], (len(codes), rows, len(sizes)))
+
+
+@settings(max_examples=30)
+@given(abduction_dags(), st.sampled_from(("linear", "bernoulli", "categorical")), st.data())
+def test_log_density_is_finite_or_minus_inf(dag, twist, data):
+    # the MH accept test log u < logp_new - logp moves a chain out of a -inf
+    # state only if no density is NaN or +inf
+    model, evidence = _twisted(dag, twist)
+    target = counterfactual._Target(model, evidence, 3, require_valid(model), 1)
+    t = np.array(data.draw(st.lists(st.floats(-1e308, 1e308), min_size=3 * target.free_dim,
+                                    max_size=3 * target.free_dim))).reshape(3, target.free_dim)
+    assert _finite_or_minus_inf(target, t, _every_code(target, 3))
+
+
+_U = Variable("U", Role.BACKGROUND)
+_SUBNORMAL = 5e-324
+
+
+def _extreme_model(case):
+    """(model, observed values) whose densities overflow or underflow when U
+    or a latent node lies far out."""
+    standard = {"U": NormalPrior(0.0, 1.0)}
+    if case == "poisson_rate":
+        # exp(eta) overflows above eta = 709.8 and underflows below -745
+        return (CausalModel(
+            (_U, Variable("Y", Role.OBSERVED)),
+            (StructuralEquation("Y", ("U",), PoissonLogLink(0.0, (1.0,))),), standard),
+            {"Y": (0, 1, 50)})
+    if case == "bernoulli_logit":
+        # an observed child and a latent one, whose eta reaches +-inf
+        return (CausalModel(
+            (_U, Variable("B", Role.OBSERVED, domain=(0, 1)),
+             Variable("H", Role.OBSERVED, domain=(0, 1)), Variable("X", Role.OBSERVED)),
+            (StructuralEquation("B", ("U",), BernoulliLogit(0.0, (1.0,))),
+             StructuralEquation("H", ("U",), BernoulliLogit(0.0, (1e300,))),
+             StructuralEquation("X", ("H",), LinearGaussian(0.0, (1.0,), 0.5))), standard),
+            {"B": (0, 1), "X": (0.0, 1.0)})
+    if case == "subnormal_noise":
+        # an observed child and a latent noisy node with a subnormal scale
+        return (CausalModel(
+            (_U, Variable("H", Role.OBSERVED), Variable("X", Role.OBSERVED),
+             Variable("Y", Role.OBSERVED)),
+            (StructuralEquation("H", ("U",), LinearGaussian(0.0, (1.0,), _SUBNORMAL)),
+             StructuralEquation("X", ("H",), LinearGaussian(0.0, (1.0,), 1.0)),
+             StructuralEquation("Y", ("U",), LinearGaussian(0.0, (1.0,), _SUBNORMAL))),
+            standard),
+            {"X": (0.0, 2.0), "Y": (0.0, 1e-320)})
+    # a background whose prior scale is subnormal
+    return (CausalModel(
+        (_U, Variable("X", Role.OBSERVED)),
+        (StructuralEquation("X", ("U",), LinearGaussian(0.0, (1.0,), 1.0)),),
+        {"U": NormalPrior(0.0, _SUBNORMAL)}),
+        {"X": (0.0, 3.0)})
+
+
+@pytest.mark.parametrize("case", ["poisson_rate", "bernoulli_logit", "subnormal_noise",
+                                  "subnormal_prior"])
+def test_log_density_is_finite_or_minus_inf_at_extremes(case):
+    # every observed combination against every free coordinate in `far`, one
+    # record each, and every discrete code of the state
+    model, observed = _extreme_model(case)
+    order = require_valid(model)
+    first = {k: np.array(v[:1]) for k, v in observed.items()}
+    free_dim = counterfactual._Target(model, first, 1, order, 1).free_dim
+    far = (-1e308, -1e3, -745.0, -1.0, 0.0, _SUBNORMAL, 1.0, 709.0, 710.0, 1e3, 1e308)
+    rows = list(product(product(far, repeat=free_dim), product(*observed.values())))
+    evidence = {k: np.array([values[j] for _, values in rows])
+                for j, k in enumerate(observed)}
+    target = counterfactual._Target(model, evidence, len(rows), order, 1)
+    t = np.array([coords for coords, _ in rows]).reshape(len(rows), free_dim)
+    assert _finite_or_minus_inf(target, t, _every_code(target, len(rows)))
 
 
 @settings(max_examples=100)

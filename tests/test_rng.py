@@ -77,6 +77,15 @@ def test_fold_in_without_parts_is_the_state():
     assert np.array_equal(rng.fold_in(head), head)
 
 
+def test_fold_in_leaves_its_state_and_parts_unchanged():
+    # _mix mixes in place, on the fresh array each fold makes
+    head = rng.key_bits(4, 2, np.arange(3, dtype=np.uint64))
+    steps = np.arange(5, dtype=np.uint64)[:, None]
+    kept = head.copy(), steps.copy()
+    rng.fold_in(head, steps, 7)
+    assert np.array_equal(head, kept[0]) and np.array_equal(steps, kept[1])
+
+
 def test_a_float_key_part_raises_instead_of_truncating():
     # 0.7 would key as part 0
     with pytest.raises(TypeError, match="key parts must be integers"):
