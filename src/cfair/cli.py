@@ -242,7 +242,7 @@ def _test_metric(head: str, y: np.ndarray, preds: np.ndarray) -> tuple[str, floa
 # the numeric fields of an audit spec, converted like other config numbers
 # for every criterion; a field left out or null takes the audit's default
 _AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
-                 "threshold": float, "tie_frac": float, "tol": float, "y": float}
+                 "threshold": float, "tol": float, "y": float}
 
 
 def _audit_args(spec: dict):
@@ -281,14 +281,14 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
 
     if crit == "cf":
         report = cf_fairness_test(model, predictor, data, a, ap, config=config,
-                                  **picked("draws", "threshold", "max_records", "tie_frac"))
+                                  **picked("draws", "threshold", "max_records"))
     elif crit == "strict":
         report = strict_cf_check(model, predictor, data, a, ap, config=config,
                                  **picked("draws", "tol", "max_records"))
     elif crit == "path":
         paths = [tuple(p) for p in spec["paths"]]
         report = path_cf_test(model, predictor, data, paths, a, ap, config=config,
-                              **picked("draws", "threshold", "max_records", "tie_frac"))
+                              **picked("draws", "threshold", "max_records"))
     elif crit == "dp":
         gaps = group_gaps(predictor, data, outcome, a, ap, model=model,
                           config=config)
@@ -410,8 +410,7 @@ def cmd_audit(args) -> int:
             "given": dict(args.given),
             "record": args.record, "y": args.y,
             "draws": args.draws, "threshold": args.threshold,
-            "max_records": args.max_records, "tie_frac": args.tie_frac,
-            "tol": args.tol}
+            "max_records": args.max_records, "tol": args.tol}
     summary, report = _run_audit(spec, predictor, model, data, outcome, config)
     print(f"{summary['criterion']}: {_verdict(summary)} "
           f"aggregate={_fmt(summary['aggregate'])} "
@@ -487,17 +486,12 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
     audits_cfg = cfg.get("audits", [])
     for audit_spec in audits_cfg:  # a malformed spec fails before any fit
         _audit_args(dict(audit_spec))
-    subset_name = cfg.get("audit_subset", "test")
-    if subset_name not in ("train", "test", "all"):
-        raise _Failure(f"config: audit_subset must be train, test, or all, "
-                       f"got {subset_name!r}")
 
     if outcome not in obs.data:
         raise _Failure(f"config: outcome column {outcome!r} missing from the data")
     train_idx, test_idx, stratified = _split_indices(obs.column(outcome),
                                                      _TRAIN_FRAC, seed)
     train, test = obs.take(train_idx), obs.take(test_idx)
-    audit_data = {"train": train, "test": test, "all": obs}[subset_name]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     predictors_dir = out_dir / "predictors"
@@ -509,8 +503,7 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
         save_model(model, out_dir / "model.json")
 
     resolved = {"source": source, "outcome": outcome, "head": head,
-                "recipes": recipes, "audits": audits_cfg,
-                "audit_subset": subset_name, "train_frac": _TRAIN_FRAC,
+                "recipes": recipes, "audits": audits_cfg, "train_frac": _TRAIN_FRAC,
                 "mcmc": {"chains": mcmc.chains, "burn_in": mcmc.burn_in,
                          "kept": mcmc.kept, "thin": mcmc.thin,
                          "proposal_std": mcmc.proposal_std}}
@@ -541,14 +534,14 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
         predictors[name] = predictor
 
     # audit phase: each spec runs across the recipes, which audit the same
-    # model on the same records, so one MH posterior serves them all, and so
+    # model on the same test records, so one MH posterior serves them all, and so
     # does each branch pass that reads the same intervened, pruned model
     failures = 0
     for i, audit_spec in enumerate(audits_cfg):
         with _reuse_passes():
             for name, predictor in predictors.items():
-                summary, rep = _run_audit(dict(audit_spec), predictor, model,
-                                          audit_data, outcome, mcmc)
+                summary, rep = _run_audit(dict(audit_spec), predictor, model, test,
+                                          outcome, mcmc)
                 report["recipes"][name]["audits"].append(summary)
                 if summary["passed"] is False:
                     failures += 1
@@ -677,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--max-records", type=int, default=None)
-    p.add_argument("--tie-frac", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--outcome", default=None)
     p.add_argument("--out", default=None, help="directory for report.json")

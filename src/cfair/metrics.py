@@ -63,6 +63,8 @@ from .scm import (
 _STRICT_TOL = 1e-9
 _MATCH_TOL = 1e-6
 _MAX_ENUM = 1_000_000
+# sorted KS samples closer than this times their pooled spread count as tied
+_TIE_SPREAD = 0.08
 # scores per block of _ks_records' rows: the block's sort and count arrays stay
 # near a megabyte each at any record and draw count
 _KS_BLOCK_VALUES = 1 << 15
@@ -251,7 +253,8 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     """Every paired audit's pass: check its arguments, subsample the a-group,
     abduct its latent exogenous state and score both branches with shared
     noise, the held observables given per record: (record indices, factual
-    scores, counterfactual scores), each (records, draws) and keyed by row in data."""
+    scores, counterfactual scores, the params every paired report holds), the
+    scores (records, draws) and keyed by row in data."""
     require_valid(model)
     _check_pair(a, a_prime, draws=draws, max_records=max_records)
     indices = np.flatnonzero(_group_mask(data, a))
@@ -266,13 +269,25 @@ def _paired_scores(model: CausalModel, predictor: FairPredictor, data: Dataset,
     scores_f, scores_cf = _branch_scores(predictor, model, sub, (a, a_prime), latent, exo,
                                          rng.child_seed(config.seed, rng.TAG_BRANCH),
                                          rng.TAG_BRANCH, held, indices)
-    return indices, scores_f, scores_cf
+    params = {"a": a, "a_prime": a_prime, "draws": draws, "seed": config.seed,
+              "max_records": max_records, "n_audited": len(indices)}
+    return indices, scores_f, scores_cf, params
 
 
-def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray,
-                tie_frac: float):
+def _paired_report(criterion: str, params: dict, scores_f: np.ndarray,
+                   scores_cf: np.ndarray, per_record: list[dict], aggregate: float,
+                   threshold: float) -> FairnessReport:
+    """A paired audit's report, passed when its aggregate is at most the
+    threshold; the densities are each branch's per-record mean prediction."""
+    return FairnessReport(criterion, params, per_record, aggregate, threshold,
+                          bool(aggregate <= threshold),
+                          {"factual": [float(s.mean()) for s in scores_f],
+                           "counterfactual": [float(s.mean()) for s in scores_cf]})
+
+
+def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray):
     """({"record", "ks"} per record, worst KS, tie tolerance) of paired (records,
-    draws) scores; the tolerance is tie_frac times their pooled spread.
+    draws) scores; the tolerance is _TIE_SPREAD times their pooled spread.
 
     A record's KS is taken at that finite resolution: when its two sorted
     samples differ by at most the tolerance everywhere it is 0, else
@@ -281,8 +296,8 @@ def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray
     shows an O(estimation error) atom shift; plain KS would read any such
     shift as 1.0. The tolerance sets the smallest shift the audit can resolve.
     """
-    tie_tol = tie_frac * float(np.std(np.concatenate([scores_f.ravel(),
-                                                      scores_cf.ravel()])))
+    tie_tol = _TIE_SPREAD * float(np.std(np.concatenate([scores_f.ravel(),
+                                                         scores_cf.ravel()])))
     ks = np.zeros(len(scores_f))
     rows = max(1, _KS_BLOCK_VALUES // max(1, scores_f.shape[1]))
     for lo in range(0, len(ks), rows):
@@ -296,34 +311,36 @@ def _ks_records(indices: np.ndarray, scores_f: np.ndarray, scores_cf: np.ndarray
     return per_record, float(np.max(ks)), tie_tol
 
 
+def _ks_audit(criterion: str, model: CausalModel, predictor: FairPredictor,
+              data: Dataset, a: dict, a_prime: dict, config: McmcConfig, draws: int,
+              threshold: float, max_records: int, held=()) -> FairnessReport:
+    """The per-record KS audit that cf_fairness_test and path_cf_test view,
+    with the `held` observables given per record in both branches."""
+    indices, scores_f, scores_cf, params = _paired_scores(
+        model, predictor, data, a, a_prime, config, draws, max_records, held)
+    per_record, aggregate, params["tie_tol"] = _ks_records(indices, scores_f, scores_cf)
+    for r, f, cf in zip(per_record, scores_f, scores_cf):
+        r.update(mean_factual=float(f.mean()), mean_counterfactual=float(cf.mean()),
+                 mean_shift=float(f.mean() - cf.mean()))
+    return _paired_report(criterion, params, scores_f, scores_cf, per_record,
+                          aggregate, threshold)
+
+
 def cf_fairness_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                      a: dict, a_prime: dict, config: McmcConfig = McmcConfig(),
                      draws: int = 1000, threshold: float = 0.05,
-                     max_records: int = 200, tie_frac: float = 0.08) -> FairnessReport:
+                     max_records: int = 200) -> FairnessReport:
     """Per-record KS distance between factual and counterfactual predictions.
 
     Records with the factual assignment `a` are audited (subsampled to
     max_records, seeded); the aggregate is the worst per-record KS statistic
     and the audit passes when it stays at or below the threshold. Sorted
-    prediction samples closer than tie_frac times the pooled prediction spread
+    prediction samples closer than 0.08 times the pooled prediction spread
     count as identical, so fitted-weight noise on degenerate posteriors does
     not register as unfairness.
     """
-    indices, scores_f, scores_cf = _paired_scores(
-        model, predictor, data, a, a_prime, config, draws, max_records)
-    per_record, aggregate, tie_tol = _ks_records(indices, scores_f, scores_cf, tie_frac)
-    for r, f, cf in zip(per_record, scores_f, scores_cf):
-        r.update(mean_factual=float(f.mean()), mean_counterfactual=float(cf.mean()),
-                 mean_shift=float(f.mean() - cf.mean()))
-    return FairnessReport(
-        criterion="counterfactual_ks",
-        params={"a": a, "a_prime": a_prime, "draws": draws, "seed": config.seed,
-                "max_records": max_records, "n_audited": len(indices),
-                "tie_tol": tie_tol},
-        per_record=per_record, aggregate=aggregate, threshold=threshold,
-        passed=bool(aggregate <= threshold),
-        densities={"factual": [r["mean_factual"] for r in per_record],
-                   "counterfactual": [r["mean_counterfactual"] for r in per_record]})
+    return _ks_audit("counterfactual_ks", model, predictor, data, a, a_prime, config,
+                     draws, threshold, max_records)
 
 
 def strict_cf_check(model: CausalModel, predictor: FairPredictor, data: Dataset,
@@ -335,7 +352,7 @@ def strict_cf_check(model: CausalModel, predictor: FairPredictor, data: Dataset,
     Passes only for predictors that are functions of non-descendants of the
     intervened set; distribution-level equality is not enough here.
     """
-    indices, scores_f, scores_cf = _paired_scores(
+    indices, scores_f, scores_cf, params = _paired_scores(
         model, predictor, data, a, a_prime, config, draws, max_records)
     diff = np.abs(scores_f - scores_cf)
     violating = diff > tol
@@ -343,15 +360,9 @@ def strict_cf_check(model: CausalModel, predictor: FairPredictor, data: Dataset,
                    "violations": int(violating[i].sum())}
                   for i, ridx in enumerate(indices)]
     aggregate = float(violating.mean())  # fraction of violating draws
-    return FairnessReport(
-        criterion="strict_invariance",
-        params={"a": a, "a_prime": a_prime, "draws": draws, "seed": config.seed,
-                "tol": tol, "max_records": max_records, "n_audited": len(indices),
-                "max_abs_diff": float(diff.max())},
-        per_record=per_record, aggregate=aggregate, threshold=0.0,
-        passed=bool(aggregate == 0.0),
-        densities={"factual": [float(s.mean()) for s in scores_f],
-                   "counterfactual": [float(s.mean()) for s in scores_cf]})
+    params.update(tol=tol, max_abs_diff=float(diff.max()))
+    return _paired_report("strict_invariance", params, scores_f, scores_cf, per_record,
+                          aggregate, 0.0)
 
 
 def _validate_paths(model: CausalModel, paths, a: dict) -> set[str]:
@@ -376,32 +387,22 @@ def _validate_paths(model: CausalModel, paths, a: dict) -> set[str]:
 def path_cf_test(model: CausalModel, predictor: FairPredictor, data: Dataset,
                  paths, a: dict, a_prime: dict, config: McmcConfig = McmcConfig(),
                  draws: int = 1000, threshold: float = 0.05,
-                 max_records: int = 200, tie_frac: float = 0.08) -> FairnessReport:
+                 max_records: int = 200) -> FairnessReport:
     """Path-specific audit: only the listed causal paths transmit the flip.
 
     This is cf_fairness_test with the observables off every listed path held
     at each record's factual values in both branches, so differences can
-    only travel through the declared paths; with nothing held it equals
-    cf_fairness_test bit for bit. Each path must be a chain of edges
-    starting at an audited protected variable.
+    only travel through the declared paths; its params add the `paths` and
+    the `held` names. With nothing held its report is cf_fairness_test's bit
+    for bit apart from those and the criterion. Each path must be a chain of
+    edges starting at an audited protected variable.
     """
     on_path = _validate_paths(model, paths, a)
     held = [n for n in model.names(Role.OBSERVED) if n not in on_path and n in data.data]
-    indices, scores_f, scores_cf = _paired_scores(
-        model, predictor, data, a, a_prime, config, draws, max_records, held)
-    per_record, aggregate, tie_tol = _ks_records(indices, scores_f, scores_cf, tie_frac)
-    for r, f, cf in zip(per_record, scores_f, scores_cf):
-        r["mean_shift"] = float(f.mean() - cf.mean())
-    return FairnessReport(
-        criterion="path_counterfactual_ks",
-        params={"a": a, "a_prime": a_prime, "paths": [list(p) for p in paths],
-                "held": held, "draws": draws, "seed": config.seed,
-                "max_records": max_records, "n_audited": len(indices),
-                "tie_tol": tie_tol},
-        per_record=per_record, aggregate=aggregate, threshold=threshold,
-        passed=bool(aggregate <= threshold),
-        densities={"factual": [float(r.mean()) for r in scores_f],
-                   "counterfactual": [float(r.mean()) for r in scores_cf]})
+    report = _ks_audit("path_counterfactual_ks", model, predictor, data, a, a_prime,
+                       config, draws, threshold, max_records, held)
+    report.params.update(paths=[list(p) for p in paths], held=held)
+    return report
 
 
 def group_gaps(predictor: FairPredictor, data: Dataset, outcome: str,

@@ -91,6 +91,7 @@ def test_per_record_ks_equals_ks_2sample_row_by_row_bit_for_bit(values, block_va
     # sort; ties, signed zeros, infinities and NaNs must count as searchsorted does
     if block_values is not None:
         monkeypatch.setattr(metrics, "_KS_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(metrics, "_TIE_SPREAD", 0.0)  # plain KS on every record
     gen = np.random.default_rng(8)
     shape = (60, 25)
     if values == "continuous":
@@ -98,7 +99,7 @@ def test_per_record_ks_equals_ks_2sample_row_by_row_bit_for_bit(values, block_va
     else:
         f, cf = gen.choice(_KS_POOL, shape), gen.choice(_KS_POOL, shape)
     with np.errstate(invalid="ignore"):  # the pooled spread of infinities
-        per_record, worst, _ = metrics._ks_records(np.arange(60), f, cf, 0.0)
+        per_record, worst, _ = metrics._ks_records(np.arange(60), f, cf)
     want = [ks_2sample(x, y) for x, y in zip(f, cf)]
     assert [r["ks"] for r in per_record] == want
     assert worst == max(want)
@@ -110,7 +111,7 @@ def test_per_record_ks_is_zero_where_sorted_samples_lie_within_the_tie_tolerance
     cf = f + 1e-4
     cf[1] += 1.0
     cf[3, 0] += 1.0
-    per_record, worst, tie_tol = metrics._ks_records(np.arange(4), f, cf, 0.08)
+    per_record, worst, tie_tol = metrics._ks_records(np.arange(4), f, cf)
     assert 1e-4 < tie_tol
     assert [r["ks"] for r in per_record] == [0.0, ks_2sample(f[1], cf[1]), 0.0,
                                             ks_2sample(f[3], cf[3])]
@@ -237,9 +238,9 @@ def test_path_audit_pins_mediators_off_the_listed_paths():
     assert rep_a.aggregate == 1.0
 
 
-@pytest.mark.parametrize("route", ["exact", "mcmc"])
-def test_full_path_set_agrees_with_unrestricted_audit(route):
-    # with nothing held the path audit is the cf audit, bit for bit
+def _path_and_cf_reports(route):
+    """The path audit over paths that cover every observable, and the cf audit
+    of the same setup."""
     if route == "exact":
         model, data = high_crime(n=1200, seed=9)
         obs = observed_only(model, data)
@@ -251,12 +252,30 @@ def test_full_path_set_agrees_with_unrestricted_audit(route):
         a, a_prime, config = {"R": 1}, {"R": 0}, _PIN_CFG
         all_paths = [["R", "GPA"], ["R", "LSAT"]]
     kwargs = dict(config=config, draws=200, max_records=40)
-    via_paths = path_cf_test(model, predictor, obs, all_paths, a, a_prime, **kwargs)
-    plain = cf_fairness_test(model, predictor, obs, a, a_prime, **kwargs)
+    return (path_cf_test(model, predictor, obs, all_paths, a, a_prime, **kwargs),
+            cf_fairness_test(model, predictor, obs, a, a_prime, **kwargs), all_paths)
+
+
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
+def test_full_path_set_agrees_with_unrestricted_audit(route):
+    # with nothing held the path audit is the cf audit, bit for bit
+    via_paths, plain, _ = _path_and_cf_reports(route)
     assert via_paths.params["held"] == []
     assert [r["ks"] for r in via_paths.per_record] == [r["ks"] for r in plain.per_record]
     assert via_paths.aggregate == plain.aggregate
     assert via_paths.densities == plain.densities
+
+
+@pytest.mark.parametrize("route", ["exact", "mcmc"])
+def test_a_path_report_with_nothing_held_is_the_cf_report(route):
+    # one KS audit serves both: only the criterion and the path params differ
+    via_paths, plain, all_paths = _path_and_cf_reports(route)
+    path_json, cf_json = via_paths.to_json(), plain.to_json()
+    assert path_json.pop("params") == {**cf_json.pop("params"), "paths": all_paths,
+                                       "held": []}
+    assert (path_json.pop("criterion"), cf_json.pop("criterion")) == (
+        "path_counterfactual_ks", "counterfactual_ks")
+    assert path_json == cf_json
 
 
 def test_empty_path_set_holds_every_observable():
@@ -1061,7 +1080,9 @@ def _audit_outputs(name):
 # enumeration) and value kinds (numeric, str); the steps shared
 # between abduction and the predictor must reproduce them byte for byte.
 # The subsampled audits and the one-record exact ones were re-recorded when
-# draws and the subsample were keyed by record id
+# draws and the subsample were keyed by record id, and the path audits when
+# their per-record results gained the cf audit's mean_factual and
+# mean_counterfactual
 AUDIT_DIGESTS = {
     "ace_exact": "2e9b2482340b8f8e",
     "ace_exact_string": "1edf10d203b8fb85",
@@ -1075,8 +1096,8 @@ AUDIT_DIGESTS = {
     "group_gaps_logistic": "6876cfba927a203e",
     "learning_exact": "9e6a72dac9d10371",
     "learning_mcmc": "ee1b3092c13838fb",
-    "path_held": "51918628d9d26568",
-    "path_mcmc_law": "a7e8193985864830",
+    "path_held": "e9322e23555c1de5",
+    "path_mcmc_law": "095e40322bfd19a3",
     "strict_exact": "8f1544526cf3bb59",
     "strict_mcmc_law": "9832f84f20f05dc6",
     "suff_abduction_exact": "b21c84a6d3d5f6b1",
