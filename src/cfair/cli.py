@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +36,26 @@ from .scm import (CausalModel, ancestral_sample, load_model, save_model,
                   validate_model)
 
 RECIPES = ("full", "unaware", "fair_k", "fair_add", "fair_learning")
-CRITERIA = ("cf", "strict", "path", "dp", "ftu", "ace", "ps")
+# the fields each audit criterion reads besides its name; a spec with any
+# other key is a config error
+_CRITERION_FIELDS = {
+    "cf": ("a", "a_prime", "draws", "threshold", "max_records"),
+    "strict": ("a", "a_prime", "draws", "tol", "max_records"),
+    "path": ("a", "a_prime", "paths", "draws", "threshold", "max_records"),
+    "dp": ("a", "a_prime", "threshold"),
+    "ftu": (),
+    "ace": ("a", "a_prime", "given", "draws"),
+    "ps": ("a_prime", "record", "y", "threshold", "tol"),
+}
+CRITERIA = tuple(_CRITERION_FIELDS)
 
 _TRAIN_FRAC = 0.8
 _MCMC_DEFAULT = McmcConfig()
 # the mcmc config keys that fit and audit take as flags (--burn-in for burn_in)
 _MCMC_FLAGS = ("chains", "burn_in", "kept", "thin")
+# the top-level experiment keys besides its source, 'scenario' or 'model' and 'data'
+_EXPERIMENT_KEYS = ("outcome", "head", "mcmc", "recipes", "audits", "seed", "out", "strict")
+_MANIFEST_KEYS = ("background_inputs", "observable_inputs", "include_protected", "protected")
 
 
 class _Failure(Exception):
@@ -91,6 +104,17 @@ def _config_number(value, kind: type, what: str):
     if kind is float and not math.isfinite(number):
         raise _Failure(f"config: {what} must be a finite number, got {value!r}")
     return number
+
+
+def _config_object(blob, part: str, allowed=None) -> dict:
+    """blob; a config error unless it is a JSON object and, given allowed, one
+    whose keys are all among them."""
+    if not isinstance(blob, dict):
+        raise _Failure(f"config: {part} must be a JSON object, got {blob!r}")
+    unknown = [] if allowed is None else sorted(set(blob) - set(allowed))
+    if unknown:
+        raise _Failure(f"config: unknown {part} keys {unknown}")
+    return blob
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -163,16 +187,19 @@ def _single_outcome(model: CausalModel, flag: str | None = None) -> str:
 
 
 def _mcmc_from_blob(blob: dict | None, seed: int) -> McmcConfig:
-    base = McmcConfig(seed=seed)
-    if not blob:
-        return base
-    allowed = {"chains", "burn_in", "kept", "thin", "proposal_std"}
-    unknown = sorted(set(blob) - allowed)
-    if unknown:
-        raise _Failure(f"config: unknown mcmc keys {unknown}")
-    kwargs = {k: _config_number(v, float if k == "proposal_std" else int, f"mcmc {k}")
-              for k, v in blob.items()}
-    return replace(base, **kwargs)
+    blob = _config_object({} if blob is None else blob, "mcmc", (*_MCMC_FLAGS, "proposal_std"))
+    return McmcConfig(seed=seed, **{
+        k: _config_number(v, float if k == "proposal_std" else int, f"mcmc {k}")
+        for k, v in blob.items()})
+
+
+def _manifest(blob) -> InputManifest:
+    """The input manifest of a JSON object; config errors for a key missing or unknown."""
+    missing = sorted(set(_MANIFEST_KEYS) - set(_config_object(
+        blob, "manifest", (*_MANIFEST_KEYS, "whitelisted"))))
+    if missing:
+        raise _Failure(f"config: manifest needs keys {missing}")
+    return InputManifest.from_json(blob)
 
 
 def _default_manifest(model: CausalModel) -> InputManifest:
@@ -190,8 +217,6 @@ def _fit_recipe(recipe: str, train: Dataset, model: CausalModel, outcome: str,
                                  protected=model.protected)
         return predictor, model
     if recipe == "fair_add":
-        if head != "linear":
-            raise _Failure("config: recipe fair_add supports only the linear head")
         return additive_fair_fit(train, model, outcome), model
     if recipe == "fair_learning":
         man = manifest if manifest is not None else _default_manifest(model)
@@ -206,6 +231,15 @@ def _fit_recipe(recipe: str, train: Dataset, model: CausalModel, outcome: str,
                                   config=config, outcome=outcome)
         return predictor, fitted.model
     raise _Failure(f"config: unknown recipe {recipe!r}")
+
+
+def _check_head(recipe: str, head) -> None:
+    """Config errors for a head that is neither linear nor logistic, or one
+    that the recipe does not fit."""
+    if head not in ("linear", "logistic"):
+        raise _Failure(f"config: head must be linear or logistic, got {head!r}")
+    if recipe == "fair_add" and head != "linear":
+        raise _Failure("config: recipe fair_add supports only the linear head")
 
 
 def _split_indices(y: np.ndarray, frac: float, seed: int):
@@ -239,28 +273,33 @@ def _test_metric(head: str, y: np.ndarray, preds: np.ndarray) -> tuple[str, floa
 
 # -- audits ---------------------------------------------------------------
 
-# the numeric fields of an audit spec, converted like other config numbers
-# for every criterion; a field left out or null takes the audit's default
+# the numeric fields of an audit spec, converted like other config numbers;
+# a field left out or null takes the audit's default
 _AUDIT_FIELDS = {"draws": int, "max_records": int, "record": int,
                  "threshold": float, "tol": float, "y": float}
 
 
-def _audit_args(spec: dict):
+def _audit_args(spec):
     """(criterion, a, a_prime, numeric fields) of an audit spec; config errors
-    for an unknown criterion, a missing assignment, target or path, or a
-    malformed number."""
+    for a spec that is not an object, an unknown criterion or field, a missing
+    assignment, target or path, or a malformed number."""
+    if not isinstance(spec, dict):
+        raise _Failure(f"config: bad audit spec {spec!r}")
     crit = spec.get("criterion")
     if crit not in CRITERIA:
         raise _Failure(f"config: unknown audit criterion {crit!r}; "
                        f"choose from {', '.join(CRITERIA)}")
-    a = dict(spec.get("a") or {})
-    ap = dict(spec.get("a_prime") or {})
-    if crit in ("cf", "strict", "path", "dp", "ace") and (not a or not ap):
+    _config_object(spec, f"{crit} audit", ("criterion", *_CRITERION_FIELDS[crit]))
+    a, ap, _ = (_config_object(spec.get(k) or {}, k) for k in ("a", "a_prime", "given"))
+    if "a" in _CRITERION_FIELDS[crit] and (not a or not ap):
         raise _Failure(f"config: criterion {crit} needs --a and --a-prime")
     if crit == "ps" and not ap:
         raise _Failure("config: criterion ps needs --a-prime")
     if crit == "path" and not spec.get("paths"):
         raise _Failure("config: criterion path needs at least one --path")
+    paths = spec.get("paths") or []
+    if not isinstance(paths, list) or not all(isinstance(p, (list, tuple)) for p in paths):
+        raise _Failure(f"config: paths must be a list of name lists, got {paths!r}")
     num = {k: _config_number(spec[k], kind, k) for k, kind in _AUDIT_FIELDS.items()
            if spec.get(k) is not None}
     for count in ("draws", "max_records"):
@@ -275,20 +314,13 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
                outcome: str, config: McmcConfig):
     """Run one audit spec; returns (summary dict, FairnessReport or None)."""
     crit, a, ap, num = _audit_args(spec)
-
-    def picked(*names) -> dict:
-        return {k: num[k] for k in names if k in num}
-
     if crit == "cf":
-        report = cf_fairness_test(model, predictor, data, a, ap, config=config,
-                                  **picked("draws", "threshold", "max_records"))
+        report = cf_fairness_test(model, predictor, data, a, ap, config=config, **num)
     elif crit == "strict":
-        report = strict_cf_check(model, predictor, data, a, ap, config=config,
-                                 **picked("draws", "tol", "max_records"))
+        report = strict_cf_check(model, predictor, data, a, ap, config=config, **num)
     elif crit == "path":
         paths = [tuple(p) for p in spec["paths"]]
-        report = path_cf_test(model, predictor, data, paths, a, ap, config=config,
-                              **picked("draws", "threshold", "max_records"))
+        report = path_cf_test(model, predictor, data, paths, a, ap, config=config, **num)
     elif crit == "dp":
         gaps = group_gaps(predictor, data, outcome, a, ap, model=model,
                           config=config)
@@ -316,7 +348,7 @@ def _run_audit(spec: dict, predictor, model: CausalModel, data: Dataset,
         record.pop(outcome, None)
         y = num["y"]
         result = prob_sufficiency(model, predictor, record, y, ap, config=config,
-                                  **picked("tol"))
+                                  **{k: v for k, v in num.items() if k == "tol"})
         thr = num.get("threshold", 0.05)
         prob = float(result["probability"])
         return {"criterion": "ps", "passed": bool(prob <= thr),
@@ -371,6 +403,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_head(args.recipe, args.head)
     model = _load_model_file(args.model)
     data = _load_data_file(args.data, model)
     seed = _resolve_seed(args.seed)
@@ -378,10 +411,16 @@ def cmd_fit(args) -> int:
     config = _mcmc_from_blob({k: getattr(args, k) for k in _MCMC_FLAGS}, seed)
     manifest = None
     if args.manifest:
+        if args.recipe != "fair_learning":
+            raise _Failure("config: only recipe fair_learning reads --manifest")
         if not os.path.exists(args.manifest):
             raise _Failure(f"config: manifest file not found: {args.manifest}")
         with open(args.manifest) as fh:
-            manifest = InputManifest.from_json(json.load(fh))
+            try:
+                blob = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise _Failure(f"config: {args.manifest}: {exc}") from exc
+        manifest = _manifest(blob)
     predictor, predict_model = _fit_recipe(args.recipe, data, model, outcome,
                                            args.head, config, manifest)
     save_predictor(predictor, args.out)
@@ -404,13 +443,14 @@ def cmd_audit(args) -> int:
     config = _mcmc_from_blob({k: getattr(args, k) for k in _MCMC_FLAGS}, seed)
     outcome = _single_outcome(model, args.outcome) if args.criterion == "dp" \
         else (args.outcome or "")
+    flags = {"a": dict(args.a), "a_prime": dict(args.a_prime),
+             "paths": [tuple(s.strip() for s in p.split(",")) for p in args.path],
+             "given": dict(args.given), "record": args.record, "y": args.y,
+             "draws": args.draws, "threshold": args.threshold,
+             "max_records": args.max_records, "tol": args.tol}
+    # only the flags given, so a flag the criterion does not read is an error
     spec = {"criterion": args.criterion,
-            "a": dict(args.a), "a_prime": dict(args.a_prime),
-            "paths": [tuple(s.strip() for s in p.split(",")) for p in args.path],
-            "given": dict(args.given),
-            "record": args.record, "y": args.y,
-            "draws": args.draws, "threshold": args.threshold,
-            "max_records": args.max_records, "tol": args.tol}
+            **{k: v for k, v in flags.items() if v not in (None, [], {})}}
     summary, report = _run_audit(spec, predictor, model, data, outcome, config)
     print(f"{summary['criterion']}: {_verdict(summary)} "
           f"aggregate={_fmt(summary['aggregate'])} "
@@ -431,17 +471,16 @@ def _resolve_experiment(cfg: dict, seed: int):
     """Load or generate the model and its data without background columns;
     returns (model, data, source description)."""
     if "scenario" in cfg:
-        sc = dict(cfg["scenario"])
-        try:
-            kind = sc.pop("kind")
-        except KeyError:
-            raise _Failure("config: scenario needs a 'kind'") from None
-        n = _config_number(sc.pop("n", 1000), int, "scenario n")
-        sc_seed = _config_number(sc.pop("seed", rng.child_seed(seed, rng.TAG_SCENARIO)), int,
+        sc = _config_object(cfg["scenario"], "scenario", ("kind", "n", "seed", "params"))
+        if "kind" not in sc:
+            raise _Failure("config: scenario needs a 'kind'")
+        kind = sc["kind"]
+        n = _config_number(sc.get("n", 1000), int, "scenario n")
+        sc_seed = _config_number(sc.get("seed", rng.child_seed(seed, rng.TAG_SCENARIO)), int,
                                  "scenario seed")
-        params = ScenarioParams(kind, dict(sc.pop("params", {})), n=n, seed=sc_seed)
-        if sc:
-            raise _Failure(f"config: unknown scenario keys {sorted(sc)}")
+        params = ScenarioParams(kind, dict(_config_object(sc.get("params", {}),
+                                                          "scenario params")),
+                                n=n, seed=sc_seed)
         model, raw = generate(params)
         source = {"scenario": {"kind": kind, "n": n, "seed": sc_seed,
                                "params": dict(params.params)}}
@@ -456,8 +495,10 @@ def _resolve_experiment(cfg: dict, seed: int):
 
 
 def _normalize_recipes(cfg: dict) -> list[dict]:
+    """The recipe entries as objects; config errors for a malformed entry or
+    manifest, an unknown recipe or key, or a repeated recipe."""
     raw = cfg.get("recipes")
-    if not raw:
+    if not raw or not isinstance(raw, list):
         raise _Failure("config: experiment needs a non-empty 'recipes' list")
     out = []
     for item in raw:
@@ -467,6 +508,10 @@ def _normalize_recipes(cfg: dict) -> list[dict]:
             raise _Failure(f"config: bad recipe entry {item!r}")
         if item["recipe"] not in RECIPES:
             raise _Failure(f"config: unknown recipe {item['recipe']!r}")
+        reads = ("manifest",) if item["recipe"] == "fair_learning" else ()
+        _config_object(item, f"{item['recipe']} recipe", ("recipe", "head", *reads))
+        if "manifest" in item:
+            _manifest(item["manifest"])
         out.append(item)
     names = [r["recipe"] for r in out]
     if len(set(names)) != len(names):
@@ -483,9 +528,13 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
     head = cfg.get("head", "linear")
     mcmc = _mcmc_from_blob(cfg.get("mcmc"), seed)
     recipes = _normalize_recipes(cfg)
+    for rc in recipes:
+        _check_head(rc["recipe"], rc.get("head", head))
     audits_cfg = cfg.get("audits", [])
+    if not isinstance(audits_cfg, list):
+        raise _Failure(f"config: 'audits' must be a list of audit specs, got {audits_cfg!r}")
     for audit_spec in audits_cfg:  # a malformed spec fails before any fit
-        _audit_args(dict(audit_spec))
+        _audit_args(audit_spec)
 
     if outcome not in obs.data:
         raise _Failure(f"config: outcome column {outcome!r} missing from the data")
@@ -520,7 +569,7 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
     for rc in recipes:
         name = rc["recipe"]
         head_r = rc.get("head", head)
-        manifest = InputManifest.from_json(rc["manifest"]) if "manifest" in rc else None
+        manifest = _manifest(rc["manifest"]) if "manifest" in rc else None
         predictor, predict_model = _fit_recipe(name, train, model, outcome,
                                                head_r, mcmc, manifest)
         save_predictor(predictor, predictors_dir / f"{name}.json")
@@ -540,7 +589,7 @@ def run_experiment(cfg: dict, out_dir: Path, strict: bool, seed: int) -> int:
     for i, audit_spec in enumerate(audits_cfg):
         with _reuse_passes():
             for name, predictor in predictors.items():
-                summary, rep = _run_audit(dict(audit_spec), predictor, model, test,
+                summary, rep = _run_audit(audit_spec, predictor, model, test,
                                           outcome, mcmc)
                 report["recipes"][name]["audits"].append(summary)
                 if summary["passed"] is False:
@@ -578,6 +627,8 @@ def cmd_experiment(args) -> int:
         raise _Failure(f"config: {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _Failure("config: the experiment config must be a JSON object")
+    source = ("scenario",) if "scenario" in cfg else ("model", "data")
+    _config_object(cfg, "experiment", _EXPERIMENT_KEYS + source)
     if args.seed is not None:
         seed = int(args.seed)
     elif "seed" in cfg:
@@ -587,7 +638,11 @@ def cmd_experiment(args) -> int:
     out = args.out or cfg.get("out")
     if not out:
         raise _Failure("config: no output directory (--out flag or 'out' key)")
-    strict = bool(args.strict or cfg.get("strict", False))
+    if not isinstance(out, str):
+        raise _Failure(f"config: out must be a path, got {out!r}")
+    if not isinstance(cfg.get("strict", False), bool):
+        raise _Failure(f"config: strict must be true or false, got {cfg['strict']!r}")
+    strict = args.strict or cfg.get("strict", False)
     return run_experiment(cfg, Path(out), strict, seed)
 
 
@@ -663,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated causal path (repeatable; criterion path)")
     p.add_argument("--given", action="append", type=_assignment, default=[],
                    metavar="NAME=VALUE", help="evidence for criterion ace")
-    p.add_argument("--record", type=int, default=0,
-                   help="row index for criterion ps")
+    p.add_argument("--record", type=int, default=None,
+                   help="row index for criterion ps (default: 0)")
     p.add_argument("--y", type=float, default=None,
                    help="target prediction for criterion ps")
     p.add_argument("--draws", type=int, default=None)

@@ -267,8 +267,7 @@ def test_audit_path_writes_its_report_and_densities(tmp_path, capsys):
 
 def test_audit_ftu_and_ace_summaries(tmp_path, capsys):
     pred, model, data = _fit_recipe_file(tmp_path, "unaware", "aux")
-    assert main(["audit", str(pred), str(model), str(data),
-                 "--criterion", "ftu", "--a", "A=1", "--a-prime", "A=-1"]) == 0
+    assert main(["audit", str(pred), str(model), str(data), "--criterion", "ftu"]) == 0
     assert "PASS" in capsys.readouterr().out
     out_dir = tmp_path / "ace_report"
     assert main(["audit", str(pred), str(model), str(data),
@@ -522,6 +521,125 @@ def test_experiment_config_errors(tmp_path, capsys):
         bad.write_text(json.dumps({**base, **change}))
         assert main(["experiment", str(bad), "--out", str(tmp_path / "o3")]) == 1
         assert capsys.readouterr().err == f"config: {message}\n"
+
+
+_MISSING_PROTECTED = {"background_inputs": ["U"], "observable_inputs": [],
+                      "include_protected": False}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"audits": [{"criterion": "cf", "a": {"A": 1}, "a_prime": {"A": -1},
+                  "max_record": 5}]},
+     "unknown cf audit keys ['max_record']"),
+    ({"audits": [{"criterion": "cf", "a": {"A": 1}, "a_prime": {"A": -1},
+                  "treshold": 0.5}]},
+     "unknown cf audit keys ['treshold']"),
+    ({"recipes": [{"recipe": "full", "hed": "logistic"}]}, "unknown full recipe keys ['hed']"),
+    ({"recipes": [{"recipe": "full", "manifest": {}}]}, "unknown full recipe keys ['manifest']"),
+    ({"audit": [{"criterion": "ftu"}]}, "unknown experiment keys ['audit']"),
+    ({"model": "model.json"}, "unknown experiment keys ['model']"),
+], ids=["audit-max_record", "audit-treshold", "recipe-hed", "manifest-for-full",
+        "top-level-audit", "model-beside-scenario"])
+def test_experiment_keys_that_nothing_reads_fail_before_fitting(tmp_path, capsys, change,
+                                                                 message):
+    # each of these used to run at the defaults and exit 0
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": 50},
+                               "recipes": ["full"], **change}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"audits": {"criterion": "ftu"}},
+     "'audits' must be a list of audit specs, got {'criterion': 'ftu'}"),
+    ({"audits": ["cf"]}, "bad audit spec 'cf'"),
+    ({"scenario": "red_car"}, "scenario must be a JSON object, got 'red_car'"),
+    ({"recipes": "full"}, "experiment needs a non-empty 'recipes' list"),
+    ({"recipes": [{"recipe": "fair_learning", "manifest": _MISSING_PROTECTED}]},
+     "manifest needs keys ['protected']"),
+    ({"audits": [{"criterion": "cf", "a": "A=1", "a_prime": {"A": -1}}]},
+     "a must be a JSON object, got 'A=1'"),
+    ({"head": "probit"}, "head must be linear or logistic, got 'probit'"),
+    ({"recipes": ["full", {"recipe": "unaware", "head": "Linear"}]},
+     "head must be linear or logistic, got 'Linear'"),
+    ({"recipes": ["full", {"recipe": "fair_add", "head": "logistic"}]},
+     "recipe fair_add supports only the linear head"),
+    ({"strict": "no"}, "strict must be true or false, got 'no'"),
+    ({"out": 5}, "out must be a path, got 5"),
+], ids=["audits-object", "audit-string", "scenario-string", "recipes-string",
+        "manifest-missing-key", "assignment-string", "head", "recipe-head",
+        "fair_add-logistic", "strict-string", "out-number"])
+def test_malformed_experiment_parts_are_config_errors(tmp_path, capsys, change, message):
+    # raw ValueError, KeyError and TypeError tracebacks, a misleading message,
+    # an error after the first fit, or a strict run, before
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "red_car", "n": 50},
+                               "recipes": ["full"], **change}))
+    flags = [] if "out" in change else ["--out", str(tmp_path / "o")]
+    assert main(["experiment", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--criterion", "cf", "--a", "A=1", "--a-prime", "A=-1", "--tol", "5", "--y", "3"],
+     "unknown cf audit keys ['tol', 'y']"),
+    (["--criterion", "ftu", "--a", "A=1", "--a-prime", "A=-1"],
+     "unknown ftu audit keys ['a', 'a_prime']"),
+    (["--criterion", "strict", "--a", "A=1", "--a-prime", "A=-1", "--threshold", "0.1"],
+     "unknown strict audit keys ['threshold']"),
+], ids=["cf-tol-y", "ftu-assignments", "strict-threshold"])
+def test_audit_flags_the_criterion_does_not_read_are_config_errors(tmp_path, capsys,
+                                                                   flags, message):
+    pred, model, data = _fit_recipe_file(tmp_path, "full", "unread")
+    capsys.readouterr()
+    out_dir = tmp_path / "report"
+    assert main(["audit", str(pred), str(model), str(data), *flags,
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(_MISSING_PROTECTED), "manifest needs keys ['protected']"),
+    (json.dumps({**_MISSING_PROTECTED, "protected": ["A"], "backgrounds": ["U"]}),
+     "unknown manifest keys ['backgrounds']"),
+    ('["U"]', "manifest must be a JSON object, got ['U']"),
+    ("{", "{path}: Expecting property name enclosed in double quotes"),
+], ids=["missing-key", "unknown-key", "not-an-object", "not-json"])
+def test_fit_rejects_a_malformed_manifest(tmp_path, capsys, text, message):
+    # a missing key used to raise a raw KeyError, and bad JSON a JSONDecodeError
+    model_path, data_path = _scenario_files(tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(text)
+    message = message.replace("{path}", str(manifest_path))
+    capsys.readouterr()
+    assert main(["fit", str(model_path), str(data_path), "--recipe", "fair_learning",
+                 "--manifest", str(manifest_path), "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"config: {message}")
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_fit_rejects_a_head_its_recipe_does_not_fit(tmp_path, capsys):
+    model_path, data_path = _scenario_files(tmp_path)
+    capsys.readouterr()
+    assert main(["fit", str(model_path), str(data_path), "--recipe", "fair_add",
+                 "--head", "logistic", "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err == "config: recipe fair_add supports only the linear head\n"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_fit_rejects_a_manifest_for_a_recipe_that_does_not_read_it(tmp_path, capsys):
+    model_path, data_path = _scenario_files(tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({**_MISSING_PROTECTED, "protected": ["A"]}))
+    capsys.readouterr()
+    assert main(["fit", str(model_path), str(data_path), "--recipe", "full",
+                 "--manifest", str(manifest_path), "--out", str(tmp_path / "p.json")]) == 1
+    assert capsys.readouterr().err == "config: only recipe fair_learning reads --manifest\n"
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("audit, message", [
